@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -47,16 +48,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+_INT_LITERAL = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]{1,9}))?")
+#: Digits allowed in a parsed integer: Python's default int/str conversion limit.
+_MAX_DIGITS = 4300
+
+
 def parse_int_literal(text: str) -> int:
-    """Integer literals, allowing 1e6-style scientific notation."""
-    t = str(text).strip()
-    try:
-        return int(t)
-    except ValueError:
-        v = float(t)
-        if v != int(v):
+    """Integer literals, allowing scientific notation (1e6, 2.5e3, 1500e-2).
+
+    Sign, digits, decimals and exponent are read with integer arithmetic, so
+    the value is exact; fractions (1.5, 15e-1), inf and nan are rejected.
+    """
+    m = _INT_LITERAL.fullmatch(str(text).strip())
+    if m is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer literal")
+    sign, whole, frac, exp = m.groups()
+    frac = frac or ""
+    digits = (whole + frac).lstrip("0")
+    if not digits:
+        return 0
+    shift = int(exp or 0) - len(frac)
+    if shift < 0:
+        if digits[shift:].strip("0"):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        return int(v)
+        digits, shift = digits[:shift], 0
+    if len(digits) + shift > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"{text!r} has more than {_MAX_DIGITS} digits")
+    value = int(digits) * 10**shift
+    return -value if sign == "-" else value
 
 
 def parse_fraction_literal(text: str) -> Fraction:
@@ -417,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         opt = resolve_options(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     command = args.command

@@ -8,6 +8,11 @@ lands in a dyadic magnitude band N^(1-c) 2^(-b), and the profile of band
 indices partitions [T, 2T] exactly (everything below the 1/x floor falls
 into the leftover class S0).
 
+Every factor value comes from one kernel, `eval_factor_lattice`, which
+evaluates on a lattice t = base + offset as one matrix product per chunk of
+bases; `eval_factor_grid` is its single-offset case and `eval_factor` the
+compensated pointwise oracle.
+
 The sup over a unit interval is approximated by G equally spaced samples
 plus golden-section refinement around the best sample; this underestimates
 the true sup by at most a Lipschitz factor |S'| <= sum |a_n| log(n) n^{-c},
@@ -17,7 +22,6 @@ which callers can query via `lipschitz_bound`.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -97,19 +101,48 @@ def eval_factor(f: PolyFactor, c: float, t: float) -> complex:
     return complex(re, im)
 
 
-def eval_factor_grid(f: PolyFactor, c: float, ts: np.ndarray) -> np.ndarray:
-    """Vectorized factor values on an array of t (chunked against the budget)."""
+def eval_factor_lattice(
+    f: PolyFactor, c: float, bases: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Factor values at t = bases[k] + offsets[j], shape (len(bases), len(offsets)).
+
+    The phase factors as n^(-it) = n^(-i base) n^(-i offset): the offset
+    phases are built once, and each chunk of bases costs N exponentials per
+    base plus one matrix product.  A chunk of bases holds at most
+    EVAL_BUDGET // max(N, len(offsets)) rows, and the offset phases are
+    built EVAL_BUDGET // N offsets at a time.
+    """
+    bases = np.asarray(bases, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.float64)
     ns, an = f.support()
     if len(ns) == 0:
-        return np.zeros(len(ts), dtype=complex)
+        return np.zeros((len(bases), len(offsets)), dtype=complex)
     logs = np.log(ns.astype(np.float64))
     mags = an * np.exp(-c * logs)
-    out = np.empty(len(ts), dtype=complex)
-    chunk = max(1, EVAL_BUDGET // max(1, len(ns)))
-    for a in range(0, len(ts), chunk):
-        tt = ts[a : a + chunk]
-        out[a : a + chunk] = np.exp(-1j * np.outer(tt, logs)) @ mags
+    out = np.empty((len(bases), len(offsets)), dtype=complex)
+    step = max(1, EVAL_BUDGET // max(len(ns), len(offsets)))
+    width = max(1, EVAL_BUDGET // len(ns))
+    for b in range(0, len(offsets), width):
+        shifts = np.exp(-1j * np.outer(logs, offsets[b : b + width]))
+        for a in range(0, len(bases), step):
+            rows = np.exp(-1j * np.outer(bases[a : a + step], logs))
+            rows *= mags
+            out[a : a + step, b : b + width] = rows @ shifts
     return out
+
+
+def eval_product_lattice(
+    factors: Sequence[PolyFactor], c: float, bases: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    out = np.ones((len(bases), len(offsets)), dtype=complex)
+    for f in factors:
+        out *= eval_factor_lattice(f, c, bases, offsets)
+    return out
+
+
+def eval_factor_grid(f: PolyFactor, c: float, ts: np.ndarray) -> np.ndarray:
+    """Factor values on an array of t: the lattice with the single offset 0."""
+    return eval_factor_lattice(f, c, ts, (0.0,))[:, 0]
 
 
 def eval_product_grid(factors: Sequence[PolyFactor], c: float, ts: np.ndarray) -> np.ndarray:
@@ -175,8 +208,7 @@ def _sup_grid(
 ) -> np.ndarray:
     """Vectorized per-interval sups of |prod fs| for every m in ms."""
     offsets = np.linspace(0.0, 1.0, samples + 1)
-    ts = (ms[:, None] + offsets[None, :]).ravel()
-    vals = np.abs(eval_product_grid(fs, c, ts)).reshape(len(ms), samples + 1)
+    vals = np.abs(eval_product_lattice(fs, c, ms, offsets))
     best = np.argmax(vals, axis=1)
     peak = vals[np.arange(len(ms)), best]
     lo = ms + offsets[np.maximum(best - 1, 0)]
@@ -327,15 +359,27 @@ def count_R_Rstar(
     profile: LargeValueProfile | None = None,
     T0: float | None = None,
 ) -> LargeValueCounts:
-    """R = |members|, R* = #{(m1,m2,m3,m4): m1+m2 = m3+m4} via pair sums."""
+    """R = |members|, R* = #{(m1,m2,m3,m4): m1+m2 = m3+m4}.
+
+    R* is the additive energy sum_s r(s)^2, with r(s) the number of ordered
+    pairs summing to s, counted in int64 by bincounts of the pair sums,
+    EVAL_BUDGET pairs at a time, and squared and summed as Python integers:
+    O(R^2) time and O(max - min) memory, so the spread of the members is held
+    to the budget.
+    """
     ms = sorted(members)
     if any(not (T <= m <= 2 * T) for m in ms):
         raise ValueError("member set must sit inside [T, 2T]")
-    pair_sums = Counter()
-    for i, a in enumerate(ms):
-        for b in ms:
-            pair_sums[a + b] += 1
-    r_star = sum(v * v for v in pair_sums.values())
+    r_star = 0
+    if ms:
+        if 2 * (ms[-1] - ms[0]) >= EVAL_BUDGET:
+            raise CapacityError("member spread over the R* counting budget")
+        a = np.asarray(ms, dtype=np.int64) - ms[0]
+        r = np.zeros(2 * int(a[-1]) + 1, dtype=np.int64)
+        step = max(1, EVAL_BUDGET // len(a))
+        for i in range(0, len(a), step):
+            r += np.bincount((a[i : i + step, None] + a).ravel(), minlength=len(r))
+        r_star = sum(v * v for v in r[r > 0].tolist())
     x1 = sigma = mu = None
     if profile is not None:
         x1 = float(math.prod(profile.lengths))

@@ -14,6 +14,15 @@ Quadrature is Gauss-Legendre on fixed-width panels (default one unit).  The
 integrand oscillates like exp(it log(y x1)), a few cycles per unit panel at
 desk scale, so moderate orders converge to well below the truncation error;
 halving the panel width is the documented convergence check.
+
+The panels share their Gauss offsets, so the nodes form a lattice
+t = midpoint_k + (width/2) x_j, and the factor product is evaluated as one
+phase-factored lattice (`dirichlet.eval_product_lattice`): n^(-it) =
+n^(-i midpoint) n^(-i offset) costs N exponentials per panel plus one
+matrix product.  The last panel, partial unless the width divides the
+range, is its own one-row lattice.  The integrand is built 4096 panels at a
+time, the per-node y^s C1(s) times the lattice values; within that the
+kernel keeps each chunk's rows x max(N, order) within `EVAL_BUDGET`.
 """
 
 from __future__ import annotations
@@ -25,9 +34,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .dirichlet import PolyFactor, eval_product_grid
+from .dirichlet import PolyFactor, eval_product_lattice
 from .errors import CapacityError, QuadratureError
 from .identity import CoefficientClass
+
+#: Panels per integrand evaluation, which bounds the per-node arrays.
+_PANEL_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -79,35 +91,59 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_nodes(lo: float, hi: float, width: float, order: int):
-    """Gauss nodes/weights tiling [lo, hi] with fixed-width panels."""
+    """Gauss nodes and weights tiling [lo, hi] with fixed-width panels, as lattices.
+
+    Returns [(bases, offsets, weights), ...] with nodes t = bases[k] +
+    offsets[j] and weights shared by every row: first the full panels, whose
+    midpoints share the offsets width/2 x and weights width/2 w, then the last
+    panel (partial unless width divides hi - lo) as a one-row lattice.
+    """
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError("panel_width must be finite and positive")
+    if order < 1:
+        raise ValueError("gauss_order must be >= 1")
     x, w = _gauss_nodes(order)
-    edges = [lo]
-    while edges[-1] + width < hi - 1e-12:
-        edges.append(edges[-1] + width)
-    edges.append(hi)
-    ts = []
-    ws = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = (b - a) / 2.0
-        ts.append((a + b) / 2.0 + half * x)
-        ws.append(half * w)
-    return np.concatenate(ts), np.concatenate(ws), len(edges) - 1
+    n_panels = max(1, math.ceil((hi - lo) / width - 1e-12))
+    edges = lo + width * np.arange(n_panels, dtype=np.float64)
+    half = width / 2.0
+    last = float(edges[-1])
+    last_half = (hi - last) / 2.0
+    return [
+        ((edges[:-1] + edges[1:]) / 2.0, half * x, half * w),
+        (np.array([(last + hi) / 2.0]), last_half * x, last_half * w),
+    ]
 
 
 def _window_integrand(
-    factors: Sequence[PolyFactor], params: PerronParams, ts: np.ndarray
+    factors: Sequence[PolyFactor], params: PerronParams,
+    bases: np.ndarray, offsets: np.ndarray,
 ) -> np.ndarray:
-    s = params.c + 1j * ts
+    """y^s C1(s) S(s) at s = c + i(bases[k] + offsets[j]), one row per base."""
+    s = params.c + 1j * (bases[:, None] + offsets[None, :])
     vals = (
         np.exp(s * math.log(params.y))
         * c1_factor(s, params.tau)
-        * eval_product_grid(factors, params.c, ts)
+        * eval_product_lattice(factors, params.c, bases, offsets)
     )
     if not np.all(np.isfinite(vals)):
         raise QuadratureError(
-            "non-finite integrand", {"t_range": [float(ts[0]), float(ts[-1])]}
+            "non-finite integrand",
+            {"t_range": [float(s.imag.min()), float(s.imag.max())]},
         )
     return vals
+
+
+def _panel_sums(
+    factors: Sequence[PolyFactor], params: PerronParams,
+    lo: float, hi: float, width: float, order: int,
+) -> np.ndarray:
+    """Complex quadrature sum of each panel tiling [lo, hi], in panel order."""
+    sums = []
+    for bases, offsets, weights in _panel_nodes(lo, hi, width, order):
+        for a in range(0, len(bases), _PANEL_CHUNK):
+            vals = _window_integrand(factors, params, bases[a : a + _PANEL_CHUNK], offsets)
+            sums.append((vals * weights).sum(axis=1))
+    return np.concatenate(sums)
 
 
 def direct_window_sum(factors: Sequence[PolyFactor], y: float, tau: float) -> float:
@@ -175,14 +211,13 @@ def perron_window(
     [0, T0] is integrated.  Panel sums are accumulated in a fixed order to
     keep reruns bit-identical for a given panel count.
     """
-    ts, ws, n_panels = _panel_nodes(0.0, params.T0, panel_width, gauss_order)
-    vals = _window_integrand(factors, params, ts)
-    estimate = float(np.real(np.sum(vals * ws))) / math.pi
+    sums = _panel_sums(factors, params, 0.0, params.T0, panel_width, gauss_order)
+    estimate = float(np.sum(sums.real)) / math.pi
     direct = direct_window_sum(factors, params.y, params.tau)
     residual = abs(estimate - direct)
     ly = math.log(params.y)
     envelope = params.y * ly**2 / params.T0 + ly
-    return PerronReport(params, estimate, direct, residual, envelope, n_panels)
+    return PerronReport(params, estimate, direct, residual, envelope, len(sums))
 
 
 def perron_window_scan(
@@ -202,20 +237,13 @@ def perron_window_scan(
     """
     checkpoints = sorted(float(t) for t in t_checkpoints)
     top = checkpoints[-1]
-    ts, ws, n_panels = _panel_nodes(0.0, top, panel_width, gauss_order)
     params_top = make_perron_params(y, tau, T0=top)
-    order = len(ws) // n_panels
+    prefix = np.cumsum(
+        _panel_sums(factors, params_top, 0.0, top, panel_width, gauss_order).real
+    )
+    n_panels = len(prefix)
     direct = direct_window_sum(factors, y, tau)
     ly = math.log(y)
-
-    panel_sums = np.empty(n_panels)
-    chunk = 4096
-    for a in range(0, n_panels, chunk):
-        lo, hi = a * order, min(n_panels, a + chunk) * order
-        vals = _window_integrand(factors, params_top, ts[lo:hi])
-        contrib = np.real(vals * ws[lo:hi]).reshape(-1, order).sum(axis=1)
-        panel_sums[a : a + chunk] = contrib
-    prefix = np.cumsum(panel_sums)
 
     reports = []
     for T0 in checkpoints:
@@ -245,8 +273,5 @@ def tail_segment(
     """
     if not (params.T1 <= t_lo <= t_hi <= params.T0):
         raise ValueError("need T1 <= t_lo <= t_hi <= T0")
-    if t_lo == t_hi:
-        return 0.0
-    ts, ws, _ = _panel_nodes(t_lo, t_hi, panel_width, gauss_order)
-    vals = _window_integrand(factors, params, ts)
-    return abs(complex(np.sum(vals * ws)))
+    sums = _panel_sums(factors, params, t_lo, t_hi, panel_width, gauss_order)
+    return abs(complex(np.sum(sums)))

@@ -1,11 +1,18 @@
 """CLI contract: exit codes, byte-identical reruns, manifests, config files."""
 
+import argparse
 import json
 from pathlib import Path
 
-from gapscope.cli import main
+import pytest
+from hypothesis import given, strategies as st
+
+from gapscope.cli import main, parse_int_literal
 from gapscope.claims import format_ledger
 from gapscope.ledger import mutated_ledger
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(args):
@@ -53,6 +60,35 @@ def test_usage_error_exit_1(tmp_path):
     assert run(["nonsense"]) == 1
 
 
+def test_gaps_non_integer_limits(tmp_path):
+    out = str(tmp_path / "o")
+    for bad in ("inf", "nan", "-inf", "1.5", "15e-1"):
+        assert run(["gaps", "--limits", bad, "--out", out]) == 1, bad
+    # an exact 10^400 is a valid literal, refused by the desk-scale guard
+    assert run(["gaps", "--limits", "1e400", "--out", out]) == 2
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("limits=1.5\n", encoding="utf-8")
+    assert run(["gaps", "--config", str(cfg), "--out", out]) == 1
+
+
+def test_parse_int_literal_exact():
+    assert parse_int_literal("123456789012345678e2") == 12345678901234567800
+    assert parse_int_literal("1e400") == 10**400
+    assert parse_int_literal(" 2.5e3 ") == 2500
+    assert parse_int_literal("1500e-2") == 15
+    assert parse_int_literal("-0") == 0
+    assert parse_int_literal("+7") == 7
+    for bad in ("1.5", "15e-1", "inf", "nan", "9/5", "", "e5", "1e5000", "1e-99999999"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_int_literal(bad)
+
+
+@given(st.integers(), st.integers(-10**30, 10**30), st.integers(0, 60))
+def test_parse_int_literal_round_trip(n, m, k):
+    assert parse_int_literal(str(n)) == n
+    assert parse_int_literal(f"{m}e{k}") == m * 10**k
+
+
 def test_identity_command(tmp_path):
     out = tmp_path / "o"
     assert run(["identity", "--x", "50", "--k", "2",
@@ -74,6 +110,14 @@ def test_verify_builtin_and_mutated(tmp_path, capsys):
     assert run(["verify", "--ledger", str(bad), "--out", str(tmp_path / "v2")]) == 3
     printed = capsys.readouterr().out
     assert "FAIL" in printed and "sigma=" in printed
+
+
+def test_mutated_ledger_golden(tmp_path):
+    ledger = DATA / "m.txt"
+    assert format_ledger(mutated_ledger()).encode("utf-8") == read(ledger)
+    out = tmp_path / "v"
+    assert run(["verify", "--ledger", str(ledger), "--out", str(out)]) == 3
+    assert read(out / "verdicts.json") == read(DATA / "verdicts.json")
 
 
 def test_optimize_nu_command(tmp_path, capsys):

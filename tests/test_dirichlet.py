@@ -13,6 +13,7 @@ from gapscope.dirichlet import (
     classify_profile,
     count_R_Rstar,
     eval_factor,
+    eval_factor_lattice,
     eval_product_grid,
     hb_rstar_check,
     hb_rstar_rhs,
@@ -70,6 +71,32 @@ def test_grid_eval_matches_pointwise():
     grid = eval_product_grid([f], 1.2, ts)
     for t, g in zip(ts, grid):
         assert g == pytest.approx(eval_factor(f, 1.2, float(t)), rel=1e-12)
+
+
+@pytest.mark.parametrize("f", [unit_factor(64), log_factor(32), mobius_factor(64)])
+def test_lattice_matches_pointwise(f):
+    c = 1.13
+    bases = np.array([0.0, 1.5, 47.25, 999.0, 9999.5])
+    offsets = 0.5 * np.polynomial.legendre.leggauss(12)[0]
+    lattice = eval_factor_lattice(f, c, bases, offsets)
+    assert lattice.shape == (len(bases), len(offsets))
+    ns, an = f.support()
+    scale = float(np.sum(np.abs(an) * ns.astype(float) ** -c))
+    for k, b in enumerate(bases):
+        for j, h in enumerate(offsets):
+            ref = eval_factor(f, c, float(b + h))
+            assert abs(lattice[k, j] - ref) <= 1e-10 * scale, (b, h)
+
+
+def test_lattice_chunks_agree(monkeypatch):
+    import gapscope.dirichlet as dirichlet
+
+    f, c = mobius_factor(64), 1.1
+    bases, offsets = np.linspace(0.0, 1e4, 37), np.linspace(0.0, 1.0, 33)
+    whole = eval_factor_lattice(f, c, bases, offsets)
+    monkeypatch.setattr(dirichlet, "EVAL_BUDGET", 100)  # 1-row, 1-offset chunks
+    chunked = eval_factor_lattice(f, c, bases, offsets)
+    assert np.allclose(chunked, whole, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +178,15 @@ def test_band_index_edges():
     assert band_index(top * 2 ** -60, Q(8), 1.1, 32.0) is None  # below 1/x floor
 
 
+def test_classification_sups_match_unit_interval_sups():
+    facs = [unit_factor(16), mobius_factor(8)]
+    cls = classify_profile(facs, 1.12, 200)
+    assert sorted(cls.sups) == list(range(200, 401))
+    for m, sup in cls.sups.items():
+        ref = sup_on_unit_interval(facs, 1.12, m).value
+        assert sup == pytest.approx(ref, rel=1e-10), m
+
+
 def test_profile_sigma_grid_spacing():
     cls = classify_profile([unit_factor(16)], 1.1, 60)
     for profile in cls.cells:
@@ -176,6 +212,19 @@ def test_count_arithmetic_progression_closed_form():
         ap = list(range(R, 2 * R))
         assert count_R_Rstar(ap, float(R)).R_star == ap_rstar_exact(R)
         assert rstar_bruteforce(ap) == ap_rstar_exact(R)
+
+
+def test_count_long_progression_closed_form():
+    # the brute-force oracle would need R^4 = 5e12 comparisons here
+    R = 1500
+    cnt = count_R_Rstar(range(R, 2 * R), float(R))
+    assert (cnt.R, cnt.R_star) == (R, ap_rstar_exact(R))
+
+
+def test_count_rejects_spread_over_budget():
+    T = 10**9
+    with pytest.raises(CapacityError):
+        count_R_Rstar([T, 2 * T - 1], float(T))
 
 
 def test_count_matches_bruteforce_random():

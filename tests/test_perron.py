@@ -68,6 +68,62 @@ def test_scan_matches_individual_windows():
         assert r.estimate == pytest.approx(single.estimate, rel=1e-9)
 
 
+def _reference_integral(factors, y, tau, T0, width=1.0, order=12):
+    """Node-by-node Gauss-Legendre estimate over [0, T0] (conjugate symmetry)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = [0.0]
+    while edges[-1] + width < T0 - 1e-12:
+        edges.append(edges[-1] + width)
+    edges.append(T0)
+    ts = np.concatenate([(a + b) / 2 + (b - a) / 2 * x for a, b in zip(edges, edges[1:])])
+    ws = np.concatenate([(b - a) / 2 * w for a, b in zip(edges, edges[1:])])
+    c = 1 + 1 / math.log(y)
+    s = c + 1j * ts
+    vals = np.exp(s * math.log(y)) * (np.exp(s * math.log1p(1 / tau)) - 1) / s
+    for f in factors:
+        ns, an = f.support()
+        logs = np.log(ns.astype(float))
+        vals *= np.exp(-np.outer(s, logs)) @ an
+    return float(np.sum(vals * ws).real) / math.pi
+
+
+def test_scan_and_window_match_node_by_node_reference():
+    from gapscope.experiments import _decay_factors
+
+    y, tau, N, kind = 100.5, 4.6, 16, "mobius"  # a frozen decay config
+    factors = _decay_factors(N, kind)
+    T0 = tau * math.log(y) ** 3
+    cps = [T0 * 2**j * (1 + i / 6) for j in range(4) for i in range(6)]
+    assert max(cps) % 1.0 > 0.01  # the top height ends in a partial panel
+    reps = perron_window_scan(y, tau, factors, cps, gauss_order=12)
+    # the window misses the factor's support (direct = 0), so the estimates are
+    # truncation error alone, down to 3e-5; the absolute floor is rounding level
+    for r in reps:
+        ref = _reference_integral(factors, y, tau, r.params.T0)
+        assert r.estimate == pytest.approx(ref, rel=1e-9, abs=1e-12), r.params.T0
+    rep = perron_window(make_perron_params(y, tau, T0=T0), factors, gauss_order=12)
+    assert T0 % 1.0 > 0.01
+    ref = _reference_integral(factors, y, tau, T0)
+    assert rep.estimate == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"panel_width": 0.0}, {"panel_width": -1.0}, {"panel_width": float("nan")},
+    {"panel_width": float("inf")}, {"gauss_order": 0},
+])
+def test_bad_panels_rejected(kwargs):
+    p = make_perron_params(100, 5, T0=500.0)
+    f = [unit_factor(8)]
+    with pytest.raises(ValueError):
+        perron_window(p, f, **kwargs)
+    with pytest.raises(ValueError):
+        perron_window_scan(100, 5, f, [200.0, 400.0], **kwargs)
+    with pytest.raises(ValueError):
+        tail_segment(p, f, 10.0, 100.0, **kwargs)
+    with pytest.raises(ValueError):
+        tail_segment(p, f, p.T1, p.T1, **kwargs)
+
+
 def test_residual_shrinks_over_octaves():
     from gapscope.experiments import octave_residuals
 
