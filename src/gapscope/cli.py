@@ -123,15 +123,16 @@ def cmd_gaps(opt: dict) -> int:
             return EXIT_CAPACITY
     out = Path(opt["out"])
     try:
-        rows = primes.max_gap_table(limits, ceiling=ceiling)
         summaries = primes.gap_sweep(limits, ceiling=ceiling)
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    rows = [primes.max_gap_row(s) for s in summaries]
     write_table_csv(out / "max_gap_table.csv", rows)
     write_json(out / "gap_summaries.json", [summary_dict(s) for s in summaries])
     if opt["stream_csv"]:
-        n = write_gap_csv(out / "gaps.csv", primes.iter_gaps(min(limits[-1], opt["stream_limit"])))
+        stream = primes.iter_gaps(min(limits[-1], opt["stream_limit"]), ceiling=ceiling)
+        n = write_gap_csv(out / "gaps.csv", stream)
         print(f"wrote {n} gap rows")
     for N, g, r in rows:
         print(f"N={N}: max gap {g}, log ratio {r:.2f}")
@@ -284,10 +285,17 @@ def cmd_optimize_nu(opt: dict) -> int:
 
 def cmd_report(opt: dict) -> int:
     manifest = json.loads(Path(opt["manifest"]).read_text(encoding="utf-8"))
-    command = manifest["command"]
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if not isinstance(command, str) or command not in _HANDLERS:
+        raise ValueError(f"manifest command {command!r} is not one of {', '.join(_HANDLERS)}")
+    if not isinstance(manifest.get("options"), dict):
+        raise ValueError("manifest has no 'options' object")
     options = dict(manifest["options"])
     if opt["out"] is not None:
         options["out"] = opt["out"]
+    missing = [k for k in (*_DEFAULTS[command], "out", "threads") if k not in options]
+    if missing:
+        raise ValueError(f"manifest options lack {', '.join(missing)}")
     handler = _HANDLERS[command]
     # rebuild exact option types lost through JSON
     options = _revive_options(command, options)

@@ -236,6 +236,8 @@ def perron_window_scan(
     for every T0 doubling would be quadratic work.
     """
     checkpoints = sorted(float(t) for t in t_checkpoints)
+    if not checkpoints or not all(math.isfinite(t) and t > 0 for t in checkpoints):
+        raise ValueError("t_checkpoints must be a non-empty list of finite positive heights")
     top = checkpoints[-1]
     params_top = make_perron_params(y, tau, T0=top)
     prefix = np.cumsum(

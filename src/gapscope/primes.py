@@ -7,8 +7,10 @@ assert.
 
 The sieve is a segmented odds-only Eratosthenes (multiples of 3 and 5 are
 cleared first within each segment, so the work matches a mod-30 wheel) with a
-fixed segment size.  All gap reductions are over exact integers, so results
-are independent of segmentation.
+fixed segment size.  Every gap consumer (iter_gaps, gap_sweep,
+dyadic_band_sum) reads one stream of per-segment (p, gap) arrays, and all gap
+reductions are over exact integers, so results are independent of
+segmentation.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -87,14 +90,16 @@ def iter_prime_segments(
     """
     if not (0 <= lo <= hi):
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
+    if segment_odds < 1:
+        raise ValueError(f"segment_odds must be >= 1, got {segment_odds}")
     if hi > ceiling:
         raise CapacityError(
             f"sieve limit {hi} exceeds configured ceiling {ceiling}"
         )
     if hi < 2:
         return
-    base = simple_sieve(math.isqrt(hi))
-    odd_base = [int(p) for p in base if p > 5]
+    base = simple_sieve(math.isqrt(hi))[1:]  # odd sieving primes 3, 5, 7, ...
+    squares = base * base
 
     head = []
     if lo <= 2 <= hi:
@@ -114,13 +119,13 @@ def iter_prime_segments(
         high = min(low + span - 2, hi if hi % 2 == 1 else hi - 1)  # odd, inclusive
         count = (high - low) // 2 + 1
         mask = np.ones(count, dtype=bool)
-        for p in (3, 5, *odd_base):
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start > high:
-                continue
-            if start % 2 == 0:
-                start += p
-            mask[(start - low) // 2 :: p] = False
+        k = int(np.searchsorted(squares, high, side="right"))
+        ps = base[:k]
+        # first odd multiple of p at or above max(p^2, low); past high it clears nothing
+        starts = np.maximum(squares[:k], (low + ps - 1) // ps * ps)
+        starts += (starts % 2 == 0) * ps
+        for p, i in zip(ps.tolist(), ((starts - low) // 2).tolist()):
+            mask[i::p] = False
         vals = low + 2 * np.flatnonzero(mask).astype(np.int64)
         if len(vals):
             yield vals
@@ -179,21 +184,6 @@ class GapSummary:
     sum_gap: int
     sum_gap_sq: int
 
-    @property
-    def mean_gap(self) -> float:
-        return self.sum_gap / self.count if self.count else float("nan")
-
-    @property
-    def log_x(self) -> float:
-        return math.log(self.x)
-
-    def moment(self, power: int) -> int:
-        if power == 1:
-            return self.sum_gap
-        if power == 2:
-            return self.sum_gap_sq
-        raise ValueError("power must be 1 or 2")
-
 
 @dataclass(frozen=True)
 class BandSum:
@@ -207,49 +197,54 @@ class BandSum:
     contributing: int
 
 
-def iter_gaps(
+def _gap_stream(
     limit: int,
     *,
     start: int = 2,
     segment_odds: int = DEFAULT_SEGMENT_ODDS,
     ceiling: int = DEFAULT_CEILING,
-) -> Iterator[PrimeGap]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield int64 arrays (ps, gaps) per sieve segment for start <= p <= limit.
+
+    The last gap straddles the limit: its successor is the first prime beyond.
+    The sieve runs past the limit by 4 log(limit)^2 (at least 200, at most one
+    segment) and, if no prime turns up there, continues in doubling windows
+    from where it stopped until the successor appears or the ceiling is reached.
+    """
+    if limit > ceiling:
+        raise CapacityError(f"limit {limit} exceeds ceiling {ceiling}")
+    if limit < max(start, 2):
+        return
+    prev = np.empty(0, dtype=np.int64)
+    width = min(max(200, 4 * int(math.log(limit)) ** 2), 2 * segment_odds)
+    lo, hi = start, min(limit + width, ceiling)
+    while True:
+        for seg in iter_prime_segments(lo, hi, segment_odds=segment_odds, ceiling=ceiling):
+            vals = np.concatenate((prev, seg))
+            ps, gaps = vals[:-1], np.diff(vals)
+            if vals[-1] > limit:
+                n = int(np.searchsorted(ps, limit, side="right"))
+                if n:
+                    yield ps[:n], gaps[:n]
+                return
+            if len(ps):
+                yield ps, gaps
+            prev = vals[-1:]
+        if hi >= ceiling:
+            raise CapacityError(f"no prime found past {limit} within ceiling {ceiling}")
+        width *= 2
+        lo, hi = hi + 1, min(hi + width, ceiling)
+
+
+def iter_gaps(limit: int, *, start: int = 2, **kw) -> Iterator[PrimeGap]:
     """Stream gaps (p, next, d) with start <= p <= limit, ascending p.
 
     The final gap straddles the limit: its p is the largest prime <= limit and
     its successor is the first prime beyond.
     """
-    if limit < 2:
-        return
-    prev: int | None = None
-    # Sieve past the limit so the straddling successor is found; extend the
-    # window geometrically in the (rare) case of a long prime-free stretch.
-    extension = max(200, 4 * int(math.log(max(limit, 3))) ** 2)
-    hi = limit + extension
-    while True:
-        done = False
-        prev = None
-        out: list[PrimeGap] = []
-        for seg in iter_prime_segments(start, min(hi, ceiling), segment_odds=segment_odds, ceiling=ceiling):
-            vals = seg
-            if prev is not None:
-                vals = np.concatenate(([prev], vals))
-            ps = vals[:-1]
-            qs = vals[1:]
-            for p, q in zip(ps.tolist(), qs.tolist()):
-                if p > limit:
-                    done = True
-                    break
-                out.append(PrimeGap(p, q, q - p))
-            if done:
-                break
-            prev = int(vals[-1]) if len(vals) else prev
-        if done or (out and out[-1].p <= limit < out[-1].next):
-            yield from out
-            return
-        if hi >= ceiling:
-            raise CapacityError(f"could not locate successor prime past {limit}")
-        hi = min(ceiling, hi * 2)
+    for ps, gaps in _gap_stream(limit, start=start, **kw):
+        for p, d in zip(ps.tolist(), gaps.tolist()):
+            yield PrimeGap(p, p + d, d)
 
 
 def gap_sweep(
@@ -264,78 +259,46 @@ def gap_sweep(
         raise ValueError("limits must be strictly ascending")
     if not lims or lims[0] < 3:
         raise ValueError("limits must be >= 3")
-    top = lims[-1]
     results: list[GapSummary] = []
-    count = 0
-    max_gap = 0
-    sum_gap = 0
-    sum_sq = 0
-    idx = 0
-    prev = None
-
-    def snapshot_through(p_value: int) -> None:
-        # Emit summaries for every limit below the prime about to be consumed.
-        nonlocal idx
-        while idx < len(lims) and lims[idx] < p_value:
-            results.append(GapSummary(lims[idx], count, max_gap, sum_gap, sum_sq))
-            idx += 1
-
-    extension = max(200, 4 * int(math.log(top)) ** 2)
-    for seg in iter_prime_segments(2, min(top + extension, ceiling),
-                                   segment_odds=segment_odds, ceiling=ceiling):
-        vals = seg if prev is None else np.concatenate(([prev], seg))
-        if len(vals) < 2:
-            prev = int(vals[-1]) if len(vals) else prev
-            continue
-        ps = vals[:-1]
-        gaps = np.diff(vals)
-        # Limits are sparse: split the segment at each limit it contains.
-        cut_positions = [0]
-        for lim in lims[idx:]:
-            if lim > int(ps[-1]):
-                break
-            cut_positions.append(int(np.searchsorted(ps, lim, side="right")))
-        cut_positions.append(len(ps))
-        for a, b in zip(cut_positions[:-1], cut_positions[1:]):
+    count = max_gap = sum_gap = sum_sq = 0
+    for ps, gaps in _gap_stream(lims[-1], segment_odds=segment_odds, ceiling=ceiling):
+        # Split the segment at each limit it closes (a p beyond the limit).
+        n = len(ps)
+        cuts = np.searchsorted(ps, lims[len(results):], side="right").tolist()
+        a = 0
+        for b in [c for c in cuts if c < n] + [n]:
             if a < b:
                 block = gaps[a:b]
                 count += b - a
                 max_gap = max(max_gap, int(block.max()))
                 sum_gap += int(block.sum())
-                sum_sq += int((block.astype(np.int64) ** 2).sum())
-            if b < len(ps):
-                snapshot_through(int(ps[b]))
-        prev = int(vals[-1])
-        if idx >= len(lims):
-            break
-    if prev is not None:
-        snapshot_through(prev + 1)
-    if idx < len(lims):
-        # The straddling successor of some limit was not reached; the fixed
-        # extension only fails on gaps over 4 log(top)^2, far past records.
-        raise CapacityError(f"no prime found within extension past {lims[idx]}")
+                sum_sq += int((block * block).sum())
+            if b < n:
+                results.append(GapSummary(lims[len(results)], count, max_gap, sum_gap, sum_sq))
+            a = b
+    # The stream ended at the top limit's straddling gap: the rest are complete.
+    results.extend(GapSummary(x, count, max_gap, sum_gap, sum_sq) for x in lims[len(results):])
     return results
 
 
-def gap_moment_sum(x: int, power: int = 2, **kw) -> GapSummary:
-    """Exact moment sum over gaps with p_n <= x (power in {1, 2})."""
+def gap_moment_sum(x: int, **kw) -> GapSummary:
+    """Exact first and second moment sums over gaps with p_n <= x."""
     if x < 3:
         raise ValueError("x must be >= 3")
-    if power not in (1, 2):
-        raise ValueError("power must be 1 or 2")
     return gap_sweep([x], **kw)[0]
 
 
+def max_gap_row(s: GapSummary) -> tuple[int, int, float]:
+    """(N, max gap over p_n <= N, round2(log d / log N)) from a summary at N."""
+    ratio = Decimal(math.log(s.max_gap) / math.log(s.x)).quantize(
+        Decimal("0.01"), rounding=ROUND_HALF_UP
+    )
+    return (s.x, s.max_gap, float(ratio))
+
+
 def max_gap_table(limits: Iterable[int], **kw) -> list[tuple[int, int, float]]:
-    """Rows (N, max gap over p_n <= N, round2(log d / log N)) for each limit."""
-    summaries = gap_sweep(sorted(set(int(x) for x in limits)), **kw)
-    rows = []
-    for s in summaries:
-        ratio = Decimal(math.log(s.max_gap) / math.log(s.x)).quantize(
-            Decimal("0.01"), rounding=ROUND_HALF_UP
-        )
-        rows.append((s.x, s.max_gap, float(ratio)))
-    return rows
+    """max_gap_row for each limit, from one gap_sweep."""
+    return [max_gap_row(s) for s in gap_sweep(sorted(set(int(x) for x in limits)), **kw)]
 
 
 def dyadic_band_sum(x: int, tau: Fraction | int, **kw) -> BandSum:
@@ -350,12 +313,10 @@ def dyadic_band_sum(x: int, tau: Fraction | int, **kw) -> BandSum:
     hi_int = (8 * x * tau.denominator) // tau.numerator
     total = 0
     n_contrib = 0
-    for g in iter_gaps(2 * x, start=max(2, x), **kw):
-        if g.p < x:
-            continue
-        if lo_int <= g.gap <= hi_int:
-            total += g.gap * g.gap
-            n_contrib += 1
+    for _, gaps in _gap_stream(2 * x, start=max(2, x), **kw):
+        band = gaps[(gaps >= lo_int) & (gaps <= hi_int)]
+        total += int((band * band).sum())
+        n_contrib += len(band)
     return BandSum(x, tau, lo, hi, total, n_contrib)
 
 
@@ -391,6 +352,16 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
+def _prime_power_logs(lo: int, hi: int) -> Iterator[float]:
+    """log p for each proper prime power p^k (k >= 2) in [lo, hi]."""
+    for p in simple_sieve(math.isqrt(hi)).tolist():
+        pk = p * p
+        while pk <= hi:
+            if pk >= lo:
+                yield math.log(p)
+            pk *= p
+
+
 def chebyshev_psi(y: float, **kw) -> float:
     """psi(y) = sum of Lambda(n) for n <= y.
 
@@ -406,27 +377,28 @@ def chebyshev_psi(y: float, **kw) -> float:
     partials = []
     for seg in iter_prime_segments(2, limit, **kw):
         partials.append(float(np.sum(np.log(seg.astype(np.float64)))))
-    total = math.fsum(partials)
-    # Proper prime powers p^k <= y exist only for p <= sqrt(y).
-    extra = []
-    for p in simple_sieve(math.isqrt(limit)).tolist():
-        pk = p * p
-        while pk <= limit:
-            extra.append(math.log(p))
-            pk *= p
-    return total + math.fsum(extra)
+    return math.fsum(partials) + math.fsum(_prime_power_logs(2, limit))
 
 
-def psi_window(y: float, tau: float) -> float:
-    """psi(y + y/tau) - psi(y), summed exactly over the window's integers."""
+def psi_window(y: float, tau: float, *, ceiling: int = DEFAULT_CEILING) -> float:
+    """psi(y + y/tau) - psi(y) over the integers in the window (y, y + y/tau].
+
+    The window's primes come from the segmented sieve and its proper prime
+    powers from the base primes; every term is math.log(p), summed by one
+    math.fsum, so the result equals the exactly rounded sum of
+    von_mangoldt(n) over the window.
+    """
     if y < 2 or tau < 2:
         raise ValueError("need y >= 2 and tau >= 2")
-    top = y + y / tau
     n_lo = math.floor(y) + 1  # first integer > y (open left endpoint)
-    n_hi = math.floor(top)
+    n_hi = math.floor(y + y / tau)
     if n_hi < n_lo:
         return 0.0
-    return math.fsum(von_mangoldt(n) for n in range(n_lo, n_hi + 1))
+    primes = iter_prime_segments(n_lo, n_hi, ceiling=ceiling)
+    return math.fsum(chain(
+        (math.log(p) for seg in primes for p in seg.tolist()),
+        _prime_power_logs(n_lo, n_hi),
+    ))
 
 
 # ---------------------------------------------------------------------------

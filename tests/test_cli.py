@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, strategies as st
 from gapscope.cli import main, parse_int_literal
 from gapscope.claims import format_ledger
 from gapscope.ledger import mutated_ledger
+from gapscope.primes import max_gap_table
+from gapscope.reports import write_table_csv
 
 
 DATA = Path(__file__).parent / "data"
@@ -43,6 +46,24 @@ def test_gaps_scientific_literals(tmp_path):
 
 def test_gaps_large_guard(tmp_path):
     assert run(["gaps", "--limits", "1e12", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_gaps_limit_over_ceiling_refused_up_front(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    assert run(["gaps", "--limits", "2000", "--ceiling", "1000", "--out", out]) == 2
+    assert "limit 2000 exceeds ceiling 1000" in capsys.readouterr().err
+    t0 = time.perf_counter()
+    assert run(["gaps", "--limits", "2e10", "--allow-large", "--out", out]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "exceeds ceiling" in capsys.readouterr().err
+
+
+def test_gaps_rows_match_max_gap_table(tmp_path):
+    limits = [10, 97, 1000, 12345, 10**5]
+    out = tmp_path / "o"
+    assert run(["gaps", "--limits", ",".join(map(str, limits)), "--out", str(out)]) == 0
+    write_table_csv(tmp_path / "ref.csv", max_gap_table(limits))
+    assert read(out / "max_gap_table.csv") == read(tmp_path / "ref.csv")
 
 
 def test_gaps_stream_csv(tmp_path):
@@ -163,6 +184,22 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
                 "--out", str(b)]) == 0
     for name in ("max_gap_table.csv", "gap_summaries.json"):
         assert read(a / name) == read(b / name)
+
+
+@pytest.mark.parametrize("manifest", [
+    {"command": "frobnicate", "options": {}},
+    {"options": {"limits": [10]}},
+    {"command": ["gaps"], "options": {}},
+    {"command": "gaps"},
+    {"command": "gaps", "options": [10, 100]},
+    {"command": "gaps", "options": {"limits": [10]}},
+    [1, 2],
+])
+def test_report_bad_manifest_exit_1(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert run(["report", "--manifest", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: manifest")
 
 
 def test_manifest_rerun_optimize(tmp_path):

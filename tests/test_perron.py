@@ -124,6 +124,14 @@ def test_bad_panels_rejected(kwargs):
         tail_segment(p, f, p.T1, p.T1, **kwargs)
 
 
+@pytest.mark.parametrize("checkpoints", [
+    [], [-5.0], [0.0], [200.0, -1.0], [float("nan")], [float("inf")], [200.0, float("-inf")],
+])
+def test_bad_checkpoints_rejected(checkpoints):
+    with pytest.raises(ValueError, match="t_checkpoints"):
+        perron_window_scan(100, 5, [unit_factor(8)], checkpoints)
+
+
 def test_residual_shrinks_over_octaves():
     from gapscope.experiments import octave_residuals
 

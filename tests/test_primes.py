@@ -1,6 +1,7 @@
 """Prime engine: sieve against trial division, exact gap statistics, psi."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,12 @@ def test_sieve_segmentation_invariance(lo, span, seg):
     )
 
 
+@pytest.mark.parametrize("seg", [0, -1])
+def test_sieve_rejects_empty_segments(seg):
+    with pytest.raises(ValueError, match="segment_odds"):
+        list(P.iter_prime_segments(0, 100, segment_odds=seg))
+
+
 def test_sieve_ceiling_capacity():
     with pytest.raises(CapacityError):
         P.sieve_primes(0, 10**11)
@@ -74,11 +81,11 @@ def test_gap_stream_convention():
 
 
 def test_gap_moment_trivial_and_derived():
-    s10 = P.gap_moment_sum(10, 2)
+    s10 = P.gap_moment_sum(10)
     assert s10.sum_gap_sq == 25  # gaps 1,2,2,4
     assert s10.sum_gap == 9  # telescoping to 11 - 2
-    assert P.gap_moment_sum(100, 2).sum_gap_sq == 477  # brute-force derived
-    assert P.gap_moment_sum(1000, 2).sum_gap_sq == 8173
+    assert P.gap_moment_sum(100).sum_gap_sq == 477  # brute-force derived
+    assert P.gap_moment_sum(1000).sum_gap_sq == 8173
 
 
 def test_gap_summary_invariants():
@@ -114,6 +121,74 @@ def test_max_gap_table_paper_rows_to_1e6():
         (100000, 72, 0.37),
         (1000000, 114, 0.34),
     ]
+
+
+def test_gap_stream_refuses_limit_over_ceiling():
+    for consume in (
+        lambda: list(P.iter_gaps(2000, ceiling=1000)),
+        lambda: P.gap_sweep([10, 2000], ceiling=1000),
+        lambda: P.max_gap_table([2 * 10**10]),
+    ):
+        with pytest.raises(CapacityError, match="exceeds ceiling"):
+            consume()
+    # the limit fits, but its successor lies past the ceiling
+    with pytest.raises(CapacityError, match="no prime found past 100"):
+        P.gap_sweep([100], ceiling=100)
+
+
+def test_gap_stream_extends_past_the_limit_without_restarting(monkeypatch):
+    windows = []
+    sieve = P.iter_prime_segments
+
+    def recording(lo, hi, **kw):
+        windows.append((lo, hi))
+        return sieve(lo, hi, **kw)
+
+    monkeypatch.setattr(P, "iter_prime_segments", recording)
+    # 1327 -> 1361 is a gap of 34; one-odd segments extend 2, 4, 8, 16, 32 past 1330
+    gaps = list(P.iter_gaps(1330, start=1300, segment_odds=1))
+    assert [(g.p, g.next) for g in gaps] == [(1301, 1303), (1303, 1307), (1307, 1319),
+                                             (1319, 1321), (1321, 1327), (1327, 1361)]
+    assert windows[0] == (1300, 1332)
+    assert all(b[0] == a[1] + 1 for a, b in zip(windows, windows[1:]))
+    assert len(windows) == 5 and windows[-1][1] >= 1361
+
+
+def _brute_pairs(start, limit):
+    """Consecutive prime pairs (p, q) with start <= p <= limit, from sieve_primes."""
+    ps = P.sieve_primes(0, P.next_prime_above(limit)).tolist()
+    return [(p, q) for p, q in zip(ps, ps[1:]) if start <= p <= limit]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    start=st.integers(min_value=0, max_value=1500),
+    span=st.integers(min_value=0, max_value=1500),
+    seg=st.sampled_from([1, 16, 64, 4096]),
+    data=st.data(),
+)
+def test_gap_stream_consumers_match_brute_force(start, span, seg, data):
+    limit = start + span
+    got = [(g.p, g.next) for g in P.iter_gaps(limit, start=start, segment_odds=seg)]
+    assert got == _brute_pairs(start, limit)
+
+    top = max(limit, 3)
+    lims = sorted(data.draw(st.sets(st.integers(min_value=3, max_value=top),
+                                    min_size=1, max_size=4)))
+    pairs = _brute_pairs(2, top)
+    want = []
+    for x in lims:
+        ds = [q - p for p, q in pairs if p <= x]
+        want.append(P.GapSummary(x, len(ds), max(ds), sum(ds), sum(d * d for d in ds)))
+    assert P.gap_sweep(lims, segment_odds=seg) == want
+
+    x = max(start, 1)
+    den = data.draw(st.integers(min_value=1, max_value=8))
+    tau = Fraction(data.draw(st.integers(min_value=1, max_value=x * den)), den)
+    band = [q - p for p, q in _brute_pairs(x, 2 * x)
+            if 4 * x / tau <= q - p <= 8 * x / tau]
+    bs = P.dyadic_band_sum(x, tau, segment_odds=seg)
+    assert (bs.sum_gap_sq, bs.contributing) == (sum(d * d for d in band), len(band))
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +282,35 @@ def test_psi_window_examples():
     want = sum(math.log(p) for p in (101, 103, 107, 109))
     assert got == pytest.approx(want, rel=1e-12)
     assert P.psi_window(2, 2) == pytest.approx(math.log(3))
+
+
+def _psi_window_oracle(y, tau):
+    window = range(math.floor(y) + 1, math.floor(y + y / tau) + 1)
+    return math.fsum(P.von_mangoldt(n) for n in window)
+
+
+def test_psi_window_equals_von_mangoldt_sum():
+    # (120, 180] holds the prime powers 121, 125, 128, 169
+    for y, tau in [(120, 2), (2, 2), (3.5, 2), (100, 10), (1000.5, 3), (10**6, 50)]:
+        assert P.psi_window(y, tau) == _psi_window_oracle(y, tau), (y, tau)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    y=st.floats(min_value=2, max_value=1e5, allow_nan=False),
+    tau=st.floats(min_value=2, max_value=1e3, allow_nan=False),
+)
+def test_psi_window_equals_von_mangoldt_sum_sampled(y, tau):
+    assert P.psi_window(y, tau) == _psi_window_oracle(y, tau)
+
+
+def test_psi_window_ceiling():
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError):
+        P.psi_window(1e12, 1e7)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(CapacityError):
+        P.psi_window(1000, 2, ceiling=1200)
 
 
 def test_psi_window_prime_free_bound():
