@@ -7,15 +7,14 @@ outputs byte-for-byte.
 
 Exit codes: 0 success, 1 usage, 2 capacity, 3 verification failure.
 Numeric literals accept scientific notation (1e6) and rationals (9/5).
-`GAPSCOPE_THREADS` overrides --threads; a --config file of key=value lines
-supplies defaults that the command line overrides.
+A --config file of key=value lines supplies defaults that the command line
+overrides.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -80,10 +79,23 @@ def parse_int_literal(text: str) -> int:
 
 def parse_fraction_literal(text: str) -> Fraction:
     t = str(text).strip()
-    if "/" in t:
-        num, den = t.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(t)
+    try:
+        if "/" in t:
+            num, den = t.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(t)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+
+
+def parse_flag(text: str) -> bool:
+    """A config or manifest on/off value: 1/true/yes or 0/false/no."""
+    t = str(text).strip().lower()
+    if t in ("1", "true", "yes"):
+        return True
+    if t in ("0", "false", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"{text!r} is not a flag value (true/false)")
 
 
 def _limits_arg(text: str) -> list[int]:
@@ -233,14 +245,7 @@ def cmd_verify(opt: dict) -> int:
         if opt["ledger"]
         else builtin_ledger()
     )
-    threads = max(1, opt["threads"])
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(verify_claim, claims))
-    else:
-        verdicts = [verify_claim(c) for c in claims]
+    verdicts = [verify_claim(c) for c in claims]
     failures = [v for v in verdicts if not v.holds]
     report = {
         "claims": len(claims),
@@ -268,7 +273,7 @@ def cmd_verify(opt: dict) -> int:
 def cmd_optimize_nu(opt: dict) -> int:
     from .nu import optimize_nu
 
-    res = optimize_nu(opt["res"], threads=max(1, opt["threads"]))
+    res = optimize_nu(opt["res"])
     payload = res.as_dict()
     payload["grid"] = [
         {"sigma": str(s), "mu": str(m), "nu": str(v)} for s, m, v in res.grid
@@ -293,11 +298,10 @@ def cmd_report(opt: dict) -> int:
     options = dict(manifest["options"])
     if opt["out"] is not None:
         options["out"] = opt["out"]
-    missing = [k for k in (*_DEFAULTS[command], "out", "threads") if k not in options]
+    missing = [k for k in (*_DEFAULTS[command], "out") if k not in options]
     if missing:
         raise ValueError(f"manifest options lack {', '.join(missing)}")
     handler = _HANDLERS[command]
-    # rebuild exact option types lost through JSON
     options = _revive_options(command, options)
     code = handler(options)
     write_manifest(Path(options["out"]) / "manifest.json", command, _manifest_options(options))
@@ -322,9 +326,25 @@ def _manifest_options(options: dict) -> dict:
 
 
 def _revive_options(command: str, options: dict) -> dict:
-    if command == "optimize-nu" and isinstance(options.get("res"), str):
-        options["res"] = parse_fraction_literal(options["res"])
-    return options
+    """Re-parse manifest values with the parsers of their command-line forms.
+
+    This restores exact types lost through JSON (a Fraction `res`) and
+    refuses values of the wrong type.  Keys the command does not take, such
+    as the retired `threads`, are dropped.
+    """
+    revived = {}
+    for key, value in options.items():
+        if key not in _DEFAULTS[command] and key != "out":
+            continue
+        if value is None and _DEFAULTS[command].get(key, "") is None:
+            revived[key] = None
+            continue
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        try:
+            revived[key] = _CONFIG_PARSERS[key](text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"manifest option {key}={value!r}: {exc}") from None
+    return revived
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +358,6 @@ def build_parser() -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output directory (default ./gapscope-out)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (env GAPSCOPE_THREADS overrides)")
     common.add_argument("--config", default=None, help="key=value config file")
 
     g = sub.add_parser("gaps", parents=[common], help="gap table and moment summaries")
@@ -392,9 +410,9 @@ _DEFAULTS = {
 
 _CONFIG_PARSERS = {
     "limits": _limits_arg,
-    "allow_large": lambda v: v.lower() in ("1", "true", "yes"),
-    "stream_csv": lambda v: v.lower() in ("1", "true", "yes"),
-    "dump_factorizations": lambda v: v.lower() in ("1", "true", "yes"),
+    "allow_large": parse_flag,
+    "stream_csv": parse_flag,
+    "dump_factorizations": parse_flag,
     "ceiling": parse_int_literal,
     "stream_limit": parse_int_literal,
     "x": parse_int_literal,
@@ -407,7 +425,6 @@ _CONFIG_PARSERS = {
     "T0": float,
     "gauss_order": parse_int_literal,
     "res": parse_fraction_literal,
-    "threads": int,
     "out": str,
     "ledger": str,
     "factors": str,
@@ -419,7 +436,6 @@ def resolve_options(args: argparse.Namespace) -> dict:
     command = args.command
     opt = dict(_DEFAULTS.get(command, {}))
     opt.setdefault("out", "gapscope-out")
-    opt.setdefault("threads", 0)
     cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
     for key, raw in cfg.items():
         if key in _CONFIG_PARSERS:
@@ -428,11 +444,6 @@ def resolve_options(args: argparse.Namespace) -> dict:
         if key in ("command", "config") or val is None:
             continue
         opt[key] = val
-    env_threads = os.environ.get("GAPSCOPE_THREADS")
-    if env_threads:
-        opt["threads"] = int(env_threads)
-    if not opt["threads"]:
-        opt["threads"] = os.cpu_count() or 1
     return opt
 
 

@@ -181,10 +181,17 @@ def lambda_via_identity(n: int, cfg: IdentityConfig) -> float:
     )
 
 
-def kj_table(cfg: IdentityConfig, j: int) -> np.ndarray:
-    """K_j(n) for all n <= 3x as a float array (index 0 unused)."""
+def kj_table(cfg: IdentityConfig, j: int, mu: np.ndarray | None = None) -> np.ndarray:
+    """K_j(n) for all n <= 3x as a float array (index 0 unused).
+
+    `mu` is `mobius_sieve(3x)`, sieved here when not given; it is not modified.
+    """
     N = 3 * cfg.x
-    mu = mobius_sieve(N).astype(np.float64)
+    if mu is None:
+        mu = mobius_sieve(N)
+    elif len(mu) != N + 1:
+        raise ValueError(f"Moebius table has {len(mu)} entries, need 3x + 1 = {N + 1}")
+    mu = mu.astype(np.float64)
     mu[cfg.mobius_cutoff + 1 :] = 0.0
     logs = np.zeros(N + 1)
     logs[1:] = np.log(np.arange(1, N + 1, dtype=np.float64))
@@ -212,9 +219,10 @@ def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def identity_residuals(cfg: IdentityConfig) -> np.ndarray:
     """|sum_j c_j K_j(n) - Lambda(n)| for n in (x, 3x], via batched tables."""
     N = 3 * cfg.x
+    mu = mobius_sieve(N)
     total = np.zeros(N + 1)
     for j in range(1, cfg.k + 1):
-        total += identity_weight(cfg.k, j) * kj_table(cfg, j)
+        total += identity_weight(cfg.k, j) * kj_table(cfg, j, mu)
     lam = np.array([0.0] + [von_mangoldt(n) for n in range(1, N + 1)])
     window = slice(cfg.x + 1, N + 1)
     return np.abs(total[window] - lam[window])
@@ -238,26 +246,37 @@ class Factorization:
     weight: int
 
     def validate(self, cfg: IdentityConfig) -> None:
+        """Raise ValueError unless this is an admissible tuple for cfg.
+
+        Checked on the exponents e of N_i = 2^e (e = -1 for N_i = 1/2), so the
+        product window x/4^k <= prod N_i <= 3x is an integer range of sum(e).
+        """
+        self._check(cfg, [_dyadic_exponent(N) for N in self.lengths])
+
+    def _check(self, cfg: IdentityConfig, exps: list[int]) -> None:
+        """validate, given the exponents of the lengths."""
         k, j = self.k, self.j
-        assert k == cfg.k and 1 <= j <= k
-        assert len(self.lengths) == 2 * k == len(self.classes)
-        prod = Fraction(1)
-        for i, (N, cls) in enumerate(zip(self.lengths, self.classes), start=1):
-            prod *= N
-            assert N == HALF or (N.denominator == 1 and _is_pow2(N.numerator))
-            forced = (j < i <= k) or (k + j <= i < 2 * k)
-            if forced:
-                assert N == HALF and cls is CoefficientClass.SINGLETON
-            if N == HALF:
-                assert cls is CoefficientClass.SINGLETON
-            elif i <= k:
-                assert cls is CoefficientClass.MOBIUS and N <= cfg.mobius_cutoff
-            elif i < 2 * k:
-                assert cls is CoefficientClass.UNIT
-            else:
-                assert cls is CoefficientClass.LOG
-        assert Fraction(cfg.x, 2 ** (2 * k)) <= prod <= 3 * cfg.x
-        assert self.weight == identity_weight(k, j)
+        if k != cfg.k or not 1 <= j <= k:
+            raise ValueError(f"j={j}, k={k} do not fit the config's k={cfg.k}")
+        if not len(exps) == 2 * k == len(self.classes):
+            raise ValueError(f"{len(exps)} lengths and {len(self.classes)} "
+                             f"classes for 2k = {2 * k} slots")
+        top_mobius = cfg.mobius_cutoff.bit_length() - 1  # 2^e <= cutoff
+        for i, (e, cls) in enumerate(zip(exps, self.classes), start=1):
+            if ((j < i <= k) or (k + j <= i < 2 * k)) and e != -1:
+                raise ValueError(f"slot {i} is a placeholder but has length 2^{e}")
+            if cls is not _slot_class(i, k, e):
+                raise ValueError(f"slot {i} of length {self.lengths[i - 1]} has class "
+                                 f"{cls.value}, not {_slot_class(i, k, e).value}")
+            if cls is CoefficientClass.MOBIUS and e > top_mobius:
+                raise ValueError(f"Moebius slot {i} has length 2^{e} above the "
+                                 f"cutoff {cfg.mobius_cutoff}")
+        lo_e, hi_e = _product_exponents(cfg)
+        if not lo_e <= sum(exps) <= hi_e:
+            raise ValueError(f"product 2^{sum(exps)} outside [x/4^k, 3x] "
+                             f"for x={cfg.x}, k={k}")
+        if self.weight != identity_weight(k, j):
+            raise ValueError(f"weight {self.weight} is not c_{j} = {identity_weight(k, j)}")
 
     def as_dict(self) -> dict:
         return {
@@ -272,6 +291,32 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _dyadic_exponent(N: Fraction) -> int:
+    """e with N = 2^e, where N is 1/2 (e = -1) or a power of two."""
+    num, den = N.numerator, N.denominator
+    if num == 1 and den == 2:
+        return -1
+    if den == 1 and _is_pow2(num):
+        return num.bit_length() - 1
+    raise ValueError(f"length {N} is neither 1/2 nor a power of two")
+
+
+def _slot_class(i: int, k: int, e: int) -> CoefficientClass:
+    """The class slot i (1-based) of a 2k-tuple takes at length 2^e."""
+    if e == -1:
+        return CoefficientClass.SINGLETON
+    if i <= k:
+        return CoefficientClass.MOBIUS
+    if i < 2 * k:
+        return CoefficientClass.UNIT
+    return CoefficientClass.LOG
+
+
+def _product_exponents(cfg: IdentityConfig) -> tuple[int, int]:
+    """[lo, hi] with x/4^k <= 2^E <= 3x exactly when lo <= E <= hi."""
+    return (cfg.x - 1).bit_length() - 2 * cfg.k, (3 * cfg.x).bit_length() - 1
+
+
 def enumerate_factorizations(cfg: IdentityConfig) -> list[Factorization]:
     """Every admissible block tuple, each exactly once, in deterministic order.
 
@@ -279,46 +324,45 @@ def enumerate_factorizations(cfg: IdentityConfig) -> list[Factorization]:
     block is truncated at the cutoff); N = 1/2 marks a slot pinned to n_i = 1
     and is the forced value at placeholder positions.  The log slot skips
     N = 1/2 since log 1 = 0 would zero the product.
+
+    The walk is over integer exponents, N = 2^e with e = -1 for 1/2, so a
+    partial product is the exponent sum E and the window x/4^k <= 2^E <= 3x
+    an integer range [lo, hi].  Each slot's exponents ascend and stop at the
+    first e that leaves no room below hi: every later slot adds at least -1,
+    the log slot at least 0.
     """
     if cfg.k > 6:
         est = (int(math.log2(3 * cfg.x)) + 2) ** (2 * cfg.k)
         raise CapacityError(
             f"enumeration refused for k={cfg.k} > 6 (~{est:g} tuples)"
         )
-    k, x, cut = cfg.k, cfg.x, cfg.mobius_cutoff
-    lo_prod = Fraction(x, 2 ** (2 * k))
-    hi_prod = Fraction(3 * x)
-
-    mob_grid = [HALF] + [Fraction(2**e) for e in range(0, _ceil_log2(cut))]
+    k = cfg.k
+    lo, hi = _product_exponents(cfg)
+    top_mobius = _ceil_log2(cfg.mobius_cutoff) - 1  # blocks below the cutoff
+    # no single exponent exceeds hi + 2k - 1, since the others sum to >= 1 - 2k
+    lengths = [HALF] + [Fraction(1 << e) for e in range(hi + 2 * k)]
 
     out: list[Factorization] = []
     for j in range(1, k + 1):
         weight = identity_weight(k, j)
-        # slot spec: (position kind, grid) for the 2j active slots in order
-        placeholder_count = 2 * (k - j)
-        base = HALF**placeholder_count
 
-        def rec(slot: int, partial: Fraction, chosen: list[Fraction]):
+        def rec(slot: int, E: int, chosen: tuple[int, ...]):
             if slot == 2 * j:
-                if lo_prod <= partial <= hi_prod:
-                    out.append(_assemble(cfg, j, weight, chosen))
+                if lo <= E <= hi:
+                    out.append(_assemble(cfg, j, weight, chosen, lengths))
                 return
-            remaining = 2 * j - slot - 1  # active slots after this one
+            # each later active slot but the log slot can still take off 1
+            top = hi - E + max(0, 2 * j - slot - 2)
             if slot < j:
-                grid: Iterable[Fraction] = mob_grid
+                exps = range(-1, min(top, top_mobius) + 1)
             elif slot < 2 * j - 1:
-                grid = _unit_grid(partial, hi_prod, remaining)
+                exps = range(-1, top + 1)
             else:
-                grid = _log_grid(partial, hi_prod)
-            for N in grid:
-                nxt = partial * N
-                # later slots contribute at least 1/2 each, the log slot >= 1
-                min_rest = HALF ** max(0, remaining - 1)
-                if nxt * min_rest > hi_prod:
-                    break  # grids ascend
-                rec(slot + 1, nxt, chosen + [N])
+                exps = range(0, top + 1)
+            for e in exps:
+                rec(slot + 1, E + e, chosen + (e,))
 
-        rec(0, base, [])
+        rec(0, -2 * (k - j), ())  # the 2(k - j) placeholders sit at 1/2
     return out
 
 
@@ -326,41 +370,22 @@ def _ceil_log2(n: int) -> int:
     return max(0, (n - 1).bit_length())
 
 
-def _unit_grid(partial: Fraction, hi: Fraction, remaining: int):
-    yield HALF
-    e = 0
-    while partial * (2**e) * HALF ** max(0, remaining - 1) <= hi:
-        yield Fraction(2**e)
-        e += 1
-
-
-def _log_grid(partial: Fraction, hi: Fraction):
-    e = 0
-    while partial * (2**e) <= hi:
-        yield Fraction(2**e)
-        e += 1
-
-
-def _assemble(cfg: IdentityConfig, j: int, weight: int, chosen: list[Fraction]) -> Factorization:
+def _assemble(
+    cfg: IdentityConfig, j: int, weight: int, chosen: tuple[int, ...], lengths: list[Fraction]
+) -> Factorization:
+    """The tuple with active exponents `chosen`; lengths[e + 1] is 2^e."""
     k = cfg.k
-    lengths = [HALF] * (2 * k)
-    for t in range(j):
-        lengths[t] = chosen[t]
-    for t in range(j - 1):
-        lengths[k + t] = chosen[j + t]
-    lengths[2 * k - 1] = chosen[2 * j - 1]
-    classes = []
-    for i, N in enumerate(lengths, start=1):
-        if N == HALF:
-            classes.append(CoefficientClass.SINGLETON)
-        elif i <= k:
-            classes.append(CoefficientClass.MOBIUS)
-        elif i < 2 * k:
-            classes.append(CoefficientClass.UNIT)
-        else:
-            classes.append(CoefficientClass.LOG)
-    f = Factorization(j, k, tuple(lengths), tuple(classes), weight)
-    f.validate(cfg)
+    exps = [-1] * (2 * k)
+    exps[:j] = chosen[:j]
+    exps[k : k + j - 1] = chosen[j : 2 * j - 1]
+    exps[2 * k - 1] = chosen[2 * j - 1]
+    f = Factorization(
+        j, k,
+        tuple(lengths[e + 1] for e in exps),
+        tuple(_slot_class(i, k, e) for i, e in enumerate(exps, start=1)),
+        weight,
+    )
+    f._check(cfg, exps)
     return f
 
 

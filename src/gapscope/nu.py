@@ -21,6 +21,14 @@ Routes:
     adversarial over its internal cases, so it contributes the max of its
     case demands; the overall demand at (s, mu) is the min over routes.
 
+Every demand is affine in 1/mu at fixed s: a/mu + b, with exact a and b
+that depend on s alone (and, for a combination route, on which mu-piece of
+the route applies).  `_demand_terms` builds them once per sigma, together
+with the negligible-regime thresholds e <= mu(1-s) of the R-bounds, over
+one common denominator; a cell is then integer multiply-adds and one
+Fraction.  `required_nu` is that kernel at a single mu, and `optimize_nu`
+builds it once per sigma row and evaluates it across the mu grid.
+
 All arithmetic is exact (Fractions); epsilon refinements are dropped and the
 log-power savings of the negligible regime are treated as free, so boundary
 comparisons are non-strict.  The polynomial-structure reduction (every
@@ -30,9 +38,10 @@ inequality chains are certified separately in the builtin ledger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .claims import MU_RANGE
 
@@ -104,78 +113,78 @@ def builtin_catalog() -> BoundCatalog:
 # Demand of a single bound against the targets
 # ---------------------------------------------------------------------------
 
-def _demand(kind: str, e: Fraction, s: Fraction, mu: Fraction) -> Fraction | None:
-    """Least nu so that a bound T0^e on `kind` implies (ii)/(iii); None means
-    the bound is negligible (condition (i))."""
-    if kind == "R":
-        if e <= mu * (1 - s):
-            return None
-        return (e - 1) / mu - 1 + 2 * s
-    if kind == "Rstar":
-        return (e - 1) / mu - 3 + 4 * s
-    if kind == "RRstar":
-        return ((e - 2) / mu - 4 + 6 * s) / 2
-    raise ValueError(kind)
-
-
 Case = tuple[str, Fraction, Fraction]  # (kind, p, q): bound T0^(p + mu q)
 
 
-def _case_demand(case: Case, s: Fraction, mu: Fraction) -> Fraction:
-    kind, p, q = case
-    d = _demand(kind, p + mu * q, s, mu)
-    return Q(0) if d is None else max(Q(0), d)
+def _demand_coeffs(kind: str, p: Fraction, q: Fraction, s: Fraction):
+    """(a, b, negligible) for a bound T0^(p + mu q) on `kind` at sigma s.
+
+    The bound demands nu >= a/mu + b.  For an R-bound, negligible = (p, c):
+    when p <= mu c its exponent is at most mu(1 - s), the bound lands in
+    condition (i) and demands nothing.  Other kinds are never negligible.
+    """
+    if kind == "R":
+        return p - 1, q - 1 + 2 * s, (p, 1 - s - q)
+    if kind == "Rstar":
+        return p - 1, q - 3 + 4 * s, None
+    if kind == "RRstar":
+        return (p - 2) / 2, (q - 4 + 6 * s) / 2, None
+    raise ValueError(kind)
 
 
 # ---------------------------------------------------------------------------
 # Combination routes
 # ---------------------------------------------------------------------------
 
-def _comb_low_cases(s: Fraction, mu: Fraction) -> Optional[list[Case]]:
+# At fixed s a route is a list of pieces (lo, hi, cases): the cases govern
+# mu in [lo, hi], the first piece containing mu wins, and a mu outside every
+# piece leaves the route unavailable.
+Piece = tuple[Fraction, Fraction, list[Case]]
+
+
+def _comb_low_pieces(s: Fraction) -> list[Piece]:
     """Split routes for s <= 3/4 (mean-value estimate on both halves)."""
-    if s > Q(3, 4) or mu > 2:
-        return None
-    cases: list[Case] = [("R", Q(1), Q(1, 2) - s)]  # both halves short
-    if mu <= Q(5, 3):
-        # the split can always keep both halves below T0
-        return cases
-    if s < Q(7, 10):
-        return None  # the floor M >= x1^(2/5) is only certified from 7/10 on
-    g = Q(2, 5)  # M >= x1^g
-    cases += [
-        ("RRstar", Q(0), 4 - 4 * s),
-        ("Rstar", Q(3, 4), Q(7, 2) * (1 - s) - Q(5, 4) * g),
-        ("Rstar", Q(2, 5), Q(16, 5) * (1 - s) - Q(4, 5) * g),
-    ]
-    return cases
+    if s > Q(3, 4):
+        return []
+    short: list[Case] = [("R", Q(1), Q(1, 2) - s)]  # both halves short
+    # up to mu = 5/3 the split can always keep both halves below T0
+    pieces = [(MU_RANGE[0], Q(5, 3), short)]
+    if s >= Q(7, 10):  # the floor M >= x1^(2/5) is only certified from 7/10 on
+        g = Q(2, 5)  # M >= x1^g
+        pieces.append((Q(5, 3), Q(2), short + [
+            ("RRstar", Q(0), 4 - 4 * s),
+            ("Rstar", Q(3, 4), Q(7, 2) * (1 - s) - Q(5, 4) * g),
+            ("Rstar", Q(2, 5), Q(16, 5) * (1 - s) - Q(4, 5) * g),
+        ]))
+    return pieces
 
 
-def _comb_high_cases(s: Fraction, mu: Fraction) -> Optional[list[Case]]:
+def _comb_high_pieces(s: Fraction) -> list[Piece]:
     """Split routes for 3/4 <= s <= 13/16 (large-values estimate)."""
     if not (Q(3, 4) <= s <= Q(13, 16)):
-        return None
-    if not (Q(8, 5) <= mu <= 4 / (4 * s - 1)):
-        return None
-    if mu >= Q(5, 3):
-        g, h = Q(2, 5), Q(0)  # M >= x1^(2/5)
-    else:
-        g, h = Q(1), Q(-1)  # M >= x1 / T0
+        return []
+
+    def cases(g: Fraction, h: Fraction) -> list[Case]:  # M >= x1^g T0^h
+        return [
+            ("R", Q(1), 2 - 3 * s),
+            ("R", Q(1, 2), Q(3, 2) - 2 * s),
+            ("R", Q(0), 1 - s),
+            ("RRstar", Q(0), 4 - 4 * s),
+            ("Rstar", Q(3, 8) - Q(5, 4) * h, Q(17, 4) * (1 - s) - Q(5, 4) * g),
+            ("Rstar", Q(2, 5) - Q(4, 5) * h, Q(16, 5) * (1 - s) - Q(4, 5) * g),
+        ]
+
+    top = 4 / (4 * s - 1)
     return [
-        ("R", Q(1), 2 - 3 * s),
-        ("R", Q(1, 2), Q(3, 2) - 2 * s),
-        ("R", Q(0), 1 - s),
-        ("RRstar", Q(0), 4 - 4 * s),
-        ("Rstar", Q(3, 8) - Q(5, 4) * h, Q(17, 4) * (1 - s) - Q(5, 4) * g),
-        ("Rstar", Q(2, 5) - Q(4, 5) * h, Q(16, 5) * (1 - s) - Q(4, 5) * g),
+        (Q(5, 3), top, cases(Q(2, 5), Q(0))),  # M >= x1^(2/5)
+        (Q(8, 5), top, cases(Q(1), Q(-1))),  # below 5/3: M >= x1 / T0
     ]
 
 
-def _comb_mid_cases(s: Fraction, mu: Fraction) -> Optional[list[Case]]:
+def _comb_mid_pieces(s: Fraction) -> list[Piece]:
     """Raised-polynomial routes for 13/16 <= s <= 25/28 at large mu."""
     if not (Q(13, 16) <= s <= Q(25, 28)):
-        return None
-    if not (4 / (4 * s - 1) <= mu <= 3 / (10 * s - 7)):
-        return None
+        return []
     short = [
         (7 - 7 * s) / (3 * s - 1),
         (18 - 19 * s) / (6 * s - 2),
@@ -186,50 +195,109 @@ def _comb_mid_cases(s: Fraction, mu: Fraction) -> Optional[list[Case]]:
         (31 - 31 * s) / (15 * s - 5),
         (128 - 124 * s) / (60 * s - 15),
     ]
-    return [
+    return [(4 / (4 * s - 1), 3 / (10 * s - 7), [
         ("R", (4 - 4 * s) / (4 * s - 1), Q(0)),  # lands in the negligible regime
         ("Rstar", max(short), Q(0)),
         ("Rstar", max(long), Q(0)),
-    ]
+    ])]
 
 
-_COMBINATION_ROUTES: tuple[tuple[str, Callable], ...] = (
-    ("split-low", _comb_low_cases),
-    ("split-high", _comb_high_cases),
-    ("split-mid", _comb_mid_cases),
+_COMBINATION_ROUTES: tuple[tuple[str, Callable[[Fraction], list[Piece]]], ...] = (
+    ("split-low", _comb_low_pieces),
+    ("split-high", _comb_high_pieces),
+    ("split-mid", _comb_mid_pieces),
 )
+
+
+# ---------------------------------------------------------------------------
+# The row kernel: every demand at one sigma, evaluated across mu
+# ---------------------------------------------------------------------------
+
+Term = tuple[int, int, Optional[tuple[int, int]]]  # (A, B, (P, C) or None)
+
+
+class _Row(NamedTuple):
+    den: int
+    catalog: list[Term]
+    routes: list[list[tuple[Fraction, Fraction, list[Term]]]]
+
+
+def _demand_terms(s: Fraction, cat: BoundCatalog) -> _Row:
+    """Every demand at sigma s, as integer terms over one common denominator.
+
+    With every a, b, p, c of the row scaled by their common denominator D, a
+    demand a/mu + b at mu = n/d has the value (A d + B n) / (D n), so all
+    demands at one mu compare by their numerators alone, and a threshold
+    p <= mu c reads P d <= C n.
+    """
+    catalog = [_demand_coeffs(e.kind, e.exponent(s), Q(0), s) for e in cat.applicable(s)]
+    routes = [
+        [(lo, hi, [_demand_coeffs(*case, s) for case in cases]) for lo, hi, cases in pieces(s)]
+        for _name, pieces in _COMBINATION_ROUTES
+    ]
+    coeffs = catalog + [t for route in routes for _, _, terms in route for t in terms]
+    den = math.lcm(*(f.denominator for a, b, neg in coeffs for f in (a, b, *(neg or ()))))
+
+    def scaled(a: Fraction, b: Fraction, neg) -> Term:
+        def up(f: Fraction) -> int:
+            return f.numerator * (den // f.denominator)
+        return up(a), up(b), None if neg is None else (up(neg[0]), up(neg[1]))
+
+    return _Row(
+        den,
+        [scaled(*t) for t in catalog],
+        [[(lo, hi, [scaled(*t) for t in terms]) for lo, hi, terms in route] for route in routes],
+    )
+
+
+def _demand_at(row: _Row, mu: Fraction) -> Optional[Fraction]:
+    """required_nu at mu from its sigma's row terms: min over routes, a
+    combination route being the max over its internal cases."""
+    n, d = mu.numerator, mu.denominator
+    demands: list[int] = []
+    for A, B, neg in row.catalog:
+        if neg is not None and neg[0] * d <= neg[1] * n:
+            return None  # negligible: any nu is admissible
+        demands.append(A * d + B * n)
+    for route in row.routes:
+        for lo, hi, cases in route:
+            if lo <= mu <= hi:
+                demands.append(max(
+                    0 if neg is not None and neg[0] * d <= neg[1] * n
+                    else max(0, A * d + B * n)
+                    for A, B, neg in cases
+                ))
+                break
+    return Q(max(0, min(demands)), row.den * n)
 
 
 # ---------------------------------------------------------------------------
 # required_nu and the grid optimizer
 # ---------------------------------------------------------------------------
 
+def _sigma(sigma) -> Fraction:
+    s = Q(sigma)
+    if not (SIGMA_RANGE[0] <= s <= SIGMA_RANGE[1]):
+        raise ValueError(f"sigma={s} outside [1/2, 1]")
+    return s
+
+
+def _mu(mu) -> Fraction:
+    m = Q(mu)
+    if not (MU_RANGE[0] <= m <= MU_RANGE[1]):
+        raise ValueError(f"mu={m} outside [4/3, 19/9]")
+    return m
+
+
 def required_nu(
     sigma: Fraction, mu: Fraction, cat: BoundCatalog | None = None
 ) -> Optional[Fraction]:
     """Least nu provable at (sigma, mu); None when condition (i) already holds.
 
-    Exact over Fractions.  min over routes; a combination route is the max
-    over its internal cases.
+    Exact over Fractions: the row terms of sigma evaluated at one mu.
     """
-    s, mu = Q(sigma), Q(mu)
-    if not (SIGMA_RANGE[0] <= s <= SIGMA_RANGE[1]):
-        raise ValueError(f"sigma={s} outside [1/2, 1]")
-    if not (MU_RANGE[0] <= mu <= MU_RANGE[1]):
-        raise ValueError(f"mu={mu} outside [4/3, 19/9]")
-    cat = cat or builtin_catalog()
-
-    demands: list[Fraction] = []
-    for entry in cat.applicable(s):
-        d = _demand(entry.kind, entry.exponent(s), s, mu)
-        if d is None:
-            return None  # negligible: any nu is admissible
-        demands.append(d)
-    for _name, route in _COMBINATION_ROUTES:
-        cases = route(s, mu)
-        if cases is not None:
-            demands.append(max(_case_demand(c, s, mu) for c in cases))
-    return max(Q(0), min(demands))
+    s, mu = _sigma(sigma), _mu(mu)
+    return _demand_at(_demand_terms(s, cat or builtin_catalog()), mu)
 
 
 def required_nu_value(sigma, mu, cat: BoundCatalog | None = None) -> Fraction:
@@ -262,6 +330,8 @@ class OptimizeResult:
 
 def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
     """Multiples of step inside [lo, hi], plus both endpoints."""
+    if step <= 0:
+        raise ValueError(f"grid step {step} is not positive")
     first = -((-lo) // step)  # ceil(lo/step)
     vals = {lo, hi}
     k = first
@@ -277,27 +347,27 @@ def optimize_nu(
     sigma_range: tuple[Fraction, Fraction] = SIGMA_RANGE,
     mu_range: tuple[Fraction, Fraction] = MU_RANGE,
     refine_levels: int = 6,
-    threads: int = 1,
 ) -> OptimizeResult:
-    """Grid supremum of required_nu with dyadic-midpoint refinement."""
+    """Grid supremum of required_nu with dyadic-midpoint refinement.
+
+    The demand terms of a sigma are built once, for its grid row or when the
+    refinement walk first visits it, and evaluated across mu.
+    """
     resolution = Q(resolution)
     if resolution > Q(1, 64):
         raise ValueError("resolution must be <= 1/64")
     cat = cat or builtin_catalog()
-    sig = _grid(Q(sigma_range[0]), Q(sigma_range[1]), resolution)
-    mus = _grid(Q(mu_range[0]), Q(mu_range[1]), resolution)
+    sig = [_sigma(s) for s in _grid(Q(sigma_range[0]), Q(sigma_range[1]), resolution)]
+    mus = [_mu(m) for m in _grid(Q(mu_range[0]), Q(mu_range[1]), resolution)]
+    rows: dict[Fraction, _Row] = {}
 
-    def row(s: Fraction) -> list[tuple[Fraction, Fraction, Fraction]]:
-        return [(s, m, required_nu_value(s, m, cat)) for m in mus]
+    def value(s: Fraction, m: Fraction) -> Fraction:
+        if s not in rows:
+            rows[s] = _demand_terms(s, cat)
+        d = _demand_at(rows[s], m)
+        return Q(0) if d is None else d
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, sig))
-    else:
-        rows = [row(s) for s in sig]
-    grid = [cell for r in rows for cell in r]
+    grid = [(s, m, value(s, m)) for s in sig for m in mus]
 
     nu_star = max(v for _, _, v in grid)
     argmax = next((s, m) for s, m, v in grid if v == nu_star)
@@ -315,7 +385,7 @@ def optimize_nu(
                 for dm in (-step, Q(0), step):
                     s2 = min(max(best_s + ds, Q(sigma_range[0])), Q(sigma_range[1]))
                     m2 = min(max(best_m + dm, Q(mu_range[0])), Q(mu_range[1]))
-                    v2 = required_nu_value(s2, m2, cat)
+                    v2 = value(s2, m2)
                     if v2 > best_v:
                         best_s, best_m, best_v = s2, m2, v2
                         improved = True

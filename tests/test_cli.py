@@ -1,6 +1,7 @@
 """CLI contract: exit codes, byte-identical reruns, manifests, config files."""
 
 import argparse
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -79,6 +80,9 @@ def test_gaps_stream_csv(tmp_path):
 def test_usage_error_exit_1(tmp_path):
     assert run(["gaps", "--limits", "ten", "--out", str(tmp_path / "o")]) == 1
     assert run(["nonsense"]) == 1
+    assert run(["verify", "--threads", "2", "--out", str(tmp_path / "o")]) == 1
+    for res in ("1/0", "0", "-1/64"):
+        assert run(["optimize-nu", "--res", res, "--out", str(tmp_path / "o")]) == 1, res
 
 
 def test_gaps_non_integer_limits(tmp_path):
@@ -186,6 +190,10 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
         assert read(a / name) == read(b / name)
 
 
+GAPS_OPTIONS = {"limits": [10], "allow_large": False, "ceiling": 10**10,
+                "stream_csv": False, "stream_limit": 10**5}
+
+
 @pytest.mark.parametrize("manifest", [
     {"command": "frobnicate", "options": {}},
     {"options": {"limits": [10]}},
@@ -194,6 +202,9 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
     {"command": "gaps", "options": [10, 100]},
     {"command": "gaps", "options": {"limits": [10]}},
     [1, 2],
+    {"command": "gaps", "options": {**GAPS_OPTIONS, "limits": "abc"}},
+    {"command": "gaps", "options": {**GAPS_OPTIONS, "ceiling": "x"}},
+    {"command": "gaps", "options": {**GAPS_OPTIONS, "limits": [1000.5]}},
 ])
 def test_report_bad_manifest_exit_1(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"
@@ -211,13 +222,49 @@ def test_manifest_rerun_optimize(tmp_path):
     assert read(a / "nu_profile.json") == read(b / "nu_profile.json")
 
 
-def test_config_file_and_env_threads(tmp_path, monkeypatch):
+def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("limits=10,100\n# comment\nstream-csv=false\n", encoding="utf-8")
     out = tmp_path / "o"
-    monkeypatch.setenv("GAPSCOPE_THREADS", "2")
     assert run(["gaps", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "max_gap_table.csv").read_text().splitlines()
     assert rows[1:] == ["10,4,0.60", "100,8,0.45"]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["options"]["threads"] == 2
+    assert manifest["options"]["limits"] == [10, 100]
+    assert manifest["options"]["stream_csv"] is False
+    cfg.write_text("limits=10\nstream-csv=maybe\n", encoding="utf-8")
+    assert run(["gaps", "--config", str(cfg), "--out", str(out)]) == 1
+
+
+# SHA-256 of reports written by the Fraction-walk enumeration and the
+# per-cell required_nu that the exponent walk and the row kernel replaced.
+GOLDEN_SHA256 = {
+    "nu_profile.json": "4c788eb4f8be16e648e78c9c8bde204f4dd566b21174eb96e284d81830d0bc77",
+    "factorizations.json": "8354c9c5dba2a7b32e9aa49c9e56d5aba22c5ca6829b66d11718bc5407953744",
+}
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(read(path)).hexdigest()
+
+
+def test_golden_report_digests(tmp_path):
+    out = tmp_path / "o"
+    assert run(["optimize-nu", "--res", "1/64", "--out", str(out)]) == 0
+    assert run(["identity", "--x", "5000", "--k", "2", "--dump-factorizations",
+                "--out", str(out)]) == 0
+    for name, digest in GOLDEN_SHA256.items():
+        assert sha256(out / name) == digest, name
+
+
+def test_report_replays_manifest_with_threads_key(tmp_path):
+    # manifests written while --threads existed carry a "threads" option
+    manifest = {"command": "optimize-nu",
+                "options": {"res": "1/64", "out": str(tmp_path / "a"), "threads": 2}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    out = tmp_path / "b"
+    assert run(["report", "--manifest", str(path), "--out", str(out)]) == 0
+    assert sha256(out / "nu_profile.json") == GOLDEN_SHA256["nu_profile.json"]
+    replayed = json.loads((out / "manifest.json").read_text())
+    assert replayed["options"] == {"res": "1/64", "out": str(out)}

@@ -1,5 +1,6 @@
 """Lambda recovery through the combinatorial identity and its dyadic tiling."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -85,6 +86,17 @@ def test_identity_residual_tables():
             assert float(I.identity_residuals(cfg).max()) < 1e-9
 
 
+def test_kj_table_with_given_mobius_table():
+    cfg = I.make_config(137, 3)
+    mu = I.mobius_sieve(3 * cfg.x)
+    before = mu.copy()
+    for j in (1, 2, 3):
+        assert (I.kj_table(cfg, j, mu) == I.kj_table(cfg, j)).all()
+    assert (mu == before).all()
+    with pytest.raises(ValueError):
+        I.kj_table(cfg, 1, I.mobius_sieve(3 * cfg.x - 1))
+
+
 def test_config_cutoff_invariant():
     for x, k in [(2, 1), (50, 3), (5000, 3), (1000, 6)]:
         cfg = I.make_config(x, k)
@@ -158,6 +170,92 @@ def test_placeholders_forced_at_half():
             if (j < i <= k) or (k + j <= i < 2 * k):
                 assert f.lengths[i - 1] == HALF
                 assert f.classes[i - 1] is I.CoefficientClass.SINGLETON
+
+
+def reference_enumeration(cfg):
+    """(j, lengths) of every tuple, in order, by the walk over Fraction
+    products: partial * N against x/4^k and 3x at every step."""
+    k, x, cut = cfg.k, cfg.x, cfg.mobius_cutoff
+    lo, hi = Fraction(x, 2 ** (2 * k)), Fraction(3 * x)
+    mob_grid = [HALF] + [Fraction(2**e) for e in range(max(0, (cut - 1).bit_length()))]
+
+    def unit_grid(partial, remaining):
+        yield HALF
+        e = 0
+        while partial * (2**e) * HALF ** max(0, remaining - 1) <= hi:
+            yield Fraction(2**e)
+            e += 1
+
+    def log_grid(partial):
+        e = 0
+        while partial * (2**e) <= hi:
+            yield Fraction(2**e)
+            e += 1
+
+    out = []
+    for j in range(1, k + 1):
+        def rec(slot, partial, chosen):
+            if slot == 2 * j:
+                if lo <= partial <= hi:
+                    lengths = [HALF] * (2 * k)
+                    lengths[:j] = chosen[:j]
+                    lengths[k : k + j - 1] = chosen[j : 2 * j - 1]
+                    lengths[-1] = chosen[-1]
+                    out.append((j, tuple(lengths)))
+                return
+            remaining = 2 * j - slot - 1
+            if slot < j:
+                grid = mob_grid
+            elif slot < 2 * j - 1:
+                grid = unit_grid(partial, remaining)
+            else:
+                grid = log_grid(partial)
+            for N in grid:
+                nxt = partial * N
+                if nxt * HALF ** max(0, remaining - 1) > hi:
+                    break
+                rec(slot + 1, nxt, chosen + [N])
+
+        rec(0, HALF ** (2 * (k - j)), [])
+    return out
+
+
+@pytest.mark.parametrize("x,k", [(2, 1), (777, 1), (3, 2), (3000, 2), (5, 3), (137, 3), (8, 4)])
+def test_exponent_walk_matches_fraction_walk(x, k):
+    cfg = I.make_config(x, k)
+    fs = I.enumerate_factorizations(cfg)
+    assert [(f.j, f.lengths) for f in fs] == reference_enumeration(cfg)
+    for f in fs:
+        assert all(type(N) is Fraction for N in f.lengths)
+        assert f.weight == I.identity_weight(k, f.j)
+        for i, (N, cls) in enumerate(zip(f.lengths, f.classes), start=1):
+            if N == HALF:
+                assert cls is I.CoefficientClass.SINGLETON
+            else:
+                assert cls is (I.CoefficientClass.MOBIUS if i <= k else
+                               I.CoefficientClass.UNIT if i < 2 * k else I.CoefficientClass.LOG)
+
+
+def test_validate_rejects_each_broken_invariant():
+    cfg = I.make_config(50, 2)  # cutoff 12
+    f = next(f for f in I.enumerate_factorizations(cfg)
+             if f.j == 2 and f.lengths[0] == 8 and f.lengths[1] == 2 and f.lengths[2] == 1)
+    f.validate(cfg)
+    U = I.CoefficientClass
+    broken = {
+        "power of two": dataclasses.replace(f, lengths=(Fraction(8), Fraction(3)) + f.lengths[2:]),
+        "class": dataclasses.replace(f, classes=(U.UNIT,) + f.classes[1:]),
+        "above the cutoff": dataclasses.replace(f, lengths=(Fraction(16),) + f.lengths[1:]),
+        "outside": dataclasses.replace(f, lengths=f.lengths[:3] + (Fraction(2**10),)),
+        "weight": dataclasses.replace(f, weight=-f.weight),
+        "placeholder": dataclasses.replace(
+            next(g for g in I.enumerate_factorizations(cfg) if g.j == 1 and g.lengths[0] == 1),
+            lengths=(Fraction(1), Fraction(1), HALF, Fraction(16)),
+        ),
+    }
+    for needle, g in broken.items():
+        with pytest.raises(ValueError, match=needle):
+            g.validate(cfg)
 
 
 def test_enumeration_capacity_guard():

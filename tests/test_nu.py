@@ -7,6 +7,8 @@ import pytest
 from gapscope.nu import (
     REGIONS,
     SIGMA_RANGE,
+    BoundCatalog,
+    _grid,
     builtin_catalog,
     coverage_check,
     optimize_nu,
@@ -94,17 +96,20 @@ def test_optimizer_degenerate_cell():
     assert res.nu_star == required_nu_value(Q(3, 4), Q(9, 5))
 
 
-def test_optimizer_deterministic_across_threads():
-    a = optimize_nu(Q(1, 64), refine_levels=2, threads=1)
-    b = optimize_nu(Q(1, 64), refine_levels=2, threads=4)
+def test_optimizer_deterministic():
+    a = optimize_nu(Q(1, 64), refine_levels=2)
+    b = optimize_nu(Q(1, 64), refine_levels=2)
     assert a.nu_star == b.nu_star
     assert a.argmax == b.argmax
     assert a.grid == b.grid
 
 
 def test_optimizer_resolution_guard():
+    for bad in (Q(1, 32), Q(0), Q(-1, 64)):
+        with pytest.raises(ValueError):
+            optimize_nu(bad)
     with pytest.raises(ValueError):
-        optimize_nu(Q(1, 32))
+        coverage_check(Q(0))
 
 
 def test_coverage_full_box():
@@ -133,3 +138,121 @@ def test_required_nu_below_quarter_everywhere_on_grid():
             assert required_nu_value(s, m) <= Q(1, 4), (s, m)
             m += step
         s += step
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-cell demand calculus, rebuilt at every (sigma, mu)
+# ---------------------------------------------------------------------------
+
+def _ref_demand(kind, e, s, mu):
+    if kind == "R":
+        if e <= mu * (1 - s):
+            return None
+        return (e - 1) / mu - 1 + 2 * s
+    if kind == "Rstar":
+        return (e - 1) / mu - 3 + 4 * s
+    if kind == "RRstar":
+        return ((e - 2) / mu - 4 + 6 * s) / 2
+    raise ValueError(kind)
+
+
+def _ref_case_demand(case, s, mu):
+    kind, p, q = case
+    d = _ref_demand(kind, p + mu * q, s, mu)
+    return Q(0) if d is None else max(Q(0), d)
+
+
+def _ref_low(s, mu):
+    if s > Q(3, 4) or mu > 2:
+        return None
+    cases = [("R", Q(1), Q(1, 2) - s)]
+    if mu <= Q(5, 3):
+        return cases
+    if s < Q(7, 10):
+        return None
+    g = Q(2, 5)
+    return cases + [
+        ("RRstar", Q(0), 4 - 4 * s),
+        ("Rstar", Q(3, 4), Q(7, 2) * (1 - s) - Q(5, 4) * g),
+        ("Rstar", Q(2, 5), Q(16, 5) * (1 - s) - Q(4, 5) * g),
+    ]
+
+
+def _ref_high(s, mu):
+    if not (Q(3, 4) <= s <= Q(13, 16)):
+        return None
+    if not (Q(8, 5) <= mu <= 4 / (4 * s - 1)):
+        return None
+    g, h = (Q(2, 5), Q(0)) if mu >= Q(5, 3) else (Q(1), Q(-1))
+    return [
+        ("R", Q(1), 2 - 3 * s),
+        ("R", Q(1, 2), Q(3, 2) - 2 * s),
+        ("R", Q(0), 1 - s),
+        ("RRstar", Q(0), 4 - 4 * s),
+        ("Rstar", Q(3, 8) - Q(5, 4) * h, Q(17, 4) * (1 - s) - Q(5, 4) * g),
+        ("Rstar", Q(2, 5) - Q(4, 5) * h, Q(16, 5) * (1 - s) - Q(4, 5) * g),
+    ]
+
+
+def _ref_mid(s, mu):
+    if not (Q(13, 16) <= s <= Q(25, 28)):
+        return None
+    if not (4 / (4 * s - 1) <= mu <= 3 / (10 * s - 7)):
+        return None
+    short = [(7 - 7 * s) / (3 * s - 1), (18 - 19 * s) / (6 * s - 2),
+             (34 - 34 * s) / (15 * s - 5)]
+    long = short + [(69 - 73 * s) / (24 * s - 8), (31 - 31 * s) / (15 * s - 5),
+                    (128 - 124 * s) / (60 * s - 15)]
+    return [
+        ("R", (4 - 4 * s) / (4 * s - 1), Q(0)),
+        ("Rstar", max(short), Q(0)),
+        ("Rstar", max(long), Q(0)),
+    ]
+
+
+def reference_required_nu(s, mu, cat):
+    """required_nu as a per-cell loop: catalog exponents and route case lists
+    rebuilt at every (s, mu), every demand a Fraction."""
+    demands = []
+    for entry in cat.applicable(s):
+        d = _ref_demand(entry.kind, entry.exponent(s), s, mu)
+        if d is None:
+            return None
+        demands.append(d)
+    for route in (_ref_low, _ref_high, _ref_mid):
+        cases = route(s, mu)
+        if cases is not None:
+            demands.append(max(_ref_case_demand(c, s, mu) for c in cases))
+    return max(Q(0), min(demands))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+CELLS = [(s, m) for s in _grid(*SIGMA_RANGE, Q(1, 64)) for m in _grid(*MU_RANGE, Q(1, 64))]
+
+
+def test_row_kernel_matches_reference_on_grid():
+    cat = builtin_catalog()
+    res = optimize_nu(Q(1, 64), refine_levels=0)
+    assert [(s, m) for s, m, _ in res.grid] == CELLS
+    for s, m, v in res.grid:
+        ref = reference_required_nu(s, m, cat)
+        assert v == (Q(0) if ref is None else ref), (s, m)
+        assert required_nu(s, m) == ref, (s, m)
+
+
+@pytest.mark.parametrize("drop", [
+    {"trivial"},
+    {"trivial", "large-values", "mean-value"},
+    {"trivial", "rstar-low", "rstar-high"},
+    {e.name for e in builtin_catalog().entries},
+])
+def test_row_kernel_matches_reference_on_reduced_catalog(drop):
+    cat = BoundCatalog(tuple(e for e in builtin_catalog().entries if e.name not in drop))
+    for s, m in CELLS:
+        assert _outcome(required_nu, s, m, cat) == _outcome(reference_required_nu, s, m, cat), (s, m)
