@@ -71,10 +71,13 @@ class RatFn:
         n, d = poly(num), poly(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
-        g = pgcd(n, d)
-        if degree(g) > 0:
-            n = pdivmod(n, g)[0]
-            d = pdivmod(d, g)[0]
+        # a nonzero constant num or den has gcd 1 with the other side;
+        # a zero num over a non-constant den still reduces (to den's leading term)
+        if len(n) != 1 and len(d) > 1:
+            g = pgcd(n, d)
+            if degree(g) > 0:
+                n = pdivmod(n, g)[0]
+                d = pdivmod(d, g)[0]
         if d and d[-1] < 0:
             n, d = pscale(n, Q(-1)), pscale(d, Q(-1))
         return RatFn(tuple(n), tuple(d))

@@ -437,9 +437,12 @@ def resolve_options(args: argparse.Namespace) -> dict:
     opt = dict(_DEFAULTS.get(command, {}))
     opt.setdefault("out", "gapscope-out")
     cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
+    settable = [k for k in opt if k in _CONFIG_PARSERS]
     for key, raw in cfg.items():
-        if key in _CONFIG_PARSERS:
-            opt[key] = _CONFIG_PARSERS[key](raw)
+        if key not in settable:
+            raise ValueError(f"config key {key!r} is not an option of {command} "
+                             f"(it takes {', '.join(settable)})")
+        opt[key] = _CONFIG_PARSERS[key](raw)
     for key, val in vars(args).items():
         if key in ("command", "config") or val is None:
             continue

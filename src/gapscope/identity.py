@@ -34,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapacityError, WindowError
-from .primes import von_mangoldt
+from .primes import proper_prime_powers, simple_sieve
 
 EXACTNESS_TOL = 1e-9
 
@@ -107,15 +107,21 @@ def mobius(n: int) -> int:
 
 
 def mobius_sieve(limit: int) -> np.ndarray:
-    """mu(1..limit) as an int8 array (index 0 unused)."""
+    """mu(1..limit) as an int8 array (index 0 unused).
+
+    Only the primes p <= sqrt(limit) are visited: each flips the sign of its
+    multiples, zeroes those of p^2 and divides itself out of its multiples in
+    a copy of 0..limit.  Where more than 1 is left, it is a single prime above
+    sqrt(limit) (two would exceed the limit), which flips the sign once more.
+    """
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    primes_done = np.zeros(limit + 1, dtype=bool)
-    for p in range(2, limit + 1):
-        if not primes_done[p]:
-            mu[p::p] *= -1
-            mu[p * p :: p * p] = 0
-            primes_done[p::p] = True
+    rest = np.arange(limit + 1)
+    for p in simple_sieve(math.isqrt(limit)).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        rest[p::p] //= p
+    mu[rest > 1] *= -1
     return mu
 
 
@@ -206,14 +212,40 @@ def kj_table(cfg: IdentityConfig, j: int, mu: np.ndarray | None = None) -> np.nd
 
 
 def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b)(n) = sum_{i | n} a[i] b[n/i] for n <= N = len(a) - 1.
+
+    Hyperbola split at r = isqrt(N): each i <= r adds a[i] b[1..N//i] as one
+    slice; the products with i > r have cofactor k = n/i <= r, and each k adds
+    a[i] b[k] at the indices k*i for all i > r at once.  Every out[n] sums the
+    same products in ascending order of i (the i <= r first, then the k in
+    descending order), so the result does not depend on the split.
+    """
     N = len(a) - 1
+    r = math.isqrt(N)
     out = np.zeros(N + 1)
-    for i in range(1, N + 1):
+    for i in range(1, r + 1):
         ai = a[i]
         if ai != 0.0:
-            m = N // i
-            out[i :: i] += ai * b[1 : m + 1]
+            out[i :: i] += ai * b[1 : N // i + 1]
+    big = np.flatnonzero(a[r + 1 :]) + (r + 1)  # i > r with a[i] != 0
+    a_big = a[big]
+    for k in range(N // (r + 1), 0, -1):
+        m = int(np.searchsorted(big, N // k, side="right"))
+        out[k * big[:m]] += a_big[:m] * b[k]
     return out
+
+
+def _von_mangoldt_table(N: int) -> np.ndarray:
+    """Lambda(0..N) as a float array (index 0 unused), equal to von_mangoldt.
+
+    Each prime power p^j <= N gets math.log(p), the value von_mangoldt returns.
+    """
+    lam = np.zeros(N + 1)
+    primes = simple_sieve(N).tolist()
+    lam[primes] = [math.log(p) for p in primes]
+    for pk, log_p in proper_prime_powers(2, N):
+        lam[pk] = log_p
+    return lam
 
 
 def identity_residuals(cfg: IdentityConfig) -> np.ndarray:
@@ -223,7 +255,7 @@ def identity_residuals(cfg: IdentityConfig) -> np.ndarray:
     total = np.zeros(N + 1)
     for j in range(1, cfg.k + 1):
         total += identity_weight(cfg.k, j) * kj_table(cfg, j, mu)
-    lam = np.array([0.0] + [von_mangoldt(n) for n in range(1, N + 1)])
+    lam = _von_mangoldt_table(N)
     window = slice(cfg.x + 1, N + 1)
     return np.abs(total[window] - lam[window])
 

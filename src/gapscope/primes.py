@@ -5,12 +5,12 @@ limit x iff p_n <= x; the successor may exceed x.  Under this convention the
 gaps with p_n <= x telescope to (first prime > x) - 2, which several tests
 assert.
 
-The sieve is a segmented odds-only Eratosthenes (multiples of 3 and 5 are
-cleared first within each segment, so the work matches a mod-30 wheel) with a
-fixed segment size.  Every gap consumer (iter_gaps, gap_sweep,
-dyadic_band_sum) reads one stream of per-segment (p, gap) arrays, and all gap
-reductions are over exact integers, so results are independent of
-segmentation.
+The sieve is a segmented odds-only Eratosthenes with a fixed segment size:
+each segment holds the odd integers only, and every odd sieving prime, 3 and
+5 included, strikes its odd multiples from max(p^2, segment start) by one
+slice.  Every gap consumer (iter_gaps, gap_sweep, dyadic_band_sum) reads one
+stream of per-segment (p, gap) arrays, and all gap reductions are over exact
+integers, so results are independent of segmentation.
 """
 
 from __future__ import annotations
@@ -352,13 +352,13 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _prime_power_logs(lo: int, hi: int) -> Iterator[float]:
-    """log p for each proper prime power p^k (k >= 2) in [lo, hi]."""
+def proper_prime_powers(lo: int, hi: int) -> Iterator[tuple[int, float]]:
+    """(p^k, math.log(p)) for each proper prime power p^k (k >= 2) in [lo, hi]."""
     for p in simple_sieve(math.isqrt(hi)).tolist():
         pk = p * p
         while pk <= hi:
             if pk >= lo:
-                yield math.log(p)
+                yield pk, math.log(p)
             pk *= p
 
 
@@ -377,7 +377,7 @@ def chebyshev_psi(y: float, **kw) -> float:
     partials = []
     for seg in iter_prime_segments(2, limit, **kw):
         partials.append(float(np.sum(np.log(seg.astype(np.float64)))))
-    return math.fsum(partials) + math.fsum(_prime_power_logs(2, limit))
+    return math.fsum(partials) + math.fsum(log_p for _, log_p in proper_prime_powers(2, limit))
 
 
 def psi_window(y: float, tau: float, *, ceiling: int = DEFAULT_CEILING) -> float:
@@ -397,7 +397,7 @@ def psi_window(y: float, tau: float, *, ceiling: int = DEFAULT_CEILING) -> float
     primes = iter_prime_segments(n_lo, n_hi, ceiling=ceiling)
     return math.fsum(chain(
         (math.log(p) for seg in primes for p in seg.tolist()),
-        _prime_power_logs(n_lo, n_hi),
+        (log_p for _, log_p in proper_prime_powers(n_lo, n_hi)),
     ))
 
 

@@ -24,24 +24,22 @@ def _fmt_float(x: float) -> str:
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    # Exact str, int, dict, list and tuple dispatch on type(obj); subclasses
+    # and every other type take the isinstance chain, whose Fraction check is
+    # an ABC lookup.
+    t = type(obj)
+    if t is str:
+        return _json_str(obj)
+    if t is int:
+        return repr(obj)
+    if t is dict:
+        return _json_dict(obj, indent)
+    if t is list or t is tuple:
+        return _json_seq(obj, indent)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [
-            f'{inner}"{k}": {canonical_json(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+        return _json_dict(obj, indent)
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        flat = all(isinstance(v, (int, float, str, bool, Fraction)) for v in seq)
-        if flat and len(seq) <= 12:
-            return "[" + ", ".join(canonical_json(v) for v in seq) + "]"
-        rows = [f"{inner}{canonical_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+        return _json_seq(obj, indent)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, Fraction):
@@ -53,8 +51,35 @@ def canonical_json(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return _json_str(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def _json_str(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _json_dict(obj: dict, indent: int) -> str:
+    if not obj:
+        return "{}"
+    inner = "  " * (indent + 1)
+    rows = [f'{inner}"{k}": {canonical_json(v, indent + 1)}' for k, v in obj.items()]
+    return "{\n" + ",\n".join(rows) + f"\n{'  ' * indent}}}"
+
+
+_FLAT = (int, float, str, bool, Fraction)
+_FLAT_TYPES = frozenset(_FLAT)
+
+
+def _json_seq(obj, indent: int) -> str:
+    seq = list(obj)
+    if not seq:
+        return "[]"
+    if len(seq) <= 12 and all(type(v) in _FLAT_TYPES or isinstance(v, _FLAT) for v in seq):
+        return "[" + ", ".join(canonical_json(v) for v in seq) + "]"
+    inner = "  " * (indent + 1)
+    rows = [f"{inner}{canonical_json(v, indent + 1)}" for v in seq]
+    return "[\n" + ",\n".join(rows) + f"\n{'  ' * indent}]"
 
 
 def write_json(path: Path, obj) -> None:

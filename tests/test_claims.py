@@ -4,12 +4,15 @@ import time
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gapscope.algebra import AlgebraicNumber
+from gapscope.algebra import AlgebraicNumber, degree, pdivmod, pgcd, pmul, poly, pscale
 from gapscope.claims import (
     Claim,
     IllPosedClaimError,
     MU_RANGE,
+    RatFn,
     format_ledger,
     ml,
     parse_expression,
@@ -160,3 +163,30 @@ def test_mu_all_is_global_range():
     c = Claim.box("r", parse_expression("u"), ml(Q(3, 4)), Q(1, 2), Q(1))
     assert c.mu_interval == MU_RANGE
     assert verify_claim(c).holds  # u <= 3/4 for mu >= 4/3
+
+
+def make_by_gcd(num, den) -> RatFn:
+    """RatFn.make as it was before constant sides skipped the gcd."""
+    n, d = poly(num), poly(den)
+    g = pgcd(n, d)
+    if degree(g) > 0:
+        n = pdivmod(n, g)[0]
+        d = pdivmod(d, g)[0]
+    if d and d[-1] < 0:
+        n, d = pscale(n, Q(-1)), pscale(d, Q(-1))
+    return RatFn(tuple(n), tuple(d))
+
+
+small_q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+polys = st.lists(small_q, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, polys, polys)
+def test_ratfn_make_equals_gcd_path(a, b, c):
+    # a shared factor c gives the gcd path something to cancel
+    shared = poly(c) or [Q(1)]
+    num, den = pmul(poly(a), shared), pmul(poly(b), shared) or [Q(1)]
+    r = RatFn.make(num, den)
+    assert r == make_by_gcd(num, den)
+    assert all(type(v) is Q for v in r.num + r.den)

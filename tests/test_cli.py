@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from gapscope.cli import main, parse_int_literal
 from gapscope.claims import format_ledger
 from gapscope.ledger import mutated_ledger
 from gapscope.primes import max_gap_table
-from gapscope.reports import write_table_csv
+from gapscope.reports import canonical_json, write_table_csv
 
 
 DATA = Path(__file__).parent / "data"
@@ -236,11 +237,32 @@ def test_config_file_defaults(tmp_path):
     assert run(["gaps", "--config", str(cfg), "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("line", [
+    "limit=10",  # no option has this key
+    "x=5",  # an identity option, not a gaps one
+])
+def test_config_key_gaps_does_not_take_exit_1(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["gaps", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key") and repr(line.split("=")[0]) in err
+    assert not (out / "manifest.json").exists()
+
+
 # SHA-256 of reports written by the Fraction-walk enumeration and the
-# per-cell required_nu that the exponent walk and the row kernel replaced.
+# per-cell required_nu that the exponent walk and the row kernel replaced,
+# and by the per-integer convolution loop, trial-division Lambda and
+# isinstance-chain writer that the hyperbola split, the sieved Lambda table
+# and the type dispatch replaced.  Paths are relative to the output directory
+# of test_golden_report_digests.
 GOLDEN_SHA256 = {
     "nu_profile.json": "4c788eb4f8be16e648e78c9c8bde204f4dd566b21174eb96e284d81830d0bc77",
     "factorizations.json": "8354c9c5dba2a7b32e9aa49c9e56d5aba22c5ca6829b66d11718bc5407953744",
+    "identity_report.json": "cd98887d1b8888c99bde678a841b47c6b6345b66d339fd08a83c65ef3630e21a",
+    "k3/identity_report.json": "6eb8911f4327c0e3ac6253140521d07421680afe440e8e65d43e60f749995eee",
+    "verify/verdicts.json": "8da8b61372d3add8991c6302d487c604126b43c0910d64f14480e2f957b5bc96",
 }
 
 
@@ -253,8 +275,34 @@ def test_golden_report_digests(tmp_path):
     assert run(["optimize-nu", "--res", "1/64", "--out", str(out)]) == 0
     assert run(["identity", "--x", "5000", "--k", "2", "--dump-factorizations",
                 "--out", str(out)]) == 0
+    assert run(["identity", "--x", "5000", "--k", "3", "--out", str(out / "k3")]) == 0
+    assert run(["verify", "--out", str(out / "verify")]) == 0
     for name, digest in GOLDEN_SHA256.items():
         assert sha256(out / name) == digest, name
+
+
+def test_canonical_json_subclasses_match_exact_types():
+    class S(str):
+        pass
+
+    class N(int):
+        pass
+
+    class D(dict):
+        pass
+
+    class L(list):
+        pass
+
+    exact = {"s": 'a"b\\', "n": 7, "flags": [True, None], "q": [Fraction(1, 3), 2.5, 3.0],
+             "rows": [{"k": []}, {}], "t": (1, "x")}
+    sub = D(s=S('a"b\\'), n=N(7), flags=L([True, None]), q=L([Fraction(1, 3), 2.5, 3.0]),
+            rows=L([D(k=L()), D()]), t=(N(1), S("x")))
+    text = canonical_json(exact)
+    assert canonical_json(sub) == text
+    assert text == ('{\n  "s": "a\\"b\\\\",\n  "n": 7,\n  "flags": [\n    true,\n    null\n  ],\n'
+                    '  "q": ["1/3", 2.5, 3],\n  "rows": [\n    {\n      "k": []\n    },\n'
+                    '    {}\n  ],\n  "t": [1, "x"]\n}')
 
 
 def test_report_replays_manifest_with_threads_key(tmp_path):

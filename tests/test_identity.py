@@ -4,6 +4,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,14 @@ def test_mobius_values():
 @given(st.integers(min_value=1, max_value=3000))
 def test_mobius_sieve_matches_pointwise(n):
     assert int(I.mobius_sieve(n)[n]) == I.mobius(n)
+
+
+def test_mobius_sieve_every_limit_to_3000():
+    table = I.mobius_sieve(3000)
+    assert table.dtype == np.int8 and table[0] == 0
+    assert table[1:].tolist() == [I.mobius(n) for n in range(1, 3001)]
+    for limit in range(3000):
+        assert np.array_equal(I.mobius_sieve(limit), table[: limit + 1]), limit
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,6 +104,50 @@ def test_kj_table_with_given_mobius_table():
     assert (mu == before).all()
     with pytest.raises(ValueError):
         I.kj_table(cfg, 1, I.mobius_sieve(3 * cfg.x - 1))
+
+
+def convolve_by_every_i(a, b):
+    """The per-integer loop that the hyperbola split replaced."""
+    N = len(a) - 1
+    out = np.zeros(N + 1)
+    for i in range(1, N + 1):
+        ai = a[i]
+        if ai != 0.0:
+            out[i :: i] += ai * b[1 : N // i + 1]
+    return out
+
+
+def bitwise_equal(u, v):
+    return u.shape == v.shape and np.array_equal(u.view(np.int64), v.view(np.int64))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 9, 15, 15000])
+def test_hyperbola_convolution_matches_per_integer_loop(N):
+    rng = np.random.default_rng(N)
+    for density in (0.05, 0.5, 1.0):
+        a, b = (np.where(rng.random(N + 1) < density, rng.normal(size=N + 1), 0.0)
+                for _ in range(2))
+        a[0] = b[0] = 0.0
+        assert bitwise_equal(I._dirichlet_convolve(a, b), convolve_by_every_i(a, b))
+    # the kj_table inputs: truncated mu, 1 and log
+    mu = I.mobius_sieve(N).astype(np.float64)
+    mu[math.isqrt(N) + 1 :] = 0.0
+    ones = np.ones(N + 1)
+    ones[0] = 0.0
+    logs = np.zeros(N + 1)
+    logs[1:] = np.log(np.arange(1, N + 1, dtype=np.float64))
+    for a, b in ((ones, logs), (mu, logs), (mu, ones), (ones, ones)):
+        acc = I._dirichlet_convolve(a, b)
+        assert bitwise_equal(acc, convolve_by_every_i(a, b))
+        assert bitwise_equal(I._dirichlet_convolve(mu, acc), convolve_by_every_i(mu, acc))
+
+
+@pytest.mark.parametrize("x", [777, 5000])
+def test_von_mangoldt_table_equals_pointwise(x):
+    N = 3 * x
+    lam = I._von_mangoldt_table(N)
+    assert len(lam) == N + 1 and lam[0] == 0.0
+    assert lam[1:].tolist() == [von_mangoldt(n) for n in range(1, N + 1)]
 
 
 def test_config_cutoff_invariant():
