@@ -218,7 +218,7 @@ def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     slice; the products with i > r have cofactor k = n/i <= r, and each k adds
     a[i] b[k] at the indices k*i for all i > r at once.  Every out[n] sums the
     same products in ascending order of i (the i <= r first, then the k in
-    descending order), so the result does not depend on the split.
+    descending order), so each sum rounds exactly as in a loop over every i.
     """
     N = len(a) - 1
     r = math.isqrt(N)
