@@ -31,7 +31,7 @@ for f in fs[:5]:
     print(f"  j = {f.j}  weight {f.weight:+d}  lengths ({lens})")
 
 total = identity.window_coefficient_sum(cfg)
-worst = max(abs(total.get(n, 0.0) - von_mangoldt(n)) for n in range(x + 1, 3 * x + 1))
+worst = max(abs(total[n] - von_mangoldt(n)) for n in range(x + 1, 3 * x + 1))
 print(f"\nSummed window coefficients reproduce Lambda to {worst:.2e}")
 
 f_part, g_part = identity.split_long(fs, x)

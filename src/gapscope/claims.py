@@ -389,6 +389,8 @@ def verify_claim(claim: Claim) -> Verdict:
     mu_lo, mu_hi = claim.mu_interval
     if s_lo > s_hi or mu_lo > mu_hi:
         raise ValueError(f"empty box in claim {claim.id}")
+    if mu_lo <= 0:
+        raise ValueError(f"mu box of claim {claim.id} starts at {mu_lo}; u = 1/mu needs mu > 0")
     cert: dict = {"kind": "mu-endpoint-reduction", "strict_flag": claim.strict, "checks": []}
     mu_ends = (mu_lo,) if mu_lo == mu_hi else (mu_lo, mu_hi)
     for i, lhs in enumerate(claim.lhs):

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .identity import CoefficientClass, mobius_sieve
+from .identity import CoefficientClass, block_support
 
 EVAL_BUDGET = 10**7
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -55,22 +55,8 @@ class PolyFactor:
             raise CapacityError(f"factor length {self.N} over direct-summation budget")
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, coefficients) of the factor, ascending."""
-        if self.cls is CoefficientClass.SINGLETON:
-            return np.array([1], dtype=np.int64), np.array([1.0])
-        lo, hi = int(self.N), int(2 * self.N)
-        if self.cls is CoefficientClass.MOBIUS and self.mobius_cutoff is not None:
-            hi = min(hi, self.mobius_cutoff)
-        ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        if self.cls is CoefficientClass.UNIT:
-            an = np.ones(len(ns))
-        elif self.cls is CoefficientClass.LOG:
-            an = np.log(ns.astype(np.float64))
-        else:
-            mu = mobius_sieve(hi)
-            an = mu[ns].astype(np.float64)
-        keep = an != 0.0
-        return ns[keep], an[keep]
+        """(values, coefficients) of the factor, ascending and read-only."""
+        return block_support(self.cls, self.N, self.mobius_cutoff)
 
 
 def unit_factor(N) -> PolyFactor:

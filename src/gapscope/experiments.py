@@ -26,6 +26,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .dirichlet import (
     LargeValueCounts,
     PolyFactor,
@@ -39,7 +41,7 @@ from .dirichlet import (
     singleton_factor,
     unit_factor,
 )
-from .identity import CoefficientClass
+from .identity import CoefficientClass, product_terms
 from .perron import perron_window_scan
 
 DEFAULT_SLACK = 100.0
@@ -95,24 +97,11 @@ class CellReport:
 
 def product_mean_square(factors: Sequence[PolyFactor]) -> tuple[float, float]:
     """(length scale N, sum |coeff|^2 / N) of the exact factor product."""
-    supports = [f.support() for f in factors if f.cls is not CoefficientClass.SINGLETON]
-    if not supports:
-        return 1.0, 1.0
-    coeffs: dict[int, float] = {}
-
-    def rec(idx: int, n: int, a: float):
-        if idx == len(supports):
-            coeffs[n] = coeffs.get(n, 0.0) + a
-            return
-        ns, an = supports[idx]
-        for v, c in zip(ns.tolist(), an.tolist()):
-            rec(idx + 1, n * v, a * c)
-
-    rec(0, 1, 1.0)
+    ns, an = product_terms([f.support() for f in factors], math.inf)
+    coeffs = np.bincount(np.unique(ns, return_inverse=True)[1], an)
     N = float(math.prod(float(f.N) for f in factors
                         if f.cls is not CoefficientClass.SINGLETON))
-    mean_sq = sum(a * a for a in coeffs.values()) / N
-    return N, mean_sq
+    return N, float(coeffs @ coeffs) / N
 
 
 def analyze_classification(cls) -> list[CellReport]:
@@ -158,6 +147,10 @@ def run_large_value_suite(
     n_experiments: int = 100, seed: int = 20120116, slack: float = DEFAULT_SLACK,
 ) -> dict:
     """Deterministic randomized suite; returns cells plus check summaries."""
+    if n_experiments < 0:
+        raise ValueError(f"n_experiments must be >= 0, got {n_experiments}")
+    if not (math.isfinite(slack) and slack > 0):
+        raise ValueError(f"slack must be finite and positive, got {slack}")
     rng = random.Random(seed)
     cells: list[CellReport] = []
     experiments = []

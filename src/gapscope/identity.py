@@ -18,8 +18,10 @@ above cutoff^k-adjacent values, and (cutoff+1)^k > 3x.
 
 Dyadic decomposition then splits each K_j into products of short polynomials
 S_1 ... S_2k over blocks (N_i, 2N_i]; `enumerate_factorizations` lists the
-admissible block tuples and `coefficients_of_product` recovers their exact
-window coefficients.
+admissible block tuples.  Every block's support comes from the cached
+`block_support`, and every product of supports from one kernel,
+`product_terms`, which `window_coefficient_sum` here, `perron` and
+`experiments` reduce to their sums.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def make_config(x: int, k: int) -> IdentityConfig:
 def _integer_root(n: int, k: int) -> int:
     """floor(n^(1/k)) by correction of the float estimate."""
     if n < 0 or k < 1:
-        raise ValueError
+        raise ValueError(f"need n >= 0 and k >= 1 for the integer k-th root, got n={n}, k={k}")
     r = max(1, int(round(n ** (1.0 / k))))
     while r**k > n:
         r -= 1
@@ -123,6 +125,58 @@ def mobius_sieve(limit: int) -> np.ndarray:
         rest[p::p] //= p
     mu[rest > 1] *= -1
     return mu
+
+
+# ---------------------------------------------------------------------------
+# Coefficient supports and their products
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def block_support(
+    cls: CoefficientClass, N: Fraction, cutoff: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, coefficients) of the block (N, 2N], ascending, as read-only arrays.
+
+    The coefficients are 1, log n or mu(n), zeros dropped; a Moebius block
+    stops at `cutoff` when one is given, the other classes ignore it.  The
+    singleton is the single term 1.  Cached per (cls, N, cutoff).
+    """
+    if cls is CoefficientClass.SINGLETON:
+        ns, an = np.ones(1, dtype=np.int64), np.ones(1)
+    else:
+        lo, hi = int(N), int(2 * N)
+        if cls is CoefficientClass.MOBIUS and cutoff is not None:
+            hi = min(hi, cutoff)
+        ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        if cls is CoefficientClass.UNIT:
+            an = np.ones(len(ns))
+        elif cls is CoefficientClass.LOG:
+            an = np.log(ns.astype(np.float64))
+        else:
+            an = mobius_sieve(hi)[ns].astype(np.float64)
+        keep = an != 0.0
+        ns, an = ns[keep], an[keep]
+    ns.flags.writeable = an.flags.writeable = False
+    return ns, an
+
+
+def product_terms(
+    supports: Iterable[tuple[np.ndarray, np.ndarray]], hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Terms (n, a) of the product of (values, coefficients) supports, n <= hi.
+
+    One outer product per support, dropping the terms above hi after each
+    (values are >= 1, so a dropped term never returns).  The terms are not
+    merged: they come in nested-loop order with the first support outermost,
+    each coefficient the left-to-right product of its factors'.
+    """
+    ns, an = np.ones(1, dtype=np.int64), np.ones(1)
+    for vs, cs in supports:
+        ns = np.multiply.outer(ns, vs).ravel()
+        an = np.multiply.outer(an, cs).ravel()
+        keep = ns <= hi
+        ns, an = ns[keep], an[keep]
+    return ns, an
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +364,12 @@ class Factorization:
         if self.weight != identity_weight(k, j):
             raise ValueError(f"weight {self.weight} is not c_{j} = {identity_weight(k, j)}")
 
+    def supports(self, cfg: IdentityConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Supports of the blocks but the singletons (each the factor 1), in order."""
+        return [block_support(cls, N, cfg.mobius_cutoff)
+                for N, cls in zip(self.lengths, self.classes)
+                if cls is not CoefficientClass.SINGLETON]
+
     def as_dict(self) -> dict:
         return {
             "j": self.j,
@@ -421,54 +481,17 @@ def _assemble(
     return f
 
 
-def factor_support(N: Fraction, cls: CoefficientClass, cfg: IdentityConfig):
-    """The integer support of one dyadic factor with its coefficients."""
-    if cls is CoefficientClass.SINGLETON:
-        return [(1, 1.0)]
-    lo = int(N) if N.denominator == 1 else 0
-    hi = int(2 * N)
-    if cls is CoefficientClass.MOBIUS:
-        hi = min(hi, cfg.mobius_cutoff)
-        return [(n, float(m)) for n in range(lo + 1, hi + 1) if (m := mobius(n))]
-    if cls is CoefficientClass.UNIT:
-        return [(n, 1.0) for n in range(lo + 1, hi + 1)]
-    return [(n, math.log(n)) for n in range(lo + 1, hi + 1)]
+def window_coefficient_sum(cfg: IdentityConfig) -> np.ndarray:
+    """sum over factorizations of weight * coefficients, indexed by n <= 3x.
 
-
-def coefficients_of_product(
-    f: Factorization, cfg: IdentityConfig, window: tuple[int, int] | None = None
-) -> dict[int, float]:
-    """Exact coefficients of prod S_i on the window (lo, hi] (default (x, 3x])."""
-    lo, hi = window if window else (cfg.x, 3 * cfg.x)
-    supports = [
-        factor_support(N, cls, cfg)
-        for N, cls in zip(f.lengths, f.classes)
-        if cls is not CoefficientClass.SINGLETON
-    ]
-    out: dict[int, float] = {}
-
-    def rec(idx: int, n: int, coeff: float):
-        if n > hi:
-            return
-        if idx == len(supports):
-            if lo < n <= hi and coeff != 0.0:
-                out[n] = out.get(n, 0.0) + coeff
-            return
-        for v, c in supports[idx]:
-            if n * v > hi:
-                break  # supports ascend
-            rec(idx + 1, n * v, coeff * c)
-
-    rec(0, 1, 1.0)
-    return out
-
-
-def window_coefficient_sum(cfg: IdentityConfig) -> dict[int, float]:
-    """sum over factorizations of weight * coefficients, on (x, 3x]."""
-    total: dict[int, float] = {}
+    Only the window (x, 3x] is kept; the entries at n <= x are 0.
+    """
+    N = 3 * cfg.x
+    total = np.zeros(N + 1)
     for f in enumerate_factorizations(cfg):
-        for n, c in coefficients_of_product(f, cfg).items():
-            total[n] = total.get(n, 0.0) + f.weight * c
+        ns, an = product_terms(f.supports(cfg), N)
+        total += f.weight * np.bincount(ns, an, minlength=N + 1)
+    total[: cfg.x + 1] = 0.0
     return total
 
 

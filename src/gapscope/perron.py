@@ -36,7 +36,7 @@ import numpy as np
 
 from .dirichlet import PolyFactor, eval_product_lattice
 from .errors import CapacityError, QuadratureError
-from .identity import CoefficientClass
+from .identity import product_terms
 
 #: Panels per integrand evaluation, which bounds the per-node arrays.
 _PANEL_CHUNK = 4096
@@ -51,6 +51,10 @@ class PerronParams:
     T1: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.y, self.tau, self.c, self.T0, self.T1))):
+            raise ValueError("need finite y, tau, c, T0 and T1")
+        if self.T0 <= 0:
+            raise ValueError("need T0 > 0")
         if self.y < 3 or self.tau < 2:
             raise ValueError("need y >= 3 and tau >= 2")
         if self.c <= 1.0:
@@ -151,26 +155,8 @@ def direct_window_sum(factors: Sequence[PolyFactor], y: float, tau: float) -> fl
     budget = math.prod(max(1.0, float(f.N)) for f in factors)
     if budget > 10**7:
         raise CapacityError("window coefficient sum over budget")
-    hi_val = y + y / tau
-    supports = [f.support() for f in factors if f.cls is not CoefficientClass.SINGLETON]
-    total = 0.0
-
-    def rec(idx: int, n: int, coeff: float):
-        nonlocal total
-        if n > hi_val:
-            return
-        if idx == len(supports):
-            if y < n <= hi_val:
-                total += coeff
-            return
-        ns, an = supports[idx]
-        for v, a in zip(ns.tolist(), an.tolist()):
-            if n * v > hi_val:
-                break
-            rec(idx + 1, n * v, coeff * a)
-
-    rec(0, 1, 1.0)
-    return total
+    ns, an = product_terms([f.support() for f in factors], y + y / tau)
+    return float(an[ns > y].sum())
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,36 @@ def test_gaps_non_integer_limits(tmp_path):
     assert run(["gaps", "--config", str(cfg), "--out", out]) == 1
 
 
+@pytest.mark.parametrize("args,needle", [
+    (["identity", "--k", "0"], "error: need n >= 0 and k >= 1 for the integer k-th root, "
+                               "got n=150, k=0"),
+    (["perron", "--T0", "-5"], "error: need T0 > 0"),
+    (["perron", "--T0", "0"], "error: need T0 > 0"),
+    (["perron", "--tau", "inf"], "error: need finite y, tau, c, T0 and T1"),
+    (["perron", "--y", "nan"], "error: need finite y, tau, c, T0 and T1"),
+    (["largevalues", "--experiments", "-1"], "error: n_experiments must be >= 0, got -1"),
+    (["largevalues", "--slack", "nan"], "error: slack must be finite and positive, got nan"),
+    (["largevalues", "--slack", "inf"], "error: slack must be finite and positive, got inf"),
+    (["largevalues", "--slack", "0"], "error: slack must be finite and positive, got 0.0"),
+], ids=["k=0", "T0=-5", "T0=0", "tau=inf", "y=nan", "experiments=-1", "slack=nan", "slack=inf",
+        "slack=0"])
+def test_out_of_domain_inputs_exit_1_with_message(tmp_path, capsys, args, needle):
+    out = tmp_path / "o"
+    assert run(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == needle
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("mu_box", ["-1, 2", "0, 1"])
+def test_verify_refuses_mu_box_reaching_zero(tmp_path, capsys, mu_box):
+    # at mu = 1/2, inside the box, u = 1/mu = 2 > 1: the claim is false
+    ledger = tmp_path / "l.txt"
+    ledger.write_text(f"a | u | 1 | 0, 1 | {mu_box}\n", encoding="utf-8")
+    assert run(["verify", "--ledger", str(ledger), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mu box of claim a starts at") and "mu > 0" in err
+
+
 def test_parse_int_literal_exact():
     assert parse_int_literal("123456789012345678e2") == 12345678901234567800
     assert parse_int_literal("1e400") == 10**400

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -320,19 +321,21 @@ def test_enumeration_capacity_guard():
 # window coefficients
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("x,k", [(8, 1), (16, 1), (8, 2), (30, 2)])
+@pytest.mark.parametrize("x,k", [(8, 1), (16, 1), (8, 2), (30, 2), (5000, 2)])
 def test_window_coefficients_recover_lambda(x, k):
+    # (5000, 2) holds the 2601 factorizations `identity --dump-factorizations` writes
     cfg = I.make_config(x, k)
     total = I.window_coefficient_sum(cfg)
-    for n in range(x + 1, 3 * x + 1):
-        assert total.get(n, 0.0) == pytest.approx(von_mangoldt(n), abs=1e-9)
+    assert len(total) == 3 * x + 1 and not total[: x + 1].any()
+    lam = [von_mangoldt(n) for n in range(x + 1, 3 * x + 1)]
+    assert np.abs(total[x + 1 :] - lam).max() <= 1e-9
 
 
 def test_window_coefficient_point_values():
     cfg = I.make_config(8, 1)
     total = I.window_coefficient_sum(cfg)
-    assert total.get(9, 0.0) == pytest.approx(math.log(3))
-    assert abs(total.get(12, 0.0)) < 1e-12
+    assert total[9] == pytest.approx(math.log(3))
+    assert abs(total[12]) < 1e-12
 
 
 def test_small_product_factorization_is_empty_in_window():
@@ -340,7 +343,171 @@ def test_small_product_factorization_is_empty_in_window():
     for f in I.enumerate_factorizations(cfg):
         if all(c is I.CoefficientClass.SINGLETON for c in f.classes[:-1]):
             if f.lengths[-1] < cfg.x / 2:
-                assert I.coefficients_of_product(f, cfg) == {}
+                ns, _ = I.product_terms(f.supports(cfg), 3 * cfg.x)
+                assert not np.any(ns > cfg.x)
+                assert reference_window_coefficients(f, cfg) == {}
+
+
+# ---------------------------------------------------------------------------
+# product kernel against the recursions it replaced
+# ---------------------------------------------------------------------------
+
+def reference_factor_support(N, cls, cfg):
+    """The block support as the identity built it, from pointwise mobius."""
+    if cls is I.CoefficientClass.SINGLETON:
+        return [(1, 1.0)]
+    lo, hi = int(N), int(2 * N)
+    if cls is I.CoefficientClass.MOBIUS:
+        hi = min(hi, cfg.mobius_cutoff)
+        return [(n, float(m)) for n in range(lo + 1, hi + 1) if (m := I.mobius(n))]
+    if cls is I.CoefficientClass.UNIT:
+        return [(n, 1.0) for n in range(lo + 1, hi + 1)]
+    return [(n, math.log(n)) for n in range(lo + 1, hi + 1)]
+
+
+def reference_window_coefficients(f, cfg):
+    """Window coefficients of one factorization by the per-term recursion."""
+    lo, hi = cfg.x, 3 * cfg.x
+    supports = [reference_factor_support(N, cls, cfg)
+                for N, cls in zip(f.lengths, f.classes)
+                if cls is not I.CoefficientClass.SINGLETON]
+    out = {}
+
+    def rec(idx, n, coeff):
+        if n > hi:
+            return
+        if idx == len(supports):
+            if lo < n <= hi and coeff != 0.0:
+                out[n] = out.get(n, 0.0) + coeff
+            return
+        for v, c in supports[idx]:
+            if n * v > hi:
+                break
+            rec(idx + 1, n * v, coeff * c)
+
+    rec(0, 1, 1.0)
+    return out
+
+
+def reference_direct_window_sum(factors, y, tau):
+    """The window sum by the per-term recursion, summed in nested-loop order."""
+    hi_val = y + y / tau
+    supports = [f.support() for f in factors if f.cls is not I.CoefficientClass.SINGLETON]
+    total = 0.0
+
+    def rec(idx, n, coeff):
+        nonlocal total
+        if n > hi_val:
+            return
+        if idx == len(supports):
+            if y < n <= hi_val:
+                total += coeff
+            return
+        ns, an = supports[idx]
+        for v, a in zip(ns.tolist(), an.tolist()):
+            if n * v > hi_val:
+                break
+            rec(idx + 1, n * v, coeff * a)
+
+    rec(0, 1, 1.0)
+    return total
+
+
+def reference_mean_square(factors):
+    """(N, sum coeff^2 / N) with the coefficients merged in a dict."""
+    supports = [f.support() for f in factors if f.cls is not I.CoefficientClass.SINGLETON]
+    if not supports:
+        return 1.0, 1.0
+    coeffs = {}
+
+    def rec(idx, n, a):
+        if idx == len(supports):
+            coeffs[n] = coeffs.get(n, 0.0) + a
+            return
+        ns, an = supports[idx]
+        for v, c in zip(ns.tolist(), an.tolist()):
+            rec(idx + 1, n * v, a * c)
+
+    rec(0, 1, 1.0)
+    N = float(math.prod(float(f.N) for f in factors
+                        if f.cls is not I.CoefficientClass.SINGLETON))
+    return N, sum(a * a for a in coeffs.values()) / N
+
+
+@pytest.mark.parametrize("x,k", [(30, 2), (500, 2), (40, 3)])
+def test_kernel_matches_recursion_per_factorization(x, k):
+    cfg = I.make_config(x, k)
+    for f in I.enumerate_factorizations(cfg):
+        ns, an = I.product_terms(f.supports(cfg), 3 * x)
+        got = np.bincount(ns, an, minlength=3 * x + 1)
+        want = np.zeros(3 * x + 1)
+        for n, c in reference_window_coefficients(f, cfg).items():
+            want[n] = c
+        got[: x + 1] = 0.0
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), f
+
+
+def random_factors(rng):
+    """1-4 factors over (N, 2N], N <= 32, a Moebius block cut at times."""
+    from gapscope.dirichlet import PolyFactor, singleton_factor
+
+    out = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["unit", "log", "mobius", "singleton"])
+        if kind == "singleton":
+            out.append(singleton_factor())
+            continue
+        N = rng.choice([1, 2, 4, 8, 16, 32])
+        cls = I.CoefficientClass(kind)
+        cutoff = rng.randint(N, 2 * N) if kind == "mobius" and rng.random() < 0.5 else None
+        out.append(PolyFactor(cls, Fraction(N), cutoff))
+    return out
+
+
+def test_kernel_matches_recursions_on_random_factor_sets():
+    from gapscope.experiments import product_mean_square
+    from gapscope.perron import direct_window_sum
+
+    rng = random.Random(20120116)
+    exact_checked = 0
+    for _ in range(300):
+        factors = random_factors(rng)
+        top = math.prod(2 * max(1, int(f.N)) for f in factors)
+        y = rng.uniform(1.0, top)
+        tau = rng.uniform(0.5, 4.0)  # hi = y (1 + 1/tau) often cuts the product
+        got, want = direct_window_sum(factors, y, tau), reference_direct_window_sum(factors, y, tau)
+        if all(f.cls is not I.CoefficientClass.LOG for f in factors):
+            assert got == want, factors
+            exact_checked += 1
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300), factors
+        N, ms = product_mean_square(factors)
+        N_ref, ms_ref = reference_mean_square(factors)
+        assert N == N_ref and ms == pytest.approx(ms_ref, rel=1e-12), factors
+    assert exact_checked > 50
+
+
+def test_kernel_terms_in_nested_loop_order():
+    ns, an = I.product_terms([(np.array([2, 3]), np.array([1.0, -1.0])),
+                              (np.array([5, 7]), np.array([2.0, 0.5]))], 20)
+    assert ns.tolist() == [10, 14, 15]
+    assert an.tolist() == [2.0, 0.5, -2.0]
+    ns, an = I.product_terms([], 5)
+    assert ns.tolist() == [1] and an.tolist() == [1.0]
+
+
+def test_cached_support_is_read_only():
+    from gapscope.dirichlet import mobius_factor, unit_factor
+
+    for ns, an in (unit_factor(8).support(), mobius_factor(16, 20).support(),
+                   I.block_support(I.CoefficientClass.LOG, Fraction(4))):
+        with pytest.raises(ValueError):
+            ns[0] = 1
+        with pytest.raises(ValueError):
+            an[0] = 1.0
+    assert mobius_factor(16, 20).support() is mobius_factor(16, 20).support()
+    ns, an = mobius_factor(16, 20).support()
+    assert ns.tolist() == [17, 19] and an.tolist() == [-1.0, -1.0]
 
 
 def test_factorization_dump_shape():
