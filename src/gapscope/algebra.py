@@ -20,7 +20,7 @@ Poly = list[Fraction]
 
 
 def poly(coeffs: Sequence) -> Poly:
-    return trim([Q(c) for c in coeffs])
+    return trim([c if type(c) is Q else Q(c) for c in coeffs])
 
 
 def trim(p: Sequence[Fraction]) -> Poly:

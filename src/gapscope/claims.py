@@ -41,6 +41,7 @@ from .algebra import (
     pscale,
     psub,
 )
+from .errors import CapacityError
 
 Q = Fraction
 
@@ -182,6 +183,19 @@ def rf(num, den=(1,)) -> RatFn:
 
 _TOKEN = re.compile(r"\s*(\d+|[su]|\*\*|[()+\-*/^])")
 
+#: Largest degree of a polynomial in a parsed expression (numerator or
+#: denominator, in s).  The ledger needs 2; a Sturm decision at degree 12
+#: with every root in the box takes about 0.6 s, and the cost grows about
+#: sevenfold per 4 degrees.
+MAX_DEGREE = 12
+
+
+def _capped(v: MuLinear, text: str) -> MuLinear:
+    deg = max(len(p) - 1 for p in (v.a.num, v.a.den, v.b.num, v.b.den))
+    if deg > MAX_DEGREE:
+        raise CapacityError(f"degree {deg} over the cap {MAX_DEGREE} in {text.strip()!r}")
+    return v
+
 
 def _tokenize(text: str) -> list[str]:
     out = []
@@ -239,7 +253,10 @@ def parse_expression(text: str) -> MuLinear:
             e = take()
             if not e.isdigit():
                 raise ValueError("exponent must be an integer literal")
-            v = v ** int(e)
+            if int(e) > MAX_DEGREE:
+                raise CapacityError(
+                    f"exponent {int(e)} over the cap {MAX_DEGREE} in {text.strip()!r}")
+            v = _capped(v ** int(e), text)
         return ml(-1) * v if neg else v
 
     def term() -> MuLinear:
@@ -247,7 +264,7 @@ def parse_expression(text: str) -> MuLinear:
         while peek() in ("*", "/"):
             op = take()
             w = factor()
-            v = v * w if op == "*" else v / w
+            v = _capped(v * w if op == "*" else v / w, text)
         return v
 
     def expr() -> MuLinear:
@@ -255,7 +272,7 @@ def parse_expression(text: str) -> MuLinear:
         while peek() in ("+", "-"):
             op = take()
             w = term()
-            v = v + w if op == "+" else v - w
+            v = _capped(v + w if op == "+" else v - w, text)
         return v
 
     v = expr()
@@ -457,7 +474,9 @@ def parse_ledger_line(line: str) -> Claim | None:
     if len(fields) not in (5, 6):
         raise ValueError(f"expected 5 or 6 fields: {line!r}")
     cid, lhs_text, rhs_text, s_text, mu_text = fields[:5]
-    strict = len(fields) == 6 and fields[5] == "strict"
+    if len(fields) == 6 and fields[5] != "strict":
+        raise ValueError(f"sixth field must be 'strict', got {fields[5]!r}: {line!r}")
+    strict = len(fields) == 6
     m = _ROOT_RE.match(lhs_text)
     if m:
         coeffs = _poly_from_expression(m.group("poly"))
@@ -485,7 +504,10 @@ def _poly_from_expression(text: str) -> list[Fraction]:
 def parse_ledger(text: str) -> list[Claim]:
     out = []
     for line in text.splitlines():
-        c = parse_ledger_line(line)
+        try:
+            c = parse_ledger_line(line)
+        except ZeroDivisionError:
+            raise ValueError(f"division by zero in ledger line {line!r}") from None
         if c is not None:
             out.append(c)
     ids = [c.id for c in out]

@@ -229,7 +229,7 @@ def cmd_perron(opt: dict) -> int:
         float(opt["y"]), float(opt["tau"]),
         T0=float(opt["T0"]) if opt["T0"] is not None else None,
     )
-    rep = perron_window(params, factors, gauss_order=opt["gauss_order"])
+    rep = perron_window(params, factors)
     write_json(Path(opt["out"]) / "perron_report.json", rep.as_dict())
     print(
         f"y={params.y:g} tau={params.tau:g} T0={params.T0:g}: "
@@ -383,7 +383,6 @@ def build_parser() -> _Parser:
     pe.add_argument("--tau", type=float, default=None)
     pe.add_argument("--T0", type=float, default=None)
     pe.add_argument("--factors", default=None, help="e.g. unit:8,singleton")
-    pe.add_argument("--gauss-order", type=parse_int_literal, default=None)
 
     v = sub.add_parser("verify", parents=[common], help="exact inequality ledger")
     v.add_argument("--ledger", default=None, help="ledger file (default: builtin)")
@@ -401,8 +400,7 @@ _DEFAULTS = {
              "ceiling": 10**10, "stream_csv": False, "stream_limit": 10**5},
     "identity": {"x": 50, "k": 2, "dump_factorizations": False},
     "largevalues": {"experiments": 100, "seed": 20120116, "slack": 100.0},
-    "perron": {"y": 201.5, "tau": 10.0, "T0": None, "factors": "unit:128",
-               "gauss_order": 24},
+    "perron": {"y": 201.5, "tau": 10.0, "T0": None, "factors": "unit:128"},
     "verify": {"ledger": None},
     "optimize-nu": {"res": Fraction(1, 64)},
     "report": {"manifest": None},
@@ -423,7 +421,6 @@ _CONFIG_PARSERS = {
     "y": float,
     "tau": float,
     "T0": float,
-    "gauss_order": parse_int_literal,
     "res": parse_fraction_literal,
     "out": str,
     "ledger": str,

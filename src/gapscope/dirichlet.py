@@ -53,6 +53,9 @@ class PolyFactor:
             raise ValueError("non-singleton factors need integer dyadic N >= 1")
         if self.N > EVAL_BUDGET:
             raise CapacityError(f"factor length {self.N} over direct-summation budget")
+        n = self.N.numerator
+        if self.cls is not CoefficientClass.SINGLETON and n & (n - 1):
+            raise ValueError(f"factor length N = {n} is not a power of two")
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, coefficients) of the factor, ascending and read-only."""

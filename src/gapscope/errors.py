@@ -7,7 +7,8 @@ class CapacityError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries panel diagnostics."""
+    """A Perron integral did not evaluate to a finite, converged value;
+    carries diagnostics."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

@@ -228,7 +228,7 @@ def _decay_factors(N: int, kind: str) -> list[PolyFactor]:
 
 def octave_residuals(
     y: float, tau: float, factors: Sequence[PolyFactor],
-    doublings: int = 3, band: int = 6, gauss_order: int = 12,
+    doublings: int = 3, band: int = 6,
 ) -> tuple[list[float], float]:
     """Per-octave max residuals from the base height T0 = tau log^3 y.
 
@@ -237,7 +237,7 @@ def octave_residuals(
     T0 = tau * math.log(y) ** 3
     cps = [T0 * 2**j * (1 + i / band)
            for j in range(doublings + 1) for i in range(band)]
-    reports = perron_window_scan(y, tau, factors, cps, gauss_order=gauss_order)
+    reports = perron_window_scan(y, tau, factors, cps)
     res = [r.residual for r in reports]
     octs = [max(res[j * band : (j + 1) * band]) for j in range(doublings + 1)]
     return octs, reports[0].implied_constant

@@ -302,8 +302,16 @@ def _von_mangoldt_table(N: int) -> np.ndarray:
     return lam
 
 
+#: Largest x that `identity_residuals` takes.  Its tables hold about 70 bytes
+#: per n <= 3x, so the cap bounds them near 260 MB.
+IDENTITY_MAX_X = 10**6
+
+
 def identity_residuals(cfg: IdentityConfig) -> np.ndarray:
     """|sum_j c_j K_j(n) - Lambda(n)| for n in (x, 3x], via batched tables."""
+    if cfg.x > IDENTITY_MAX_X:
+        raise CapacityError(f"identity check at x = {cfg.x} over the desk-scale cap "
+                            f"x <= {IDENTITY_MAX_X} (about 70 bytes per n <= 3x)")
     N = 3 * cfg.x
     mu = mobius_sieve(N)
     total = np.zeros(N + 1)

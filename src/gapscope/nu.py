@@ -44,10 +44,14 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .claims import MU_RANGE
+from .errors import CapacityError
 
 Q = Fraction
 
 SIGMA_RANGE = (Q(1, 2), Q(1))
+#: Largest sigma x mu grid `optimize_nu` evaluates, at about 10 us a cell;
+#: it admits res = 1/512 (102800 cells), 60 times the default 1/64 grid.
+MAX_GRID_CELLS = 2**17
 NU_FLOOR = Q(29, 120)  # configured floor; flagged if the optimum dips below
 
 
@@ -328,6 +332,13 @@ class OptimizeResult:
         }
 
 
+def _grid_size(lo, hi, step: Fraction) -> int:
+    """len(_grid(lo, hi, step)), counted without building it; step > 0."""
+    lo, hi = Q(lo), Q(hi)
+    multiples = max(0, hi // step + (-lo // step) + 1)  # ceil(lo/step) .. floor(hi/step)
+    return multiples + (lo % step != 0) + (hi != lo and hi % step != 0)
+
+
 def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
     """Multiples of step inside [lo, hi], plus both endpoints."""
     if step <= 0:
@@ -354,8 +365,12 @@ def optimize_nu(
     refinement walk first visits it, and evaluated across mu.
     """
     resolution = Q(resolution)
-    if resolution > Q(1, 64):
-        raise ValueError("resolution must be <= 1/64")
+    if not 0 < resolution <= Q(1, 64):
+        raise ValueError(f"resolution must be in (0, 1/64], got {resolution}")
+    cells = _grid_size(*sigma_range, resolution) * _grid_size(*mu_range, resolution)
+    if cells > MAX_GRID_CELLS:
+        raise CapacityError(f"resolution {resolution} makes {cells} grid cells, "
+                            f"over the cap {MAX_GRID_CELLS}")
     cat = cat or builtin_catalog()
     sig = [_sigma(s) for s in _grid(Q(sigma_range[0]), Q(sigma_range[1]), resolution)]
     mus = [_mu(m) for m in _grid(Q(mu_range[0]), Q(mu_range[1]), resolution)]

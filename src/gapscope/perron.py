@@ -1,45 +1,43 @@
 """Truncated Perron-window estimates for products of short polynomials.
 
-The count of window coefficients sum_{y < n <= y + y/tau} a_n is recovered
-from the line integral
+The window sum sum_{y < n <= y + y/tau} a_n is recovered from the integral
 
     (1/2 pi) Int_{-T0}^{T0} y^(c+it) C1(c+it) S(c+it) dt,
 
 with C1(s) = ((1+1/tau)^s - 1)/s, S the factor product, and c = 1 + 1/log y.
 The truncation error is O(y log^2 y / T0 + log y); `perron_window` reports
-the exact direct coefficient sum, the quadrature estimate, their residual,
+the exact direct coefficient sum, the truncated estimate, their residual,
 and that envelope base so callers can track the implied constant.
 
-Quadrature is Gauss-Legendre on fixed-width panels (default one unit).  The
-integrand oscillates like exp(it log(y x1)), a few cycles per unit panel at
-desk scale, so moderate orders converge to well below the truncation error;
-halving the panel width is the documented convergence check.
+The integral is linear in the coefficients and has a closed form: with
+x1 = y (1 + 1/tau), estimate(T) = sum_n a_n [J_T(x1/n) - J_T(y/n)] and
 
-The panels share their Gauss offsets, so the nodes form a lattice
-t = midpoint_k + (width/2) x_j, and the factor product is evaluated as one
-phase-factored lattice (`dirichlet.eval_product_lattice`): n^(-it) =
-n^(-i midpoint) n^(-i offset) costs N exponentials per panel plus one
-matrix product.  The last panel, partial unless the width divides the
-range, is its own one-row lattice.  The integrand is built 4096 panels at a
-time, the per-node y^s C1(s) times the lattice values; within that the
-kernel keeps each chunk's rows x max(N, order) within `EVAL_BUDGET`.
+    J_T(z) = (1/2 pi i) Int_{c-iT}^{c+iT} z^s/s ds
+           = [z > 1] - Im E1(-(c + iT) log z)/pi,   J_T(1) = atan(T/c)/pi,
+
+E1 the principal-branch exponential integral, whose jump across the cut is
+the indicator (Montgomery-Vaughan, Multiplicative Number Theory I, 5.1;
+DLMF 6).  Every product term enters, also those above the window: their J_T
+is truncation error.  The work is O(support) per height, at any height; the
+tests keep Gauss-Legendre quadrature of the line integral as the oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .dirichlet import PolyFactor, eval_product_lattice
+from .dirichlet import EVAL_BUDGET, PolyFactor
 from .errors import CapacityError, QuadratureError
 from .identity import product_terms
 
-#: Panels per integrand evaluation, which bounds the per-node arrays.
-_PANEL_CHUNK = 4096
+#: E1 stopping tolerance, a few ulps (a tighter one is never met), and the
+#: iteration cap of both E1 loops; the domain split needs at most ~250.
+_E1_TOL = 1e-15
+_E1_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -88,74 +86,87 @@ def c2_factor(s: complex, tau: float) -> complex:
     return (np.exp(s * u) - 1.0 - s / tau) / s
 
 
-@lru_cache(maxsize=32)
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def exp1(w) -> np.ndarray:
+    """Principal-branch E1(w) of a complex array, w != 0 and off the cut past |w| = 40.
 
-
-def _panel_nodes(lo: float, hi: float, width: float, order: int):
-    """Gauss nodes and weights tiling [lo, hi] with fixed-width panels, as lattices.
-
-    Returns [(bases, offsets, weights), ...] with nodes t = bases[k] +
-    offsets[j] and weights shared by every row: first the full panels, whose
-    midpoints share the offsets width/2 x and weights width/2 w, then the last
-    panel (partial unless width divides hi - lo) as a one-row lattice.
+    The power series (DLMF 6.6.2) covers |w| <= 2, the left half-disc |w| <= 5
+    and the wedge Re w < -2 |Im w|, |w| < 40 around the cut, where the
+    continued fraction is slow or inexact; the continued fraction (DLMF 6.9.1,
+    modified Lentz) covers the rest, where the series would cancel.  Perron
+    heights are positive, so the kernel's arguments are never on the cut.
     """
-    if not (math.isfinite(width) and width > 0):
-        raise ValueError("panel_width must be finite and positive")
-    if order < 1:
-        raise ValueError("gauss_order must be >= 1")
-    x, w = _gauss_nodes(order)
-    n_panels = max(1, math.ceil((hi - lo) / width - 1e-12))
-    edges = lo + width * np.arange(n_panels, dtype=np.float64)
-    half = width / 2.0
-    last = float(edges[-1])
-    last_half = (hi - last) / 2.0
-    return [
-        ((edges[:-1] + edges[1:]) / 2.0, half * x, half * w),
-        (np.array([(last + hi) / 2.0]), last_half * x, last_half * w),
-    ]
+    w = np.asarray(w, dtype=complex)
+    r, re = np.abs(w), w.real
+    series = (r <= 2.0) | ((re < 0) & ((r <= 5.0) | ((re < -2.0 * np.abs(w.imag)) & (r < 40.0))))
+    out = np.empty_like(w)
+    out[series] = _e1_series(w[series])
+    out[~series] = _e1_fraction(w[~series])
+    return out
 
 
-def _window_integrand(
-    factors: Sequence[PolyFactor], params: PerronParams,
-    bases: np.ndarray, offsets: np.ndarray,
+def _e1_series(w: np.ndarray) -> np.ndarray:
+    """-gamma - log w - sum_{k>=1} (-w)^k / (k k!)."""
+    term, total = np.ones_like(w), np.zeros_like(w)
+    for k in range(1, _E1_MAX_ITER):
+        term *= -w / k
+        total += term / k
+        if np.all(np.abs(term) <= _E1_TOL * k * np.abs(total)):
+            return -np.euler_gamma - np.log(w) - total
+    raise QuadratureError("E1 power series did not converge")
+
+
+def _e1_fraction(w: np.ndarray) -> np.ndarray:
+    """e^-w / (w + 1 - 1/(w + 3 - 4/(w + 5 - 9/(w + 7 - ...))))."""
+    b, c = w + 1.0, np.full_like(w, 1e300)
+    d = h = 1.0 / b
+    for i in range(1, _E1_MAX_ITER):
+        b = b + 2.0
+        d = 1.0 / (b - i * i * d)
+        c = b - i * i / c
+        delta = c * d
+        h *= delta
+        if np.all(np.abs(delta - 1.0) <= _E1_TOL):
+            return h * np.exp(-w)
+    raise QuadratureError("E1 continued fraction did not converge")
+
+
+def _perron_j(logs: np.ndarray, c: float, heights: np.ndarray) -> np.ndarray:
+    """J_T(e^L) with one row per height T and one column per log-ratio L."""
+    on_one = logs == 0.0
+    w = -np.multiply.outer(c + 1j * heights, np.where(on_one, 1.0, logs))
+    j = (logs > 0) - exp1(w).imag / math.pi
+    return np.where(on_one, np.arctan(heights / c)[:, None] / math.pi, j)
+
+
+def _product(factors: Sequence[PolyFactor], hi: float) -> tuple[np.ndarray, np.ndarray]:
+    if math.prod(max(1.0, float(f.N)) for f in factors) > 10**7:
+        raise CapacityError("window coefficient sum over budget")
+    return product_terms([f.support() for f in factors], hi)
+
+
+def _window_logs(factors: Sequence[PolyFactor], y: float, tau: float):
+    """(log(x1/n), log(y/n), a_n) over the whole product support."""
+    ns, an = _product(factors, math.inf)
+    ly, logs = math.log(y), np.log(ns.astype(np.float64))
+    return ly + math.log1p(1.0 / tau) - logs, ly - logs, an
+
+
+def _estimates(
+    factors: Sequence[PolyFactor], y: float, tau: float, c: float, heights: np.ndarray,
 ) -> np.ndarray:
-    """y^s C1(s) S(s) at s = c + i(bases[k] + offsets[j]), one row per base."""
-    s = params.c + 1j * (bases[:, None] + offsets[None, :])
-    vals = (
-        np.exp(s * math.log(params.y))
-        * c1_factor(s, params.tau)
-        * eval_product_lattice(factors, params.c, bases, offsets)
-    )
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError(
-            "non-finite integrand",
-            {"t_range": [float(s.imag.min()), float(s.imag.max())]},
-        )
-    return vals
-
-
-def _panel_sums(
-    factors: Sequence[PolyFactor], params: PerronParams,
-    lo: float, hi: float, width: float, order: int,
-) -> np.ndarray:
-    """Complex quadrature sum of each panel tiling [lo, hi], in panel order."""
-    sums = []
-    for bases, offsets, weights in _panel_nodes(lo, hi, width, order):
-        for a in range(0, len(bases), _PANEL_CHUNK):
-            vals = _window_integrand(factors, params, bases[a : a + _PANEL_CHUNK], offsets)
-            sums.append((vals * weights).sum(axis=1))
-    return np.concatenate(sums)
+    """Closed-form truncated estimates at each height, EVAL_BUDGET terms at a time."""
+    top, bottom, an = _window_logs(factors, y, tau)
+    step = max(1, EVAL_BUDGET // max(1, len(an)))
+    chunks = [heights[a : a + step] for a in range(0, len(heights), step)]
+    out = np.concatenate([(_perron_j(top, c, h) - _perron_j(bottom, c, h)) @ an for h in chunks])
+    if not np.all(np.isfinite(out)):
+        raise QuadratureError("non-finite estimate", {"top_height": float(heights.max())})
+    return out
 
 
 def direct_window_sum(factors: Sequence[PolyFactor], y: float, tau: float) -> float:
     """Exact sum of product coefficients over (y, y + y/tau]."""
-    budget = math.prod(max(1.0, float(f.N)) for f in factors)
-    if budget > 10**7:
-        raise CapacityError("window coefficient sum over budget")
-    ns, an = product_terms([f.support() for f in factors], y + y / tau)
+    ns, an = _product(factors, y + y / tau)
     return float(an[ns > y].sum())
 
 
@@ -166,7 +177,6 @@ class PerronReport:
     direct: float
     residual: float
     envelope_base: float  # y log^2 y / T0 + log y
-    panels: int
 
     @property
     def implied_constant(self) -> float:
@@ -185,25 +195,16 @@ class PerronReport:
         }
 
 
-def perron_window(
-    params: PerronParams,
-    factors: Sequence[PolyFactor],
-    panel_width: float = 1.0,
-    gauss_order: int = 24,
-) -> PerronReport:
-    """Quadrature estimate of the window sum next to its exact value.
-
-    The integrand is conjugate-symmetric in t (real coefficients), so only
-    [0, T0] is integrated.  Panel sums are accumulated in a fixed order to
-    keep reruns bit-identical for a given panel count.
-    """
-    sums = _panel_sums(factors, params, 0.0, params.T0, panel_width, gauss_order)
-    estimate = float(np.sum(sums.real)) / math.pi
-    direct = direct_window_sum(factors, params.y, params.tau)
-    residual = abs(estimate - direct)
+def _report(params: PerronParams, estimate: float, direct: float) -> PerronReport:
     ly = math.log(params.y)
     envelope = params.y * ly**2 / params.T0 + ly
-    return PerronReport(params, estimate, direct, residual, envelope, len(sums))
+    return PerronReport(params, estimate, direct, abs(estimate - direct), envelope)
+
+
+def perron_window(params: PerronParams, factors: Sequence[PolyFactor]) -> PerronReport:
+    """Closed-form truncated estimate of the window sum next to its exact value."""
+    estimate = _estimates(factors, params.y, params.tau, params.c, np.array([params.T0])).item()
+    return _report(params, estimate, direct_window_sum(factors, params.y, params.tau))
 
 
 def perron_window_scan(
@@ -214,52 +215,49 @@ def perron_window_scan(
     panel_width: float = 1.0,
     gauss_order: int = 16,
 ) -> list[PerronReport]:
-    """Residuals at several truncation heights from one quadrature pass.
+    """Residuals at several truncation heights, read on a grid of panel_width.
 
-    Integrates once up to max(t_checkpoints) accumulating per-panel sums,
-    then reads off the estimate at the panel edge nearest each checkpoint.
-    Used by the truncation-decay experiments, where re-integrating from 0
-    for every T0 doubling would be quadratic work.
+    Each checkpoint is read at the grid height nearest it, capped at the top
+    checkpoint (where a panel quadrature would end), which keeps the heights
+    of the truncation-decay experiments.  The closed form does not use
+    `gauss_order`; it is validated and kept for callers that bind it by name.
     """
     checkpoints = sorted(float(t) for t in t_checkpoints)
     if not checkpoints or not all(math.isfinite(t) and t > 0 for t in checkpoints):
         raise ValueError("t_checkpoints must be a non-empty list of finite positive heights")
+    if not (math.isfinite(panel_width) and panel_width > 0):
+        raise ValueError("panel_width must be finite and positive")
+    if gauss_order < 1:
+        raise ValueError("gauss_order must be >= 1")
     top = checkpoints[-1]
-    params_top = make_perron_params(y, tau, T0=top)
-    prefix = np.cumsum(
-        _panel_sums(factors, params_top, 0.0, top, panel_width, gauss_order).real
-    )
-    n_panels = len(prefix)
+    n_panels = max(1, math.ceil(top / panel_width - 1e-12))
+    idx = [min(n_panels - 1, max(0, int(round(t / panel_width)) - 1)) for t in checkpoints]
+    heights = [min(top, (i + 1) * panel_width) for i in idx]
+    c = make_perron_params(y, tau, T0=top).c
+    estimates = _estimates(factors, y, tau, c, np.array(heights)).tolist()
     direct = direct_window_sum(factors, y, tau)
-    ly = math.log(y)
-
-    reports = []
-    for T0 in checkpoints:
-        idx = min(n_panels - 1, max(0, int(round(T0 / panel_width)) - 1))
-        t_actual = min(top, (idx + 1) * panel_width)
-        estimate = float(prefix[idx]) / math.pi
-        residual = abs(estimate - direct)
-        envelope = y * ly**2 / t_actual + ly
-        reports.append(PerronReport(
-            make_perron_params(y, tau, T0=t_actual),
-            estimate, direct, residual, envelope, idx + 1,
-        ))
-    return reports
+    return [_report(make_perron_params(y, tau, T0=t), e, direct)
+            for t, e in zip(heights, estimates)]
 
 
 def tail_segment(
-    params: PerronParams,
-    factors: Sequence[PolyFactor],
-    t_lo: float,
-    t_hi: float,
-    panel_width: float = 1.0,
-    gauss_order: int = 24,
+    params: PerronParams, factors: Sequence[PolyFactor], t_lo: float, t_hi: float,
 ) -> float:
-    """|Int over the vertical segment t in [t_lo, t_hi] of y^s C1(s) S(s) ds|.
+    """|Int over the vertical segment t in [t_lo, t_hi] of y^s C1(s) S(s) dt|.
 
-    Localizes which heights dominate the window truncation error.
+    Localizes which heights dominate the window truncation error.  A term
+    integrates to i E1(-s log z) between the heights (t_lo >= T1 > 0 keeps
+    the path off the cut), or to -i log((c + i t_hi)/(c + i t_lo)) at z = 1.
     """
     if not (params.T1 <= t_lo <= t_hi <= params.T0):
         raise ValueError("need T1 <= t_lo <= t_hi <= T0")
-    sums = _panel_sums(factors, params, t_lo, t_hi, panel_width, gauss_order)
-    return abs(complex(np.sum(sums)))
+    top, bottom, an = _window_logs(factors, params.y, params.tau)
+    s_lo, s_hi = complex(params.c, t_lo), complex(params.c, t_hi)
+    return abs(complex((_segment(top, s_lo, s_hi) - _segment(bottom, s_lo, s_hi)) @ an))
+
+
+def _segment(logs: np.ndarray, s_lo: complex, s_hi: complex) -> np.ndarray:
+    """Int e^(sL)/s dt from s_lo to s_hi on the c-line, per log-ratio L."""
+    on_one = logs == 0.0
+    w = -np.where(on_one, 1.0, logs)
+    return np.where(on_one, -1j * np.log(s_hi / s_lo), 1j * (exp1(s_hi * w) - exp1(s_lo * w)))

@@ -29,6 +29,17 @@ def test_basic_ops():
     assert squarefree_part(pmul(p, p)) == [c / 2 for c in poly([1, -3, 2])]
 
 
+def test_poly_keeps_fractions_and_converts_the_rest():
+    class Sub(Q):
+        pass
+
+    half = Q(1, 2)
+    p = poly([half, 3, 0.25, Sub(2), 0, Q(0)])
+    assert p[0] is half  # an exact Fraction is not wrapped again
+    assert p == [Q(1, 2), Q(3), Q(1, 4), Q(2)]
+    assert all(type(c) is Q for c in p)
+
+
 def test_root_counts_and_isolation():
     p = pmul(pmul(poly([-1, 1]), poly([-1, 1])), poly([-2, 1]))  # (x-1)^2 (x-2)
     assert count_roots_open(p, Q(0), Q(3)) == 2

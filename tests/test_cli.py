@@ -108,8 +108,10 @@ def test_gaps_non_integer_limits(tmp_path):
     (["largevalues", "--slack", "nan"], "error: slack must be finite and positive, got nan"),
     (["largevalues", "--slack", "inf"], "error: slack must be finite and positive, got inf"),
     (["largevalues", "--slack", "0"], "error: slack must be finite and positive, got 0.0"),
+    (["perron", "--factors", "unit:3", "--y", "4", "--tau", "2"],
+     "error: factor length N = 3 is not a power of two"),
 ], ids=["k=0", "T0=-5", "T0=0", "tau=inf", "y=nan", "experiments=-1", "slack=nan", "slack=inf",
-        "slack=0"])
+        "slack=0", "factors=unit:3"])
 def test_out_of_domain_inputs_exit_1_with_message(tmp_path, capsys, args, needle):
     out = tmp_path / "o"
     assert run(args + ["--out", str(out)]) == 1
@@ -193,6 +195,17 @@ def test_perron_command(tmp_path):
     rep = json.loads((out / "perron_report.json").read_text())
     assert rep["direct"] == 3
     assert rep["residual"] < 0.05
+
+
+def test_perron_high_T0_runs_in_constant_time(tmp_path):
+    # the closed form costs O(support) per height: T0 = 1e8 is no dearer
+    out = tmp_path / "o"
+    t0 = time.perf_counter()
+    assert run(["perron", "--T0", "1e8", "--out", str(out)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    rep = json.loads((out / "perron_report.json").read_text())
+    assert rep["T0"] == 1e8 and rep["direct"] == 20
+    assert rep["implied_constant"] <= 50
 
 
 def test_largevalues_command(tmp_path):
@@ -346,3 +359,77 @@ def test_report_replays_manifest_with_threads_key(tmp_path):
     assert sha256(out / "nu_profile.json") == GOLDEN_SHA256["nu_profile.json"]
     replayed = json.loads((out / "manifest.json").read_text())
     assert replayed["options"] == {"res": "1/64", "out": str(out)}
+
+
+def test_report_replays_perron_manifest_with_gauss_order_key(tmp_path, capsys):
+    # manifests written while perron --gauss-order existed carry "gauss_order";
+    # the replay reproduces that version's report at the report's precision
+    manifest = {"command": "perron",
+                "options": {"y": 201.5, "tau": 10, "T0": None, "factors": "unit:128",
+                            "gauss_order": 24, "out": str(tmp_path / "a")}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    out = tmp_path / "b"
+    assert run(["report", "--manifest", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "perron_report.json").read_text()) == {
+        "y": 201.5, "tau": 10, "T0": 1493.65404283, "estimate": 19.9103279211,
+        "direct": 20, "residual": 0.0896720788684, "envelope": 9.10352776706,
+        "implied_constant": 0.00985025598459,
+    }
+    replayed = json.loads((out / "manifest.json").read_text())
+    assert "gauss_order" not in replayed["options"]
+    assert run(["perron", "--gauss-order", "12", "--out", str(out)]) == 1
+    assert "unrecognized arguments: --gauss-order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,needle", [
+    (["identity", "--x", "1e8"], "capacity: identity check at x = 100000000 over the "
+                                 "desk-scale cap x <= 1000000 (about 70 bytes per n <= 3x)"),
+    (["identity", "--x", "1000001"], "capacity: identity check at x = 1000001 over the "
+                                     "desk-scale cap x <= 1000000 (about 70 bytes per n <= 3x)"),
+    (["optimize-nu", "--res", "1/100000000"], "capacity: resolution 1/100000000 makes "
+                                              "3888889077777780 grid cells, over the cap 131072"),
+    (["optimize-nu", "--res", "1/1024"], "capacity: resolution 1/1024 makes 409374 grid cells, "
+                                         "over the cap 131072"),
+], ids=["identity-x=1e8", "identity-x=1000001", "res=1e-8", "res=1/1024"])
+def test_capacity_guards_refuse_before_work(tmp_path, capsys, args, needle):
+    out = tmp_path / "o"
+    t0 = time.perf_counter()
+    assert run(args + ["--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.strip() == needle
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("line,code,needle", [
+    ("a | s^40000 | 1 | 1/2, 1 | all", 2, "capacity: exponent 40000 over the cap 12 in 's^40000'"),
+    ("a | s^99999999 | 1 | 1/2, 1 | all", 2,
+     "capacity: exponent 99999999 over the cap 12 in 's^99999999'"),
+    ("a | (s^12)^12 | 1 | 1/2, 1 | all", 2, "capacity: degree 144 over the cap 12 in '(s^12)^12'"),
+    ("a | 1; s^7*s^6 | 1 | 1/2, 1 | all", 2, "capacity: degree 13 over the cap 12 in 's^7*s^6'"),
+    ("a | 1/0 | 1 | 1/2, 1 | all", 1,
+     "error: division by zero in ledger line 'a | 1/0 | 1 | 1/2, 1 | all'"),
+    ("a | s/(s-s) | 1 | 1/2, 1 | all", 1,
+     "error: division by zero in ledger line 'a | s/(s-s) | 1 | 1/2, 1 | all'"),
+    ("a | s | 1 | 1/0, 1 | all", 1,
+     "error: division by zero in ledger line 'a | s | 1 | 1/0, 1 | all'"),
+    ("a | s | 1 | 1/2, 1 | all | maybe", 1,
+     "error: sixth field must be 'strict', got 'maybe': 'a | s | 1 | 1/2, 1 | all | maybe'"),
+    ("a | s | 1 | 1/2, 1 | all |", 1,
+     "error: sixth field must be 'strict', got '': 'a | s | 1 | 1/2, 1 | all |'"),
+], ids=["s^40000", "s^99999999", "nested-power", "product", "1/0", "s/0", "box-1/0",
+        "sixth=maybe", "sixth=empty"])
+def test_ledger_inputs_refused_with_contract_code(tmp_path, capsys, line, code, needle):
+    ledger = tmp_path / "l.txt"
+    ledger.write_text(line + "\n", encoding="utf-8")
+    t0 = time.perf_counter()
+    assert run(["verify", "--ledger", str(ledger), "--out", str(tmp_path / "o")]) == code
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.strip() == needle
+
+
+def test_ledger_degree_cap_admits_degree_12(tmp_path, capsys):
+    ledger = tmp_path / "l.txt"
+    ledger.write_text("a | s^12; s^6*s^6 - u | 2 | 1/2, 1 | all | strict\n", encoding="utf-8")
+    assert run(["verify", "--ledger", str(ledger), "--out", str(tmp_path / "o")]) == 0
+    assert "1/1 claims hold" in capsys.readouterr().out

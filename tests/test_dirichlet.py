@@ -53,6 +53,13 @@ def test_eval_budget_guard():
         unit_factor(2 * 10**7)
 
 
+def test_factor_length_must_be_power_of_two():
+    for mk, N in ((unit_factor, 3), (log_factor, 12), (mobius_factor, 6)):
+        with pytest.raises(ValueError, match=f"N = {N} is not a power of two"):
+            mk(N)
+    assert [unit_factor(N).N for N in (1, 2, 64, 2**23)] == [1, 2, 64, 2**23]
+
+
 def test_triangle_bound_on_samples():
     facs = [unit_factor(8), log_factor(4), mobius_factor(4)]
     c = 1.07

@@ -9,6 +9,7 @@ from gapscope.nu import (
     SIGMA_RANGE,
     BoundCatalog,
     _grid,
+    _grid_size,
     builtin_catalog,
     coverage_check,
     optimize_nu,
@@ -110,6 +111,17 @@ def test_optimizer_resolution_guard():
             optimize_nu(bad)
     with pytest.raises(ValueError):
         coverage_check(Q(0))
+
+
+def test_grid_size_counts_the_grid_without_building_it():
+    import random
+
+    rng = random.Random(7)
+    for _ in range(3000):
+        lo = Q(rng.randint(-50, 50), rng.randint(1, 20))
+        hi = lo + Q(rng.randint(0, 60), rng.randint(1, 20)) * rng.randint(0, 1)
+        step = Q(rng.randint(1, 10), rng.randint(1, 40))
+        assert _grid_size(lo, hi, step) == len(_grid(lo, hi, step)), (lo, hi, step)
 
 
 def test_coverage_full_box():

@@ -1,25 +1,66 @@
-"""Truncated Perron windows: direct sums, residual envelopes, C1/C2 bounds."""
+"""Truncated Perron windows: the closed form against a Gauss-Legendre oracle,
+E1 against scipy and mpmath, direct sums, residual envelopes, C1/C2 bounds."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
+from gapscope import perron
 from gapscope.dirichlet import (
+    eval_product_lattice,
     log_factor,
     mobius_factor,
     singleton_factor,
     unit_factor,
 )
+from gapscope.experiments import PERRON_DECAY_CONFIGS, _decay_factors
 from gapscope.perron import (
     c1_factor,
     c2_factor,
     direct_window_sum,
+    exp1,
     make_perron_params,
     perron_window,
     perron_window_scan,
     tail_segment,
 )
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre oracle: fixed-width panels on [lo, hi], the full panels one
+# lattice of midpoints and shared Gauss offsets, the last panel its own row.
+# ---------------------------------------------------------------------------
+
+def _panel_sums(factors, p, lo, hi, width=1.0, order=24):
+    """Complex quadrature sum of y^s C1(s) S(s) over each panel, in panel order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    n_panels = max(1, math.ceil((hi - lo) / width - 1e-12))
+    edges = lo + width * np.arange(n_panels, dtype=np.float64)
+    last = float(edges[-1])
+    lattices = [((edges[:-1] + edges[1:]) / 2, width / 2 * x, width / 2 * w),
+                (np.array([(last + hi) / 2]), (hi - last) / 2 * x, (hi - last) / 2 * w)]
+    sums = []
+    for bases, offsets, weights in lattices:
+        for a in range(0, len(bases), 4096):
+            rows = bases[a : a + 4096]
+            s = p.c + 1j * (rows[:, None] + offsets[None, :])
+            vals = (np.exp(s * math.log(p.y)) * c1_factor(s, p.tau)
+                    * eval_product_lattice(factors, p.c, rows, offsets))
+            sums.append((vals * weights).sum(axis=1))
+    return np.concatenate(sums)
+
+
+def _oracle_window(p, factors, width=1.0, order=24):
+    return float(np.sum(_panel_sums(factors, p, 0.0, p.T0, width, order).real)) / math.pi
+
+
+def _oracle_scan(y, tau, factors, top, width=1.0, order=12):
+    """Quadrature estimates at every panel edge up to top (the last one top)."""
+    p = make_perron_params(y, tau, T0=top)
+    return np.cumsum(_panel_sums(factors, p, 0.0, top, width, order).real) / math.pi
 
 
 def test_params_defaults():
@@ -52,11 +93,13 @@ def test_perron_window_unit8():
 
 
 def test_quadrature_panel_halving():
+    # the oracle converges under panel halving, to the closed form
     p = make_perron_params(201.5, 10, T0=2000.0)
-    r1 = perron_window(p, [unit_factor(64)], panel_width=1.0)
-    r2 = perron_window(p, [unit_factor(64)], panel_width=0.5)
-    rel = abs(r1.estimate - r2.estimate) / max(1e-12, abs(r2.estimate))
+    q1 = _oracle_window(p, [unit_factor(64)], width=1.0)
+    q2 = _oracle_window(p, [unit_factor(64)], width=0.5)
+    rel = abs(q1 - q2) / max(1e-12, abs(q2))
     assert rel < 1e-6
+    assert perron_window(p, [unit_factor(64)]).estimate == pytest.approx(q2, rel=1e-9)
 
 
 def test_scan_matches_individual_windows():
@@ -101,7 +144,7 @@ def test_scan_and_window_match_node_by_node_reference():
     for r in reps:
         ref = _reference_integral(factors, y, tau, r.params.T0)
         assert r.estimate == pytest.approx(ref, rel=1e-9, abs=1e-12), r.params.T0
-    rep = perron_window(make_perron_params(y, tau, T0=T0), factors, gauss_order=12)
+    rep = perron_window(make_perron_params(y, tau, T0=T0), factors)
     assert T0 % 1.0 > 0.01
     ref = _reference_integral(factors, y, tau, T0)
     assert rep.estimate == pytest.approx(ref, rel=1e-9, abs=1e-12)
@@ -112,16 +155,10 @@ def test_scan_and_window_match_node_by_node_reference():
     {"panel_width": float("inf")}, {"gauss_order": 0},
 ])
 def test_bad_panels_rejected(kwargs):
-    p = make_perron_params(100, 5, T0=500.0)
-    f = [unit_factor(8)]
+    # only the scan takes them: panel_width is its height grid, and gauss_order
+    # is validated but unused by the closed form
     with pytest.raises(ValueError):
-        perron_window(p, f, **kwargs)
-    with pytest.raises(ValueError):
-        perron_window_scan(100, 5, f, [200.0, 400.0], **kwargs)
-    with pytest.raises(ValueError):
-        tail_segment(p, f, 10.0, 100.0, **kwargs)
-    with pytest.raises(ValueError):
-        tail_segment(p, f, p.T1, p.T1, **kwargs)
+        perron_window_scan(100, 5, [unit_factor(8)], [200.0, 400.0], **kwargs)
 
 
 @pytest.mark.parametrize("checkpoints", [
@@ -168,3 +205,87 @@ def test_mobius_window_direct():
     from gapscope.identity import mobius
 
     assert got == pytest.approx(sum(mobius(n) for n in range(21, 31)))
+
+
+# ---------------------------------------------------------------------------
+# The closed form: E1, then the kernel against the Gauss-Legendre oracle
+# ---------------------------------------------------------------------------
+
+#: Points next to the branch cut, 4 <= |w| <= 20, where the continued
+#: fraction alone is off by up to 3.5e-3 (tiny heights, small n).
+NEAR_CUT = [-8.3 - 0.07j, -4.5 + 0.01j, -19.5 - 0.2j]
+
+
+def _kernel_arguments():
+    """w = -(c + iT) log z for T in [1e-3, 1e9] and |log z| <= 8, plus NEAR_CUT."""
+    T = np.geomspace(1e-3, 1e9, 25)
+    logs = np.geomspace(1e-6, 8.0, 13)
+    logs = np.concatenate([-logs, logs])
+    w = [-np.multiply.outer(c + 1j * T, logs).ravel() for c in (1.1, 1.2, 1.91)]
+    return np.concatenate(w + [np.array(NEAR_CUT)])
+
+
+def test_exp1_matches_scipy_and_mpmath():
+    w = _kernel_arguments()
+    got = exp1(w)
+    ref = scipy.special.exp1(w)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+    mpmath.mp.dps = 30
+    for z, g in zip(w[::7].tolist() + NEAR_CUT, got[::7].tolist() + exp1(NEAR_CUT).tolist()):
+        e = complex(mpmath.e1(mpmath.mpc(z.real, z.imag)))
+        assert abs(g - e) <= 1e-12 * abs(e), z
+    assert exp1(np.array([], dtype=complex)).shape == (0,)
+
+
+@pytest.mark.parametrize("config", PERRON_DECAY_CONFIGS, ids=str)
+def test_closed_form_matches_oracle_on_decay_configs(config):
+    # the scan reads each checkpoint at the panel edge the quadrature ended on
+    y, tau, N, kind = config
+    factors = _decay_factors(N, kind)
+    T0 = tau * math.log(y) ** 3
+    cps = [T0 * 2**j * (1 + i / 6) for j in range(4) for i in range(6)]
+    top = max(cps)
+    prefix = _oracle_scan(y, tau, factors, top)
+    for r, t in zip(perron_window_scan(y, tau, factors, cps), sorted(cps)):
+        idx = min(len(prefix) - 1, max(0, round(t) - 1))
+        assert r.params.T0 == min(top, idx + 1.0)
+        assert abs(r.estimate - prefix[idx]) <= 1e-9, (t, r.estimate, prefix[idx])
+
+
+def test_window_edges_on_support_points_match_oracle():
+    # n = y = 200 sits on the window edge, where J_T(1) = atan(T/c)/pi
+    y, tau = 200.0, 4.0
+    top, bottom, _ = perron._window_logs([unit_factor(128)], y, tau)
+    assert np.count_nonzero(bottom == 0.0) == 1
+    for factors in ([unit_factor(128)], [log_factor(128), singleton_factor()]):
+        for T0 in (37.25, 400.0):
+            p = make_perron_params(y, tau, T0=T0)
+            got = perron_window(p, factors).estimate
+            assert got == pytest.approx(_oracle_window(p, factors), rel=1e-12, abs=1e-9)
+
+
+def test_tail_segment_matches_oracle():
+    p = make_perron_params(200.0, 4.0, T0=500.0)
+    # log:128 weighs the z = 1 terms at n = 200 and n = 250 differently
+    for factors in ([unit_factor(128)], [log_factor(128)], [mobius_factor(16), unit_factor(8)]):
+        for lo, hi in ((p.T1, 500.0), (10.0, 55.5), (123.4, 123.9)):
+            ref = abs(complex(np.sum(_panel_sums(factors, p, lo, hi))))
+            assert tail_segment(p, factors, lo, hi) == pytest.approx(ref, rel=1e-9), (lo, hi)
+
+
+def test_estimate_blocks_stay_within_eval_budget(monkeypatch):
+    y, tau, factors = 150.5, 5.4, [unit_factor(16)]
+    cps = [100.0 * k for k in range(1, 11)]
+    whole = [r.estimate for r in perron_window_scan(y, tau, factors, cps)]
+    blocks = []
+    kernel = perron._perron_j
+
+    def spy(logs, c, heights):
+        blocks.append(len(logs) * len(heights))
+        return kernel(logs, c, heights)
+
+    monkeypatch.setattr(perron, "_perron_j", spy)
+    monkeypatch.setattr(perron, "EVAL_BUDGET", 40)
+    chunked = [r.estimate for r in perron_window_scan(y, tau, factors, cps)]
+    assert len(blocks) == 10 and max(blocks) <= 40
+    assert chunked == pytest.approx(whole, rel=1e-14)
