@@ -307,7 +307,7 @@ class AlgebraicNumber:
     def __post_init__(self):
         self.coeffs = poly(self.coeffs)
         self.lo, self.hi = Q(self.lo), Q(self.hi)
-        if count_roots_open(self.coeffs, self.lo, self.hi) + (
+        if not self.coeffs or count_roots_open(self.coeffs, self.lo, self.hi) + (
             1 if peval(self.coeffs, self.lo) == 0 else 0
         ) != 1:
             raise ValueError("interval does not isolate exactly one root")

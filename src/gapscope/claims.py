@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -188,12 +189,19 @@ _TOKEN = re.compile(r"\s*(\d+|[su]|\*\*|[()+\-*/^])")
 #: with every root in the box takes about 0.6 s, and the cost grows about
 #: sevenfold per 4 degrees.
 MAX_DEGREE = 12
+#: Every coefficient keeps |numerator| * denominator below 2^MAX_COEFF_BITS: Euclid
+#: over Q in a division takes up to 0.1 s at degree 12 there, minutes at 4000 digits.
+MAX_COEFF_BITS = 64
+MAX_NESTING = 32  # parenthesis depth; the parser takes four frames per level
 
 
 def _capped(v: MuLinear, text: str) -> MuLinear:
-    deg = max(len(p) - 1 for p in (v.a.num, v.a.den, v.b.num, v.b.den))
+    ps = (v.a.num, v.a.den, v.b.num, v.b.den)
+    deg = max(len(p) - 1 for p in ps)
     if deg > MAX_DEGREE:
         raise CapacityError(f"degree {deg} over the cap {MAX_DEGREE} in {text.strip()!r}")
+    if max(abs(q.numerator) * q.denominator for p in ps for q in p) >> MAX_COEFF_BITS:
+        raise CapacityError(f"coefficient over {MAX_COEFF_BITS} bits in {text.strip()!r}")
     return v
 
 
@@ -212,6 +220,8 @@ def _tokenize(text: str) -> list[str]:
 def parse_expression(text: str) -> MuLinear:
     """Parse an expression in s and u into a MuLinear value."""
     tokens = _tokenize(text)
+    if max(accumulate((t == "(") - (t == ")") for t in tokens), default=0) > MAX_NESTING:
+        raise CapacityError(f"parentheses nested over {MAX_NESTING} deep in {text.strip()!r}")
     pos = 0
 
     def peek():
@@ -239,7 +249,7 @@ def parse_expression(text: str) -> MuLinear:
             return U
         if t and t.isdigit():
             take()
-            return ml(Q(int(t)))
+            return _capped(ml(Q(int(t))), text)
         raise ValueError(f"unexpected token {t!r} in {text!r}")
 
     def factor() -> MuLinear:
@@ -463,6 +473,8 @@ _ROOT_RE = re.compile(r"^root\((?P<poly>[^;]+);(?P<lo>[^,]+),(?P<hi>[^)]+)\)$")
 
 
 def _parse_q(text: str) -> Fraction:
+    if re.search(r"[eE][-+]?[\d_]{5}", text):  # Fraction would build 10^exponent
+        raise CapacityError(f"decimal exponent over 4 digits in {text.strip()!r}")
     return Q(text.strip())
 
 
@@ -484,13 +496,11 @@ def parse_ledger_line(line: str) -> Claim | None:
         return Claim.ordering(cid, value, _parse_q(rhs_text), strict=strict)
     lhs = [parse_expression(t) for t in lhs_text.split(";")]
     rhs = parse_expression(rhs_text)
+    for box in (s_text, mu_text):
+        if box != "all" and box.count(",") != 1:
+            raise ValueError(f"expected a box 'lo, hi', got {box!r}: {line!r}")
     s_lo, s_hi = (_parse_q(t) for t in s_text.split(","))
-    mu: tuple[Fraction, Fraction] | str
-    if mu_text == "all":
-        mu = "all"
-    else:
-        parts = [_parse_q(t) for t in mu_text.split(",")]
-        mu = (parts[0], parts[1])
+    mu = "all" if mu_text == "all" else tuple(_parse_q(t) for t in mu_text.split(","))
     return Claim.box(cid, lhs, rhs, s_lo, s_hi, mu=mu, strict=strict)
 
 

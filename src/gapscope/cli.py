@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .errors import CapacityError
+from .errors import CapacityError, QuadratureError
 from .claims import parse_ledger, verify_claim
 from .ledger import builtin_ledger
 from .reports import (
@@ -469,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,11 +2,7 @@
 sups, large-value classification, and the R / R* counting machinery.
 
 A factor is one short polynomial S(s) = sum_{N < n <= 2N} a_n n^{-s} with
-unit, log, or Moebius coefficients (or the singleton constant 1).  Products
-of factors are classified over integer unit intervals [m, m+1]: each factor
-lands in a dyadic magnitude band N^(1-c) 2^(-b), and the profile of band
-indices partitions [T, 2T] exactly (everything below the 1/x floor falls
-into the leftover class S0).
+unit, log, or Moebius coefficients (or the singleton constant 1).
 
 Every factor value comes from one kernel, `eval_factor_lattice`, which
 evaluates on a lattice t = base + offset as one matrix product per chunk of
@@ -17,6 +13,15 @@ The sup over a unit interval is approximated by G equally spaced samples
 plus golden-section refinement around the best sample; this underestimates
 the true sup by at most a Lipschitz factor |S'| <= sum |a_n| log(n) n^{-c},
 which callers can query via `lipschitz_bound`.
+
+Large-value classification (`classify_profile`) bins each unit interval
+[m, m+1] of [T, 2T] by the dyadic band N^(1-c) 2^(-b) of every factor's sup;
+below the 1/x floor it falls into the leftover class S0.  Each active
+factor's sample lattice is built once, bracketed, folded into the product
+lattice and freed; each golden step then makes one `eval_factor_grid` call
+per factor at its own points and one at the product's.  Bands come from
+numpy logs, the scalar `band_index` redoing any sup within 1e-9 of a band
+edge, and `np.unique` groups the band rows into cells.
 """
 
 from __future__ import annotations
@@ -120,15 +125,6 @@ def eval_factor_lattice(
     return out
 
 
-def eval_product_lattice(
-    factors: Sequence[PolyFactor], c: float, bases: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    out = np.ones((len(bases), len(offsets)), dtype=complex)
-    for f in factors:
-        out *= eval_factor_lattice(f, c, bases, offsets)
-    return out
-
-
 def eval_factor_grid(f: PolyFactor, c: float, ts: np.ndarray) -> np.ndarray:
     """Factor values on an array of t: the lattice with the single offset 0."""
     return eval_factor_lattice(f, c, ts, (0.0,))[:, 0]
@@ -191,27 +187,11 @@ def sup_on_unit_interval(
     return SupEstimate(peak, used)
 
 
-def _sup_grid(
-    fs: Sequence[PolyFactor], c: float, ms: np.ndarray,
-    samples: int, refine_iters: int,
-) -> np.ndarray:
-    """Vectorized per-interval sups of |prod fs| for every m in ms."""
-    offsets = np.linspace(0.0, 1.0, samples + 1)
-    vals = np.abs(eval_product_lattice(fs, c, ms, offsets))
+def _bracket(vals: np.ndarray, ms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Rows lo, hi, peak of sampled |values|: the best sample and its neighbours."""
     best = np.argmax(vals, axis=1)
-    peak = vals[np.arange(len(ms)), best]
-    lo = ms + offsets[np.maximum(best - 1, 0)]
-    hi = ms + offsets[np.minimum(best + 1, samples)]
-    for _ in range(refine_iters):
-        t1 = hi - GOLDEN * (hi - lo)
-        t2 = lo + GOLDEN * (hi - lo)
-        v1 = np.abs(eval_product_grid(fs, c, t1))
-        v2 = np.abs(eval_product_grid(fs, c, t2))
-        peak = np.maximum(peak, np.maximum(v1, v2))
-        take_left = v1 >= v2
-        hi = np.where(take_left, t2, hi)
-        lo = np.where(take_left, lo, t1)
-    return peak
+    nearby = offsets[np.clip([best - 1, best + 1], 0, len(offsets) - 1)]
+    return np.vstack((ms + nearby, vals[np.arange(len(ms)), best]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +214,9 @@ class LargeValueProfile:
 
     @property
     def sigmas(self) -> tuple[float, ...]:
-        out = []
-        for b, N in zip(self.band_indices, self.lengths):
-            logN = math.log(float(N))
-            if logN > 0:
-                out.append(1.0 - b * math.log(2.0) / logN)
-            else:
-                out.append(1.0)
-        return tuple(out)
+        logs = (math.log(float(N)) for N in self.lengths)
+        return tuple(1.0 - b * math.log(2.0) / L if L > 0 else 1.0
+                     for b, L in zip(self.band_indices, logs))
 
     def aggregate_sigma(self) -> float:
         """sigma with x1^sigma = prod N_i^(sigma_i), i.e. x1 2^(-sum b)."""
@@ -278,6 +253,19 @@ def band_index(sup: float, N: Fraction, c: float, floor_x: float) -> int | None:
     return b
 
 
+def _bands(sups: np.ndarray, N: Fraction, c: float, floor_x: float) -> np.ndarray:
+    """band_index of every sup as int64, -1 for S0; np.log2 may differ from math.log2
+    in the last ulp, so sups within 1e-9 of a band edge take the scalar band_index."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.log2(float(N) ** (1.0 - c) / sups) - 1e-12
+        b = np.maximum(np.ceil(x), 0.0)
+        for i in np.flatnonzero(np.abs(x - np.rint(x)) < 1e-9):
+            edge = band_index(float(sups[i]), N, c, floor_x)
+            b[i] = np.nan if edge is None else edge
+        b[~(b <= math.floor(math.log2(float(N) * floor_x) + 1e-12))] = -1
+    return b.astype(np.int64)
+
+
 def classify_profile(
     factors: Sequence[PolyFactor],
     c: float,
@@ -294,37 +282,44 @@ def classify_profile(
     if floor_x is None:
         floor_x = max(2.0, float(math.prod(f.N for f in fs)))
     actives = [f for f in fs if f.cls is not CoefficientClass.SINGLETON]
-    per_factor = [
-        _sup_grid([f], c, ms.astype(np.float64), samples, refine_iters)
-        for f in actives
-    ]
-    prod_sup = _sup_grid(fs, c, ms.astype(np.float64), samples, refine_iters)
+    grid, offsets = ms.astype(np.float64), np.linspace(0.0, 1.0, samples + 1)
+    # Each active factor's lattice is bracketed, folded into the product and
+    # freed; singletons are exactly 1, so the product (of 2+ factors) skips them.
+    groups, prod = [], None
+    for f in actives:
+        lattice = eval_factor_lattice(f, c, grid, offsets)
+        groups.append(_bracket(np.abs(lattice), grid, offsets))
+        prod = lattice if prod is None else np.multiply(prod, lattice, out=prod)
+        del lattice
+    if len(actives) > 1:
+        groups.append(_bracket(np.abs(prod), grid, offsets))
+    # one row per group: golden steps on every bracket at once, ties going left
+    lo, hi, peak = np.moveaxis(np.reshape(groups, (len(groups), 3, len(ms))), 1, 0)
+    for _ in range(refine_iters):
+        t1, t2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+        points = np.concatenate((t1, t2), axis=1)
+        vals = [np.abs(eval_factor_grid(f, c, pts)) for f, pts in zip(actives, points)]
+        if len(groups) > len(actives):
+            prod = np.ones(points.shape[1], dtype=complex)
+            for f in actives:
+                prod *= eval_factor_grid(f, c, points[-1])
+            vals.append(np.abs(prod))
+        v1, v2 = np.split(np.reshape(vals, points.shape), 2, axis=1)
+        peak = np.maximum(peak, np.maximum(v1, v2))
+        take_left = v1 >= v2
+        lo, hi = np.where(take_left, lo, t1), np.where(take_left, t2, hi)
+    prod_sup = peak[-1] if actives else np.ones(len(ms))
 
-    cells: dict[LargeValueProfile, list[int]] = {}
-    s0: list[int] = []
-    sups: dict[int, float] = {}
-    lengths = tuple(f.N for f in fs)
-    for i, m in enumerate(ms.tolist()):
-        sups[m] = float(prod_sup[i])
-        bands: list[int] = []
-        dead = False
-        for f, sup_arr in zip(actives, per_factor):
-            b = band_index(float(sup_arr[i]), f.N, c, floor_x)
-            if b is None:
-                dead = True
-                break
-            bands.append(b)
-        if dead:
-            s0.append(m)
-            continue
-        # singleton factors occupy the top cell by convention
-        full_bands = []
-        it = iter(bands)
-        for f in fs:
-            full_bands.append(0 if f.cls is CoefficientClass.SINGLETON else next(it))
-        profile = LargeValueProfile(tuple(full_bands), c, lengths)
-        cells.setdefault(profile, []).append(m)
-    return Classification(fs, c, float(T), cells, s0, sups)
+    sups = iter(peak)  # singleton factors occupy the top cell by convention
+    bands = np.reshape([np.zeros(len(ms), np.int64) if f.cls is CoefficientClass.SINGLETON
+                        else _bands(next(sups), f.N, c, floor_x) for f in fs], (len(fs), len(ms))).T
+    dead = (bands < 0).any(axis=1)
+    live, lengths = ms[~dead], tuple(f.N for f in fs)
+    rows, first, inverse = np.unique(bands[~dead], axis=0, return_index=True, return_inverse=True)
+    cells = {LargeValueProfile(tuple(rows[k].tolist()), c, lengths):
+             live[inverse.reshape(-1) == k].tolist() for k in np.argsort(first)}
+    return Classification(fs, c, float(T), cells, ms[dead].tolist(),
+                          dict(zip(ms.tolist(), prod_sup.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +380,6 @@ def rstar_bruteforce(members: Sequence[int]) -> int:
         return 0
     sums = (ms[:, None] + ms[None, :]).ravel()
     return int(np.count_nonzero(sums[:, None] == sums[None, :]))
-
-
-def ap_rstar_exact(R: int) -> int:
-    """Closed form (2R^3 + R)/3 for an arithmetic progression of length R."""
-    return (2 * R**3 + R) // 3
 
 
 # ---------------------------------------------------------------------------

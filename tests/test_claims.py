@@ -1,5 +1,6 @@
 """Claim verification: exact verdicts, certificates, the builtin ledger."""
 
+import re
 import time
 from fractions import Fraction as Q
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapscope.errors import CapacityError
 from gapscope.algebra import AlgebraicNumber, degree, pdivmod, pgcd, pmul, poly, pscale
 from gapscope.claims import (
     Claim,
@@ -190,3 +192,81 @@ def test_ratfn_make_equals_gcd_path(a, b, c):
     r = RatFn.make(num, den)
     assert r == make_by_gcd(num, den)
     assert all(type(v) is Q for v in r.num + r.den)
+
+
+# ---------------------------------------------------------------------------
+# ledger parsing: arbitrary text parses or raises ValueError / CapacityError
+# ---------------------------------------------------------------------------
+
+_digits = st.one_of(st.integers(0, 20).map(str), st.integers(min_value=0).map(str),
+                    st.integers(1, 6000).map(lambda n: "9" * n))
+_number = st.one_of(
+    _digits,
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(lambda p: f"{p[0]}/{p[1]}"),
+    st.tuples(_digits, st.integers(-10**12, 10**12)).map(lambda p: f"{p[0]}e{p[1]}"),
+    st.decimals(allow_nan=True).map(str),
+    st.text(alphabet="0123456789./e_-+ ", max_size=12),
+)
+_expr = st.recursive(
+    st.one_of(st.sampled_from(["s", "u"]), _digits),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+        st.tuples(inner, st.sampled_from(["^", "**"]), st.one_of(_digits, inner)).map("".join),
+        inner.map(lambda e: f"-({e})"),
+    ),
+    max_leaves=30,
+)
+_poly = st.lists(st.tuples(_digits, st.integers(0, 14)), min_size=1, max_size=15).map(
+    lambda terms: " + ".join(f"{c}*s^{k}" for c, k in terms))
+_nested = st.tuples(st.integers(0, 3000), _expr).map(lambda p: "(" * p[0] + p[1] + ")" * p[0])
+_bounds = st.one_of(st.tuples(_number, _number).map(", ".join),
+                    st.lists(_number, max_size=4).map(",".join), st.just("all"))
+_lhs = st.one_of(
+    _expr, _nested, st.lists(_expr, min_size=1, max_size=4).map("; ".join),
+    st.tuples(_poly, _poly).map(lambda p: f"({p[0]})/({p[1]})"),
+    st.tuples(_expr, _number, _number).map(lambda p: f"root({p[0]}; {p[1]}, {p[2]})"),
+)
+_claim_line = st.tuples(
+    st.text(max_size=4), _lhs, st.one_of(_expr, _nested, _number), _bounds, _bounds,
+    st.lists(st.sampled_from(["strict", "", "x"]), max_size=2),
+).map(lambda p: " | ".join(p[:5] + tuple(p[5])))
+_line = st.one_of(_claim_line, st.lists(st.one_of(_lhs, _bounds, st.text(max_size=30)),
+                                        max_size=8).map(" | ".join))
+_ledger_text = st.one_of(st.text(), st.lists(_line, max_size=4).map("\n".join))
+
+
+@settings(max_examples=300, deadline=2000)
+@given(_ledger_text)
+def test_parse_ledger_raises_only_value_or_capacity_errors(text):
+    try:
+        parse_ledger(text)
+    except (ValueError, CapacityError):
+        pass
+
+
+@pytest.mark.parametrize("line,error,needle", [
+    ("a | s | 1 | 0, 1 | 5", ValueError, "expected a box 'lo, hi', got '5'"),
+    ("a | s | 1 | 0, 1 | 1, 2, 3", ValueError, "expected a box 'lo, hi'"),
+    ("a | s | 1 | 0 | all", ValueError, "expected a box 'lo, hi', got '0'"),
+    ("a | " + "(" * 2000 + "s" + ")" * 2000 + " | 1 | 0, 1 | all", CapacityError,
+     "parentheses nested over 32 deep"),
+    ("a | s | 1 | 0, 1e999999999 | all", CapacityError, "decimal exponent over 4 digits"),
+    ("a | root(s^2 - 2; 1, 2) | 1e-9999999999 | - | -", CapacityError,
+     "decimal exponent over 4 digits"),
+    ("a | (" + "9" * 4000 + "*s^12 + 1)/(7*s^11 + 3) | 1 | 0, 1 | all", CapacityError,
+     "coefficient over 64 bits"),
+    ("a | root(s - s; 0, 1) | 1/2 | - | - | strict", ValueError,
+     "does not isolate exactly one root"),
+], ids=["mu-one-bound", "mu-three-bounds", "sigma-one-bound", "deep-nesting", "big-exponent",
+        "big-negative-exponent", "huge-coefficient", "zero-polynomial-root"])
+def test_parse_ledger_refuses_malformed_or_oversized_lines(line, error, needle):
+    t0 = time.perf_counter()
+    with pytest.raises(error, match=re.escape(needle)):
+        parse_ledger(line)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_parse_ledger_keeps_nesting_and_exponents_in_range():
+    (claim,) = parse_ledger("a | " + "(" * 32 + "s" + ")" * 32 + " | 1 | 0, 1e-4 | 1e4, 2e4")
+    assert claim.sigma_interval == (Q(0), Q(1, 10**4))
+    assert claim.mu_interval == (Q(10**4), Q(2 * 10**4))

@@ -3,6 +3,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import gapscope
 from gapscope.cli import main, parse_int_literal
 from gapscope.claims import format_ledger
 from gapscope.ledger import mutated_ledger
@@ -128,6 +132,21 @@ def test_verify_refuses_mu_box_reaching_zero(tmp_path, capsys, mu_box):
     err = capsys.readouterr().err
     assert err.startswith("error: mu box of claim a starts at") and "mu > 0" in err
 
+
+
+def test_non_finite_perron_estimate_exits_1_without_traceback(tmp_path):
+    # y = 1e308 overflows the closed form; QuadratureError is a usage error
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapscope.cli", "perron", "--y", "1e308", "--tau", "2",
+         "--factors", "singleton", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(gapscope.__file__).parents[1])},
+    )
+    assert proc.returncode == 1
+    assert "error: non-finite estimate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "manifest.json").exists()
 
 def test_parse_int_literal_exact():
     assert parse_int_literal("123456789012345678e2") == 12345678901234567800

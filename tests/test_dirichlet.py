@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from gapscope.dirichlet import (
-    ap_rstar_exact,
+    GOLDEN,
+    LargeValueProfile,
+    _bands,
     band_index,
     classify_profile,
     count_R_Rstar,
     eval_factor,
     eval_factor_lattice,
+    eval_factor_grid,
     eval_product_grid,
     hb_rstar_check,
     hb_rstar_rhs,
@@ -28,6 +31,8 @@ from gapscope.dirichlet import (
     unit_factor,
 )
 from gapscope.errors import CapacityError
+from gapscope.experiments import _random_factors
+from gapscope.identity import CoefficientClass
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +209,177 @@ def test_profile_sigma_grid_spacing():
 
 
 # ---------------------------------------------------------------------------
+# the per-interval classifier that the array one replaced, kept as its oracle:
+# a full sample lattice and 1-D golden refinement for each factor and for the
+# product, then one band_index call per factor and member
+# ---------------------------------------------------------------------------
+
+def _ref_product_lattice(fs, c, bases, offsets):
+    out = np.ones((len(bases), len(offsets)), dtype=complex)
+    for f in fs:
+        out *= eval_factor_lattice(f, c, bases, offsets)
+    return out
+
+
+def _ref_sup_grid(fs, c, ms, samples, refine_iters):
+    offsets = np.linspace(0.0, 1.0, samples + 1)
+    vals = np.abs(_ref_product_lattice(fs, c, ms, offsets))
+    best = np.argmax(vals, axis=1)
+    peak = vals[np.arange(len(ms)), best]
+    lo = ms + offsets[np.maximum(best - 1, 0)]
+    hi = ms + offsets[np.minimum(best + 1, samples)]
+    for _ in range(refine_iters):
+        t1 = hi - GOLDEN * (hi - lo)
+        t2 = lo + GOLDEN * (hi - lo)
+        v1 = np.abs(eval_product_grid(fs, c, t1))
+        v2 = np.abs(eval_product_grid(fs, c, t2))
+        peak = np.maximum(peak, np.maximum(v1, v2))
+        take_left = v1 >= v2
+        hi = np.where(take_left, t2, hi)
+        lo = np.where(take_left, lo, t1)
+    return peak
+
+
+def _ref_classify_profile(factors, c, T, floor_x=None, samples=32, refine_iters=3):
+    fs = tuple(factors)
+    ms = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=np.int64)
+    if floor_x is None:
+        floor_x = max(2.0, float(math.prod(f.N for f in fs)))
+    actives = [f for f in fs if f.cls is not CoefficientClass.SINGLETON]
+    grid = ms.astype(np.float64)
+    per_factor = [_ref_sup_grid([f], c, grid, samples, refine_iters) for f in actives]
+    prod_sup = _ref_sup_grid(fs, c, grid, samples, refine_iters)
+    cells, s0, sups = {}, [], {}
+    lengths = tuple(f.N for f in fs)
+    for i, m in enumerate(ms.tolist()):
+        sups[m] = float(prod_sup[i])
+        bands = [band_index(float(sup[i]), f.N, c, floor_x) for f, sup in zip(actives, per_factor)]
+        if None in bands:
+            s0.append(m)
+            continue
+        it = iter(bands)
+        full = tuple(0 if f.cls is CoefficientClass.SINGLETON else next(it) for f in fs)
+        cells.setdefault(LargeValueProfile(full, c, lengths), []).append(m)
+    return cells, s0, sups
+
+
+def _assert_same_classification(factors, c, T):
+    got = classify_profile(factors, c, T)
+    cells, s0, sups = _ref_classify_profile(factors, c, T)
+    assert list(got.cells.items()) == list(cells.items())  # dict order too
+    assert got.s0 == s0
+    assert list(got.sups.items()) == list(sups.items())  # floats compared with ==
+    assert all(type(b) is int for p in got.cells for b in p.band_indices)
+
+
+def test_classification_matches_reference_bit_for_bit():
+    sets = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        for _ in range(6):
+            factors = _random_factors(rng)
+            c = 1.0 + 1.0 / math.log(rng.uniform(50.0, 5000.0))
+            T = float(rng.randint(40, 220))
+            _assert_same_classification(factors, c, T)
+            sets += 1
+    assert sets >= 300
+
+
+@pytest.mark.parametrize("factors,c,T", [
+    ([unit_factor(16), mobius_factor(8)], 1.12, 3000.0),
+    ([singleton_factor()], 1.2, 40.0),
+    ([], 1.2, 40.0),
+    ([unit_factor(8), singleton_factor(), log_factor(4), mobius_factor(4)], 1.07, 100.0),
+    ([mobius_factor(8, cutoff=9)], 1.07, 100.0),  # empty support: every m in S0
+], ids=["long-T", "singleton", "no-factors", "three-with-singleton", "empty-support"])
+def test_classification_matches_reference_edge_sets(factors, c, T):
+    _assert_same_classification(factors, c, T)
+
+
+def test_factor_lattice_product_equals_product_lattice():
+    # classify_profile folds the active factors' lattices in order and leaves
+    # singletons out; a singleton's values are exactly 1, so nothing changes
+    fs = [unit_factor(16), singleton_factor(), mobius_factor(8), log_factor(4)]
+    bases, offsets = np.arange(200, 401, dtype=np.float64), np.linspace(0.0, 1.0, 33)
+    assert np.all(eval_factor_lattice(singleton_factor(), 1.12, bases, offsets) == 1)
+    folded = None
+    for f in fs:
+        if f.cls is not CoefficientClass.SINGLETON:
+            lattice = eval_factor_lattice(f, 1.12, bases, offsets)
+            folded = lattice if folded is None else folded * lattice
+    ref = _ref_product_lattice(fs, 1.12, bases, offsets)
+    assert np.array_equal(folded, ref)
+    assert np.array_equal(np.abs(folded), np.abs(ref))
+
+
+def test_batched_grid_equals_separate_grids():
+    # golden refinement evaluates each factor at all brackets' t1 and t2 in one call
+    f, ts = mobius_factor(16), np.linspace(3000.0, 6000.0, 3001)
+    t1, t2 = ts + 0.25, ts + 0.75
+    both = eval_factor_grid(f, 1.12, np.concatenate((t1, t2)))
+    assert np.array_equal(both, np.concatenate((eval_factor_grid(f, 1.12, t1),
+                                                eval_factor_grid(f, 1.12, t2))))
+
+
+# ---------------------------------------------------------------------------
+# array bands against the scalar band_index
+# ---------------------------------------------------------------------------
+
+def _ulps(x, k):
+    """x and its neighbours up to k ulps away on either side."""
+    out = [x]
+    up = down = x
+    for _ in range(k):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return out
+
+
+def _scalar_bands(sups, N, c, floor_x):
+    return [-1 if b is None else b for b in (band_index(float(s), N, c, floor_x) for s in sups)]
+
+
+@pytest.mark.parametrize("N,c,floor_x", [
+    (Q(8), 1.1, 32.0), (Q(16), 1.12, 128.0), (Q(32), 1.0517, 4096.0), (Q(4), 1.3, 3.0),
+])
+def test_array_bands_match_scalar_at_band_edges(N, c, floor_x):
+    top = float(N) ** (1.0 - c)
+    b_max = math.floor(math.log2(float(N) * floor_x) + 1e-12)
+    sups = [0.0, top * 1.5, top * 4.0, top * 2.0**10]  # zero, and above top (clamped)
+    for b in range(13):
+        sups += _ulps(top * 2.0**-b, 4) + _ulps(top * 2.0 ** -(b + 1e-12), 4)
+    for floor in (top * 2.0**-b_max, top / floor_x, top / (float(N) * floor_x)):
+        sups += _ulps(floor, 4)
+    sups = np.array(sups)
+    assert _bands(sups, N, c, floor_x).tolist() == _scalar_bands(sups, N, c, floor_x)
+
+
+def test_array_bands_match_scalar_on_long_t_sups():
+    fs, c, T = [unit_factor(16), mobius_factor(8)], 1.12, 3000.0
+    ms = np.arange(3000, 6001, dtype=np.float64)
+    floor_x = 128.0
+    sup_sets = [_ref_sup_grid([f], c, ms, 32, 3) for f in fs]
+    sup_sets.append(np.array(list(classify_profile(fs, c, T).sups.values())))
+    for f in fs:
+        for sups in sup_sets:
+            assert _bands(sups, f.N, c, floor_x).tolist() == _scalar_bands(sups, f.N, c, floor_x)
+
+
+@pytest.mark.parametrize("shift", [1e-10, -1e-10])
+def test_band_fixup_absorbs_array_log2_errors(monkeypatch, shift):
+    # np.log2 may differ from math.log2 in the last ulp; the scalar fix-up
+    # must hold for any array error well inside its 1e-9 window
+    N, c, floor_x = Q(16), 1.12, 128.0
+    top = float(N) ** (1.0 - c)
+    sups = np.array([s for b in range(13)
+                     for s in _ulps(top * 2.0**-b, 2) + _ulps(top * 2.0 ** -(b + 2e-12), 2)])
+    want = _scalar_bands(sups, N, c, floor_x)
+    log2 = np.log2
+    monkeypatch.setattr(np, "log2", lambda x: log2(x) + shift)
+    assert _bands(sups, N, c, floor_x).tolist() == want
+
+
+# ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------
 
@@ -212,6 +388,11 @@ def test_count_examples():
     assert (cnt.R, cnt.R_star) == (3, 19)
     assert count_R_Rstar([], 10.0) == count_R_Rstar([], 10.0)
     assert count_R_Rstar([], 10.0).R_star == 0
+
+
+def ap_rstar_exact(R: int) -> int:
+    """Closed form (2R^3 + R)/3 for an arithmetic progression of length R."""
+    return (2 * R**3 + R) // 3
 
 
 def test_count_arithmetic_progression_closed_form():

@@ -10,7 +10,7 @@ import scipy.special
 
 from gapscope import perron
 from gapscope.dirichlet import (
-    eval_product_lattice,
+    eval_factor_lattice,
     log_factor,
     mobius_factor,
     singleton_factor,
@@ -33,6 +33,14 @@ from gapscope.perron import (
 # Gauss-Legendre oracle: fixed-width panels on [lo, hi], the full panels one
 # lattice of midpoints and shared Gauss offsets, the last panel its own row.
 # ---------------------------------------------------------------------------
+
+def eval_product_lattice(factors, c, bases, offsets):
+    """Product of the factor values on the lattice t = bases[k] + offsets[j]."""
+    out = np.ones((len(bases), len(offsets)), dtype=complex)
+    for f in factors:
+        out *= eval_factor_lattice(f, c, bases, offsets)
+    return out
+
 
 def _panel_sums(factors, p, lo, hi, width=1.0, order=24):
     """Complex quadrature sum of y^s C1(s) S(s) over each panel, in panel order."""
