@@ -94,13 +94,16 @@ def exp1(w) -> np.ndarray:
     continued fraction is slow or inexact; the continued fraction (DLMF 6.9.1,
     modified Lentz) covers the rest, where the series would cancel.  Perron
     heights are positive, so the kernel's arguments are never on the cut.
+    An argument far out on the left overflows e^-w to a non-finite value
+    without a warning; the caller's finiteness check reports it.
     """
     w = np.asarray(w, dtype=complex)
     r, re = np.abs(w), w.real
     series = (r <= 2.0) | ((re < 0) & ((r <= 5.0) | ((re < -2.0 * np.abs(w.imag)) & (r < 40.0))))
     out = np.empty_like(w)
-    out[series] = _e1_series(w[series])
-    out[~series] = _e1_fraction(w[~series])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[series] = _e1_series(w[series])
+        out[~series] = _e1_fraction(w[~series])
     return out
 
 

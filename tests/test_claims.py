@@ -13,8 +13,11 @@ from gapscope.algebra import AlgebraicNumber, degree, pdivmod, pgcd, pmul, poly,
 from gapscope.claims import (
     Claim,
     IllPosedClaimError,
+    MAX_DEGREE,
     MU_RANGE,
+    MuLinear,
     RatFn,
+    U,
     format_ledger,
     ml,
     parse_expression,
@@ -76,6 +79,20 @@ def test_ill_posed_denominator_rejected():
     assert lo <= Q(1, 2) <= hi
 
 
+@pytest.mark.parametrize("den, s_lo, s_hi, message", [
+    ("(2*s - 1)^2", Q(0), Q(1), "denominator sign change inside interval"),
+    ("2*s - 1", Q(1, 2), Q(1), "denominator vanishes at endpoint 1/2"),
+    ("2*s - 1", Q(0), Q(1, 2), "denominator vanishes at endpoint 1/2"),
+    ("2*s - 1", Q(1, 2), Q(1, 2), "denominator vanishes at 1/2"),
+], ids=["double-root", "left-endpoint", "right-endpoint", "point-box"])
+def test_denominator_vanishing_anywhere_in_the_box_is_refused(den, s_lo, s_hi, message):
+    c = Claim.box("bad", parse_expression(f"1/({den})"), ml(Q(10)), s_lo, s_hi)
+    with pytest.raises(IllPosedClaimError, match=f"^{message}$") as exc:
+        verify_claim(c)
+    lo, hi = exc.value.root_interval
+    assert lo <= Q(1, 2) <= hi
+
+
 def test_expression_parser_round_trip():
     texts = [
         "(3 - 3*s)/(2 - s)",
@@ -113,6 +130,29 @@ def test_builtin_ledger_all_hold_with_rechecks():
         assert v.holds, (c.id, v.certificate.get("counterexample"))
         assert recheck_verdict(c, v), c.id
     assert time.time() - t0 < 10.0
+
+
+def _degree_cap_claim(rhs: MuLinear, s_lo: Q) -> Claim:
+    """The worst case at MAX_DEGREE: every root of the lhs lies in the sigma box."""
+    lhs = ml(1)
+    for k in range(MAX_DEGREE):
+        lhs = lhs * ml(RatFn.make([-(MAX_DEGREE + k // 2), MAX_DEGREE + k]))
+    return Claim.box("degree-cap", lhs, rhs, s_lo, Q(1))
+
+
+def test_degree_cap_worst_case_is_decided_quickly():
+    t0 = time.perf_counter()
+    c = _degree_cap_claim(ml(Q(10) ** 36) + U, Q(1, 2))
+    v = verify_claim(c)
+    assert v.holds and recheck_verdict(c, v)
+    # on [3/4, 1] the lhs peaks near 0.838 at an irrational critical point
+    # about s = 0.926, above 1/4 + u at mu = 19/9
+    c = _degree_cap_claim(ml(Q(1, 4)) + U, Q(3, 4))
+    v = verify_claim(c)
+    assert not v.holds and recheck_verdict(c, v)
+    s, mu = v.counterexample()
+    assert Q(3, 4) < s < 1 and mu == MU_RANGE[1]
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_crossing_claim_algebraic():

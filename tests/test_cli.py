@@ -146,6 +146,7 @@ def test_non_finite_perron_estimate_exits_1_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "error: non-finite estimate" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert not (out / "manifest.json").exists()
 
 def test_parse_int_literal_exact():
