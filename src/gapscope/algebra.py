@@ -262,10 +262,6 @@ def pderiv(p: Poly) -> Poly:
     return trim([p[i] * i for i in range(1, len(p))])
 
 
-def monic(p: Poly) -> Poly:
-    return pscale(p, 1 / p[-1]) if p else []
-
-
 def _monic(n: list[int]) -> Poly:
     return [Q(c, n[-1]) for c in n]
 

@@ -4,10 +4,11 @@ sups, large-value classification, and the R / R* counting machinery.
 A factor is one short polynomial S(s) = sum_{N < n <= 2N} a_n n^{-s} with
 unit, log, or Moebius coefficients (or the singleton constant 1).
 
-Every factor value comes from one kernel, `eval_factor_lattice`, which
-evaluates on a lattice t = base + offset as one matrix product per chunk of
-bases; `eval_factor_grid` is its single-offset case and `eval_factor` the
-compensated pointwise oracle.
+Every factor value is built from the phase rows a_n n^(-c) e^(-it log n) of
+`_phase_rows`.  `eval_factor_lattice` evaluates on a lattice t = base +
+offset as one matrix product per chunk of bases; `eval_factor_grid` sums
+each row on its own, so a point's value does not depend on the batch it is
+evaluated in; `eval_factor` is the compensated pointwise oracle.
 
 The sup over a unit interval is approximated by G equally spaced samples
 plus golden-section refinement around the best sample; this underestimates
@@ -18,10 +19,14 @@ Large-value classification (`classify_profile`) bins each unit interval
 [m, m+1] of [T, 2T] by the dyadic band N^(1-c) 2^(-b) of every factor's sup;
 below the 1/x floor it falls into the leftover class S0.  Each active
 factor's sample lattice is built once, bracketed, folded into the product
-lattice and freed; each golden step then makes one `eval_factor_grid` call
-per factor at its own points and one at the product's.  Bands come from
-numpy logs, the scalar `band_index` redoing any sup within 1e-9 of a band
-edge, and `np.unique` groups the band rows into cells.
+lattice and freed.  At each golden step every active factor needs its own
+bracket's two points and the product's two; a point bitwise equal to one
+the factor met in this step or the last (the carried golden point, or a
+product bracket equal to the factor's) reuses that value, and the rest go
+to one `eval_factor_grid` call per factor.  The product multiplies the
+factor values.  Bands come from numpy logs, the scalar `band_index` redoing
+any sup within 1e-9 of a band edge, and `np.unique` groups the band rows
+into cells.
 """
 
 from __future__ import annotations
@@ -95,6 +100,14 @@ def eval_factor(f: PolyFactor, c: float, t: float) -> complex:
     return complex(re, im)
 
 
+def _phase_rows(ts: np.ndarray, logs: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """Rows mags * e^(-i t log n), one per t in ts."""
+    rows = -1j * np.outer(ts, logs)
+    np.exp(rows, out=rows)
+    rows *= mags
+    return rows
+
+
 def eval_factor_lattice(
     f: PolyFactor, c: float, bases: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
@@ -119,15 +132,28 @@ def eval_factor_lattice(
     for b in range(0, len(offsets), width):
         shifts = np.exp(-1j * np.outer(logs, offsets[b : b + width]))
         for a in range(0, len(bases), step):
-            rows = np.exp(-1j * np.outer(bases[a : a + step], logs))
-            rows *= mags
-            out[a : a + step, b : b + width] = rows @ shifts
+            out[a : a + step, b : b + width] = _phase_rows(bases[a : a + step], logs, mags) @ shifts
     return out
 
 
 def eval_factor_grid(f: PolyFactor, c: float, ts: np.ndarray) -> np.ndarray:
-    """Factor values on an array of t: the lattice with the single offset 0."""
-    return eval_factor_lattice(f, c, ts, (0.0,))[:, 0]
+    """Factor values on an array of t, each the row sum of its own phase row.
+
+    A value depends only on its t, never on the batch: numpy sums each row
+    alone (pairwise), where a matrix-vector product takes a different path
+    for a single row.  Rows are built EVAL_BUDGET // N at a time.
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    ns, an = f.support()
+    if len(ns) == 0:
+        return np.zeros(len(ts), dtype=complex)
+    logs = np.log(ns.astype(np.float64))
+    mags = an * np.exp(-c * logs)
+    out = np.empty(len(ts), dtype=complex)
+    step = max(1, EVAL_BUDGET // len(ns))
+    for a in range(0, len(ts), step):
+        out[a : a + step] = _phase_rows(ts[a : a + step], logs, mags).sum(axis=1)
+    return out
 
 
 def eval_product_grid(factors: Sequence[PolyFactor], c: float, ts: np.ndarray) -> np.ndarray:
@@ -164,8 +190,9 @@ def sup_on_unit_interval(
     refine_iters: int = 3,
 ) -> SupEstimate:
     """Approximate sup over [m, m+1] of |prod S_i(c+it)|."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    _check_sampling(c, samples, refine_iters, 1)
     fs = [factors] if isinstance(factors, PolyFactor) else list(factors)
     ts = m + np.linspace(0.0, 1.0, samples + 1)
     vals = np.abs(eval_product_grid(fs, c, ts))
@@ -187,11 +214,46 @@ def sup_on_unit_interval(
     return SupEstimate(peak, used)
 
 
+def _check_sampling(c: float, samples: int, refine_iters: int, intervals: int) -> None:
+    """Refuse a sup grid with bad parameters, or one over EVAL_BUDGET samples."""
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if refine_iters < 0:
+        raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
+    if intervals * (samples + 1) > EVAL_BUDGET:
+        raise CapacityError(f"{intervals} unit intervals of {samples + 1} samples "
+                            "are over the evaluation budget")
+
+
 def _bracket(vals: np.ndarray, ms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Rows lo, hi, peak of sampled |values|: the best sample and its neighbours."""
     best = np.argmax(vals, axis=1)
     nearby = offsets[np.clip([best - 1, best + 1], 0, len(offsets) - 1)]
     return np.vstack((ms + nearby, vals[np.arange(len(ms)), best]))
+
+
+def _eval_once(f: PolyFactor, c: float, want: np.ndarray,
+               known: np.ndarray, known_vals: np.ndarray) -> np.ndarray:
+    """Values of f at the points want (rows of points, one column per member).
+
+    A point bitwise equal to a known point or to an earlier row's point in
+    the same column takes that value; the rest go to one eval_factor_grid
+    call, whose values do not depend on the batch.
+    """
+    # first[r, m]: the first source row (the known rows, then want's) whose
+    # point in column m equals want[r, m], or row r itself: source s weighs
+    # j - s up to row r's own slot and 0 after it
+    k, j = len(want), len(known) + len(want)
+    weights = np.tri(k, j, len(known), dtype=np.int8) * np.arange(j, 0, -1, dtype=np.int8)
+    same = want[:, None] == np.concatenate((known, want))
+    first = j - (same * weights[:, :, None]).max(axis=1)
+    miss = first == len(known) + np.arange(k)[:, None]
+    out = np.empty(want.shape, dtype=complex)
+    out[miss] = eval_factor_grid(f, c, want[miss])
+    # a hit's first match is known or a miss of this call, whose value is set
+    return np.concatenate((known_vals, out))[first, np.arange(want.shape[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +337,11 @@ def classify_profile(
     refine_iters: int = 3,
 ) -> Classification:
     """Assign every integer m in [T, 2T] to one profile cell or S0."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    if not (math.isfinite(T) and T >= 1):
+        raise ValueError(f"T must be finite and >= 1, got {T}")
+    if floor_x is not None and not (math.isfinite(floor_x) and floor_x > 0):
+        raise ValueError(f"floor_x must be finite and > 0, got {floor_x}")
+    _check_sampling(c, samples, refine_iters, math.floor(2 * T) - math.ceil(T) + 1)
     fs = tuple(factors)
     ms = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=np.int64)
     if floor_x is None:
@@ -295,16 +360,23 @@ def classify_profile(
         groups.append(_bracket(np.abs(prod), grid, offsets))
     # one row per group: golden steps on every bracket at once, ties going left
     lo, hi, peak = np.moveaxis(np.reshape(groups, (len(groups), 3, len(ms))), 1, 0)
+    # per active factor, the points and values of its last golden step
+    has_prod, empty = len(groups) > len(actives), np.empty((0, len(ms)))
+    seen = [(empty, empty.astype(complex))] * len(actives)
     for _ in range(refine_iters):
         t1, t2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-        points = np.concatenate((t1, t2), axis=1)
-        vals = [np.abs(eval_factor_grid(f, c, pts)) for f, pts in zip(actives, points)]
-        if len(groups) > len(actives):
-            prod = np.ones(points.shape[1], dtype=complex)
-            for f in actives:
-                prod *= eval_factor_grid(f, c, points[-1])
+        vals, prod = [], np.ones((2, len(ms)), dtype=complex)
+        for i, f in enumerate(actives):
+            # the factor's own points, then the product's (the last group)
+            want = np.array((t1[i], t2[i], t1[-1], t2[-1]) if has_prod else (t1[i], t2[i]))
+            z = _eval_once(f, c, want, *seen[i])
+            seen[i] = want, z
+            vals.append(np.abs(z[:2]))
+            if has_prod:
+                prod *= z[2:]
+        if has_prod:
             vals.append(np.abs(prod))
-        v1, v2 = np.split(np.reshape(vals, points.shape), 2, axis=1)
+        v1, v2 = np.moveaxis(np.reshape(vals, (len(groups), 2, len(ms))), 1, 0)
         peak = np.maximum(peak, np.maximum(v1, v2))
         take_left = v1 >= v2
         lo, hi = np.where(take_left, lo, t1), np.where(take_left, t2, hi)
@@ -347,12 +419,13 @@ def count_R_Rstar(
 
     R* is the additive energy sum_s r(s)^2, with r(s) the number of ordered
     pairs summing to s, counted in int64 by bincounts of the pair sums,
-    EVAL_BUDGET pairs at a time, and squared and summed as Python integers:
-    O(R^2) time and O(max - min) memory, so the spread of the members is held
-    to the budget.
+    EVAL_BUDGET pairs at a time: O(R^2) time and O(max - min) memory, so the
+    spread of the members is held to the budget.  The squares are summed by
+    an int64 dot while R < 2^21 (then R* <= R^3 < 2^63) and as Python
+    integers above that.
     """
     ms = sorted(members)
-    if any(not (T <= m <= 2 * T) for m in ms):
+    if ms and not (T <= ms[0] and ms[-1] <= 2 * T):
         raise ValueError("member set must sit inside [T, 2T]")
     r_star = 0
     if ms:
@@ -363,7 +436,7 @@ def count_R_Rstar(
         step = max(1, EVAL_BUDGET // len(a))
         for i in range(0, len(a), step):
             r += np.bincount((a[i : i + step, None] + a).ravel(), minlength=len(r))
-        r_star = sum(v * v for v in r[r > 0].tolist())
+        r_star = int(r @ r) if len(a) < 2**21 else sum(v * v for v in r.tolist())
     x1 = sigma = mu = None
     if profile is not None:
         x1 = float(math.prod(profile.lengths))

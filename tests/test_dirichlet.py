@@ -6,6 +6,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapscope.dirichlet import (
     GOLDEN,
@@ -111,6 +113,37 @@ def test_lattice_chunks_agree(monkeypatch):
     assert np.allclose(chunked, whole, rtol=0, atol=1e-12)
 
 
+_any_factor = st.one_of(
+    st.just(singleton_factor()),
+    st.builds(lambda mk, k: mk(2**k),
+              st.sampled_from([unit_factor, log_factor, mobius_factor]), st.integers(2, 10)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_factor, st.floats(1.0, 1.5, exclude_min=True),
+       st.lists(st.floats(1.0, 1e4), min_size=1, max_size=40), st.randoms(use_true_random=False))
+def test_grid_values_do_not_depend_on_the_batch(f, c, ts, rnd):
+    # golden refinement reuses a point's value from whichever batch computed it
+    ts = np.array(ts)
+    full = eval_factor_grid(f, c, ts)
+    for i in range(len(ts)):
+        assert np.array_equal(eval_factor_grid(f, c, ts[i : i + 1]), full[i : i + 1])
+    subset = sorted(rnd.sample(range(len(ts)), rnd.randint(1, len(ts))))
+    order = rnd.sample(range(len(ts)), len(ts))
+    for idx in (subset, order):
+        assert np.array_equal(eval_factor_grid(f, c, ts[idx]), full[idx])
+
+
+def test_grid_chunks_are_bit_identical(monkeypatch):
+    import gapscope.dirichlet as dirichlet
+
+    f, c, ts = mobius_factor(64), 1.1, np.linspace(1.0, 1e4, 257)
+    whole = eval_factor_grid(f, c, ts)
+    monkeypatch.setattr(dirichlet, "EVAL_BUDGET", 100)  # one row per chunk
+    assert np.array_equal(eval_factor_grid(f, c, ts), whole)
+
+
 # ---------------------------------------------------------------------------
 # sups
 # ---------------------------------------------------------------------------
@@ -208,6 +241,54 @@ def test_profile_sigma_grid_spacing():
         assert sigma <= 1.0
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"T": math.inf}, "T must be finite"),
+    ({"T": math.nan}, "T must be finite"),
+    ({"T": 50.0, "c": math.nan}, "c must be finite"),
+    ({"T": 50.0, "c": math.inf}, "c must be finite"),
+    ({"T": 50.0, "floor_x": math.nan}, "floor_x must be finite"),
+    ({"T": 50.0, "floor_x": math.inf}, "floor_x must be finite"),
+    ({"T": 50.0, "floor_x": 0.0}, "floor_x must be finite and > 0"),
+    ({"T": 50.0, "floor_x": -4.0}, "floor_x must be finite and > 0"),
+    ({"T": 50.0, "samples": 0}, "samples must be >= 1"),
+    ({"T": 50.0, "samples": -3}, "samples must be >= 1"),
+    ({"T": 50.0, "refine_iters": -1}, "refine_iters must be >= 0"),
+], ids=["T-inf", "T-nan", "c-nan", "c-inf", "floor-nan", "floor-inf", "floor-zero",
+        "floor-negative", "samples-zero", "samples-negative", "refine-negative"])
+def test_classification_refuses_bad_inputs(kwargs, match):
+    kwargs = {"c": 1.1, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        classify_profile([unit_factor(16), mobius_factor(8)], **kwargs)
+
+
+def test_classification_refuses_grids_over_budget_before_allocating(monkeypatch):
+    import gapscope.dirichlet as dirichlet
+
+    # 10^12 + 1 unit intervals of 33 samples would ask numpy for 7.28 TiB
+    with pytest.raises(CapacityError, match="over the evaluation budget"):
+        classify_profile([unit_factor(16)], 1.1, 1e12)
+    monkeypatch.setattr(dirichlet, "EVAL_BUDGET", 3 * 33)
+    assert classify_profile([unit_factor(4)], 1.1, 2.0).total() == 3  # at the budget
+    with pytest.raises(CapacityError):
+        classify_profile([unit_factor(4)], 1.1, 3.0)
+    with pytest.raises(CapacityError):
+        sup_on_unit_interval(unit_factor(4), 1.1, 5, samples=99)
+
+
+@pytest.mark.parametrize("m", [1.5, 3.0, 0, -2, math.nan])
+def test_sup_refuses_non_integer_or_small_m(m):
+    with pytest.raises(ValueError, match="m must be an integer >= 1"):
+        sup_on_unit_interval(unit_factor(8), 1.1, m)
+
+
+@pytest.mark.parametrize("kwargs", [{"c": math.nan}, {"samples": 0}, {"refine_iters": -1}])
+def test_sup_refuses_bad_sampling(kwargs):
+    args = {"c": 1.1, "m": 5, **kwargs}
+    with pytest.raises(ValueError):
+        sup_on_unit_interval(unit_factor(8), **args)
+    assert sup_on_unit_interval(unit_factor(8), 1.1, np.int64(5)).value > 0
+
+
 # ---------------------------------------------------------------------------
 # the per-interval classifier that the array one replaced, kept as its oracle:
 # a full sample lattice and 1-D golden refinement for each factor and for the
@@ -294,6 +375,28 @@ def test_classification_matches_reference_bit_for_bit():
 ], ids=["long-T", "singleton", "no-factors", "three-with-singleton", "empty-support"])
 def test_classification_matches_reference_edge_sets(factors, c, T):
     _assert_same_classification(factors, c, T)
+
+
+def test_refinement_evaluates_repeated_points_once(monkeypatch):
+    import gapscope.dirichlet as dirichlet
+
+    grid, asked = dirichlet.eval_factor_grid, []
+
+    def counting_grid(f, c, ts):
+        asked.append(len(ts))
+        return grid(f, c, ts)
+
+    monkeypatch.setattr(dirichlet, "eval_factor_grid", counting_grid)
+    factors, c, T = [unit_factor(16), mobius_factor(8)], 1.12, 3000.0
+    got = classify_profile(factors, c, T)
+    reused = sum(asked)
+    asked.clear()
+    cells, s0, sups = _ref_classify_profile(factors, c, T)
+    assert sum(asked) == 72024  # 3 golden steps x 2 points x 3001 members x 4 evaluations
+    assert reused < 0.6 * sum(asked)
+    assert list(got.cells.items()) == list(cells.items())
+    assert got.s0 == s0
+    assert list(got.sups.items()) == list(sups.items())
 
 
 def test_factor_lattice_product_equals_product_lattice():
@@ -437,6 +540,16 @@ def test_count_sandwich():
 def test_count_rejects_out_of_range():
     with pytest.raises(ValueError):
         count_R_Rstar([5, 50], 10.0)
+
+
+def test_count_domain_is_checked_at_both_ends():
+    assert (count_R_Rstar([13], 10.0).R, count_R_Rstar([13], 10.0).R_star) == (1, 1)
+    ends = count_R_Rstar([20, 10], 10.0)  # exactly T and 2T
+    assert (ends.R, ends.R_star) == (2, rstar_bruteforce([10, 20]))
+    assert count_R_Rstar([11, 21], 10.5).R == 2
+    for ms, T in (([9, 15, 20], 10.0), ([10, 15, 21], 10.0), ([10, 16], 10.5), ([11, 22], 10.5)):
+        with pytest.raises(ValueError, match="inside"):
+            count_R_Rstar(ms, T)
 
 
 # ---------------------------------------------------------------------------
