@@ -10,23 +10,29 @@ offset as one matrix product per chunk of bases; `eval_factor_grid` sums
 each row on its own, so a point's value does not depend on the batch it is
 evaluated in; `eval_factor` is the compensated pointwise oracle.
 
-The sup over a unit interval is approximated by G equally spaced samples
-plus golden-section refinement around the best sample; this underestimates
-the true sup by at most a Lipschitz factor |S'| <= sum |a_n| log(n) n^{-c},
-which callers can query via `lipschitz_bound`.
+The sup over a unit interval is approximated by G + 1 equally spaced
+samples (both ends included) plus golden-section refinement around the best
+sample.  For one factor the samples also prove a ceiling: P(t) = |S(c+it)|^2
+has frequencies log(n/m) in (-log 2, log 2), so Bernstein's inequality for
+bounded functions of exponential type (Boas, Entire Functions, 1954, ch. 11)
+gives |P''| <= (A log 2)^2 with A = sum |a_n| n^(-c).  P' vanishes at an
+interior maximum and some sample lies within h/2 = 1/(2G) of it, so the sup
+is at most U = sqrt(s^2 + (h A log 2)^2 / 8), s the best sample
+(`_sup_ceiling`, padded for float error).
 
 Large-value classification (`classify_profile`) bins each unit interval
 [m, m+1] of [T, 2T] by the dyadic band N^(1-c) 2^(-b) of every factor's sup;
 below the 1/x floor it falls into the leftover class S0.  Each active
 factor's sample lattice is built once, bracketed, folded into the product
-lattice and freed.  At each golden step every active factor needs its own
-bracket's two points and the product's two; a point bitwise equal to one
-the factor met in this step or the last (the carried golden point, or a
-product bracket equal to the factor's) reuses that value, and the rest go
-to one `eval_factor_grid` call per factor.  The product multiplies the
-factor values.  Bands come from numpy logs, the scalar `band_index` redoing
-any sup within 1e-9 of a band edge, and `np.unique` groups the band rows
-into cells.
+lattice and freed.  `_golden` refines the product's bracket for every member,
+since its sup is reported.  A factor of a multi-factor set is refined on its
+own bracket only for members whose best sample s and ceiling U fall in
+different bands; elsewhere s <= refined peak <= sup <= U fixes the band
+from the samples.  Each golden step reuses the carried point's value when it
+is bitwise equal to one of the last step's, and sends the rest to one
+`eval_factor_grid` call per factor.  Bands come from numpy logs, the scalar
+`band_index` redoing any sup within 1e-9 of a band edge, and cells take the
+band rows in order of first appearance.
 """
 
 from __future__ import annotations
@@ -163,15 +169,6 @@ def eval_product_grid(factors: Sequence[PolyFactor], c: float, ts: np.ndarray) -
     return out
 
 
-def lipschitz_bound(f: PolyFactor, c: float) -> float:
-    """|S'(c+it)| <= sum |a_n| log(n) n^(-c), the documented sup padding."""
-    ns, an = f.support()
-    if len(ns) == 0:
-        return 0.0
-    nf = ns.astype(np.float64)
-    return float(np.sum(np.abs(an) * np.log(np.maximum(nf, 2.0)) * nf**-c))
-
-
 # ---------------------------------------------------------------------------
 # Unit-interval sups
 # ---------------------------------------------------------------------------
@@ -190,38 +187,29 @@ def sup_on_unit_interval(
     refine_iters: int = 3,
 ) -> SupEstimate:
     """Approximate sup over [m, m+1] of |prod S_i(c+it)|."""
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
+    if not (_is_int(m) and m >= 1):
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     _check_sampling(c, samples, refine_iters, 1)
     fs = [factors] if isinstance(factors, PolyFactor) else list(factors)
-    ts = m + np.linspace(0.0, 1.0, samples + 1)
-    vals = np.abs(eval_product_grid(fs, c, ts))
-    best = int(np.argmax(vals))
-    peak = float(vals[best])
-    used = len(ts)
-    lo = ts[max(0, best - 1)]
-    hi = ts[min(len(ts) - 1, best + 1)]
-    for _ in range(refine_iters):
-        t1 = hi - GOLDEN * (hi - lo)
-        t2 = lo + GOLDEN * (hi - lo)
-        v = np.abs(eval_product_grid(fs, c, np.array([t1, t2])))
-        used += 2
-        peak = max(peak, float(v.max()))
-        if v[0] >= v[1]:
-            hi = t2
-        else:
-            lo = t1
-    return SupEstimate(peak, used)
+    base, offsets = np.array([float(m)]), np.linspace(0.0, 1.0, samples + 1)
+    vals = np.abs(eval_product_grid(fs, c, base + offsets))
+    peak = _golden(fs, c, *_bracket(vals[None], base, offsets), refine_iters)
+    return SupEstimate(float(peak[0]), samples + 1 + 2 * refine_iters)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_sampling(c: float, samples: int, refine_iters: int, intervals: int) -> None:
     """Refuse a sup grid with bad parameters, or one over EVAL_BUDGET samples."""
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if refine_iters < 0:
-        raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
+    for name, value, least in (("samples", samples, 1), ("refine_iters", refine_iters, 0)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if intervals * (samples + 1) > EVAL_BUDGET:
         raise CapacityError(f"{intervals} unit intervals of {samples + 1} samples "
                             "are over the evaluation budget")
@@ -234,26 +222,49 @@ def _bracket(vals: np.ndarray, ms: np.ndarray, offsets: np.ndarray) -> np.ndarra
     return np.vstack((ms + nearby, vals[np.arange(len(ms)), best]))
 
 
-def _eval_once(f: PolyFactor, c: float, want: np.ndarray,
-               known: np.ndarray, known_vals: np.ndarray) -> np.ndarray:
-    """Values of f at the points want (rows of points, one column per member).
+def _golden(fs: Sequence[PolyFactor], c: float, lo: np.ndarray, hi: np.ndarray,
+            peak: np.ndarray, refine_iters: int) -> np.ndarray:
+    """Golden-section refinement of |prod fs| on every bracket [lo, hi] at once.
 
-    A point bitwise equal to a known point or to an earlier row's point in
-    the same column takes that value; the rest go to one eval_factor_grid
-    call, whose values do not depend on the batch.
+    Each step keeps the side of the larger point, ties going left, and
+    returns the best of peak and every value met.  A new point bitwise equal
+    to one of the last step's (the carried golden point) keeps its value; the
+    rest go to one eval_factor_grid call per factor, whose values do not
+    depend on the batch.
     """
-    # first[r, m]: the first source row (the known rows, then want's) whose
-    # point in column m equals want[r, m], or row r itself: source s weighs
-    # j - s up to row r's own slot and 0 after it
-    k, j = len(want), len(known) + len(want)
-    weights = np.tri(k, j, len(known), dtype=np.int8) * np.arange(j, 0, -1, dtype=np.int8)
-    same = want[:, None] == np.concatenate((known, want))
-    first = j - (same * weights[:, :, None]).max(axis=1)
-    miss = first == len(known) + np.arange(k)[:, None]
-    out = np.empty(want.shape, dtype=complex)
-    out[miss] = eval_factor_grid(f, c, want[miss])
-    # a hit's first match is known or a miss of this call, whose value is set
-    return np.concatenate((known_vals, out))[first, np.arange(want.shape[1])]
+    pts = vals = np.empty((0, len(lo)))
+    for _ in range(refine_iters):
+        new = np.array((hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)))
+        v, miss = np.empty(new.shape), np.ones(new.shape, dtype=bool)
+        for p, pv in zip(pts, vals):
+            hit = miss & (new == p)
+            np.copyto(v, pv, where=hit)
+            miss &= ~hit
+        ts = new[miss]
+        z = np.ones(len(ts), dtype=complex)
+        for f in fs:
+            z *= eval_factor_grid(f, c, ts)
+        v[miss] = np.abs(z)
+        peak = np.maximum(peak, np.maximum(v[0], v[1]))
+        take_left = v[0] >= v[1]
+        lo, hi = np.where(take_left, lo, new[0]), np.where(take_left, new[1], hi)
+        pts, vals = new, v
+    return peak
+
+
+def _sup_ceiling(f: PolyFactor, c: float, s: np.ndarray, samples: int, t_top: float) -> np.ndarray:
+    """Bernstein ceiling U >= sup |f| over unit intervals whose best sample is s.
+
+    Padded for float error by a relative 1e-12 (the square root) and
+    8 A eps (len(support) + t_top log 2N): half of that bounds the rounding
+    of one computed value at t <= t_top (its sum of len(support) terms and
+    its phases t log n), and both s and a refined peak carry it.
+    """
+    ns, an = f.support()
+    nf = ns.astype(np.float64)
+    A = float(np.sum(np.abs(an) * nf ** -c))
+    slack = 8 * A * np.finfo(np.float64).eps * (len(ns) + t_top * math.log(2 * float(f.N)))
+    return np.sqrt(s * s + (A * math.log(2) / samples) ** 2 / 8) * (1 + 1e-12) + slack
 
 
 # ---------------------------------------------------------------------------
@@ -346,50 +357,40 @@ def classify_profile(
     ms = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=np.int64)
     if floor_x is None:
         floor_x = max(2.0, float(math.prod(f.N for f in fs)))
-    actives = [f for f in fs if f.cls is not CoefficientClass.SINGLETON]
+    actives = [(i, f) for i, f in enumerate(fs) if f.cls is not CoefficientClass.SINGLETON]
     grid, offsets = ms.astype(np.float64), np.linspace(0.0, 1.0, samples + 1)
     # Each active factor's lattice is bracketed, folded into the product and
     # freed; singletons are exactly 1, so the product (of 2+ factors) skips them.
-    groups, prod = [], None
-    for f in actives:
+    brackets, prod = [], None
+    for _, f in actives:
         lattice = eval_factor_lattice(f, c, grid, offsets)
-        groups.append(_bracket(np.abs(lattice), grid, offsets))
+        brackets.append(_bracket(np.abs(lattice), grid, offsets))
         prod = lattice if prod is None else np.multiply(prod, lattice, out=prod)
         del lattice
+    prod_sup = np.ones(len(ms))
     if len(actives) > 1:
-        groups.append(_bracket(np.abs(prod), grid, offsets))
-    # one row per group: golden steps on every bracket at once, ties going left
-    lo, hi, peak = np.moveaxis(np.reshape(groups, (len(groups), 3, len(ms))), 1, 0)
-    # per active factor, the points and values of its last golden step
-    has_prod, empty = len(groups) > len(actives), np.empty((0, len(ms)))
-    seen = [(empty, empty.astype(complex))] * len(actives)
-    for _ in range(refine_iters):
-        t1, t2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-        vals, prod = [], np.ones((2, len(ms)), dtype=complex)
-        for i, f in enumerate(actives):
-            # the factor's own points, then the product's (the last group)
-            want = np.array((t1[i], t2[i], t1[-1], t2[-1]) if has_prod else (t1[i], t2[i]))
-            z = _eval_once(f, c, want, *seen[i])
-            seen[i] = want, z
-            vals.append(np.abs(z[:2]))
-            if has_prod:
-                prod *= z[2:]
-        if has_prod:
-            vals.append(np.abs(prod))
-        v1, v2 = np.moveaxis(np.reshape(vals, (len(groups), 2, len(ms))), 1, 0)
-        peak = np.maximum(peak, np.maximum(v1, v2))
-        take_left = v1 >= v2
-        lo, hi = np.where(take_left, lo, t1), np.where(take_left, t2, hi)
-    prod_sup = peak[-1] if actives else np.ones(len(ms))
-
-    sups = iter(peak)  # singleton factors occupy the top cell by convention
-    bands = np.reshape([np.zeros(len(ms), np.int64) if f.cls is CoefficientClass.SINGLETON
-                        else _bands(next(sups), f.N, c, floor_x) for f in fs], (len(fs), len(ms))).T
+        prod_sup = _golden([f for _, f in actives], c, *_bracket(np.abs(prod), grid, offsets),
+                           refine_iters)
+    del prod
+    bands = np.zeros((len(ms), len(fs)), dtype=np.int64)  # singletons sit in the top cell
+    for (i, f), (lo, hi, s) in zip(actives, brackets):
+        if len(actives) == 1:  # the factor is the product, refined for its sup
+            prod_sup = _golden([f], c, lo, hi, s, refine_iters)
+            bands[:, i] = _bands(prod_sup, f.N, c, floor_x)
+            continue
+        # s <= sup <= U: refine only members whose band [s, U] leaves in doubt
+        ceiling = _sup_ceiling(f, c, s, samples, float(ms[-1] + 1))
+        bands[:, i], upper = _bands(np.concatenate((s, ceiling)), f.N, c, floor_x).reshape(2, -1)
+        doubt = np.flatnonzero(bands[:, i] != upper)
+        if len(doubt):
+            peak = _golden([f], c, lo[doubt], hi[doubt], s[doubt], refine_iters)
+            bands[doubt, i] = _bands(peak, f.N, c, floor_x)
     dead = (bands < 0).any(axis=1)
-    live, lengths = ms[~dead], tuple(f.N for f in fs)
-    rows, first, inverse = np.unique(bands[~dead], axis=0, return_index=True, return_inverse=True)
-    cells = {LargeValueProfile(tuple(rows[k].tolist()), c, lengths):
-             live[inverse.reshape(-1) == k].tolist() for k in np.argsort(first)}
+    groups = {}  # band row -> members, in order of first appearance
+    for m, row in zip(ms[~dead].tolist(), bands[~dead].tolist()):
+        groups.setdefault(tuple(row), []).append(m)
+    lengths = tuple(f.N for f in fs)
+    cells = {LargeValueProfile(row, c, lengths): members for row, members in groups.items()}
     return Classification(fs, c, float(T), cells, ms[dead].tolist(),
                           dict(zip(ms.tolist(), prod_sup.tolist())))
 
@@ -446,15 +447,6 @@ def count_R_Rstar(
     return LargeValueCounts(float(T), len(ms), r_star, profile, x1, sigma, mu)
 
 
-def rstar_bruteforce(members: Sequence[int]) -> int:
-    """O(R^4) quadruple enumeration (the oracle for count_R_Rstar)."""
-    ms = np.asarray(sorted(members), dtype=np.int64)
-    if len(ms) == 0:
-        return 0
-    sums = (ms[:, None] + ms[None, :]).ravel()
-    return int(np.count_nonzero(sums[:, None] == sums[None, :]))
-
-
 # ---------------------------------------------------------------------------
 # Published-bound comparison formulas (constants set to 1; monitored)
 # ---------------------------------------------------------------------------
@@ -488,15 +480,3 @@ def hb_rstar_rhs(R: int, R_star: int, N: float, sigma_prime: float, T: float) ->
     first = R * N + R**2 + R ** 1.25 * math.sqrt(T)
     second = R_star * N + R**4 + R * R_star**0.75 * math.sqrt(T)
     return N ** (1 - 2 * sigma_prime) * math.sqrt(first) * math.sqrt(second)
-
-
-def hb_rstar_check(counts: LargeValueCounts, N: float, sigma_prime: float, T: float) -> dict:
-    rhs = hb_rstar_rhs(counts.R, counts.R_star, N, sigma_prime, T)
-    ratio = float("nan") if rhs == 0 else counts.R_star / rhs
-    return {
-        "R": counts.R,
-        "R_star": counts.R_star,
-        "rhs": rhs,
-        "ratio": ratio,
-        "vacuous": counts.R == 0,
-    }

@@ -13,10 +13,11 @@ import pytest
 from gapscope import identity as ident
 from gapscope import primes
 from gapscope.claims import verify_claim, recheck_verdict
-from gapscope.dirichlet import count_R_Rstar, rstar_bruteforce
+from gapscope.dirichlet import count_R_Rstar
 from gapscope.experiments import run_large_value_suite, run_perron_decay_suite
 from gapscope.ledger import builtin_ledger, specified_mutations
 from gapscope.nu import optimize_nu
+from test_dirichlet import rstar_bruteforce
 
 PAPER_TABLE = {
     10: 4, 100: 8, 1000: 20, 10**4: 36, 10**5: 72,

@@ -13,6 +13,7 @@ from gapscope.dirichlet import (
     GOLDEN,
     LargeValueProfile,
     _bands,
+    _sup_ceiling,
     band_index,
     classify_profile,
     count_R_Rstar,
@@ -20,14 +21,11 @@ from gapscope.dirichlet import (
     eval_factor_lattice,
     eval_factor_grid,
     eval_product_grid,
-    hb_rstar_check,
     hb_rstar_rhs,
     huxley_rhs,
-    lipschitz_bound,
     log_factor,
     mobius_factor,
     montgomery_rhs,
-    rstar_bruteforce,
     singleton_factor,
     sup_on_unit_interval,
     unit_factor,
@@ -172,8 +170,39 @@ def test_sup_against_dense_grid_oracle():
     assert est.samples >= 33
 
 
-def test_sup_lipschitz_padding_is_finite():
-    assert lipschitz_bound(unit_factor(32), 1.1) > 0
+@st.composite
+def _block_factor(draw):
+    N = 2 ** draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["unit", "log", "mobius", "mobius-cutoff"]))
+    if kind == "mobius-cutoff":
+        return mobius_factor(N, draw(st.integers(N + 1, 2 * N)))
+    return {"unit": unit_factor, "log": log_factor, "mobius": mobius_factor}[kind](N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_factor(), st.floats(1.0, 1.5, exclude_min=True), st.integers(1, 10**4),
+       st.integers(1, 64))
+def test_sup_ceiling_bounds_the_dense_maximum(f, c, m, samples):
+    offsets = np.linspace(0.0, 1.0, samples + 1)
+    s = np.abs(eval_factor_lattice(f, c, np.array([float(m)]), offsets)).max(axis=1)
+    dense = np.abs(eval_factor_grid(f, c, m + np.linspace(0.0, 1.0, 4097))).max()
+    assert dense <= _sup_ceiling(f, c, s, samples, m + 1.0)[0]
+
+
+def test_refined_factor_peaks_lie_between_sample_and_ceiling():
+    # the sandwich s <= refined peak <= U that lets the samples fix a band
+    for seed in range(20):
+        rng = random.Random(seed)
+        c = 1.0 + 1.0 / math.log(rng.uniform(50.0, 5000.0))
+        T = rng.randint(40, 220)
+        ms = np.arange(T, 2 * T + 1, dtype=np.float64)
+        for f in _random_factors(rng):
+            if f.cls is CoefficientClass.SINGLETON:
+                continue
+            s = np.abs(eval_factor_lattice(f, c, ms, np.linspace(0.0, 1.0, 33))).max(axis=1)
+            peak = _ref_sup_grid([f], c, ms, 32, 3)
+            assert np.all(s <= peak)
+            assert np.all(peak <= _sup_ceiling(f, c, s, 32, ms[-1] + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +282,11 @@ def test_profile_sigma_grid_spacing():
     ({"T": 50.0, "samples": 0}, "samples must be >= 1"),
     ({"T": 50.0, "samples": -3}, "samples must be >= 1"),
     ({"T": 50.0, "refine_iters": -1}, "refine_iters must be >= 0"),
+    ({"T": 50.0, "samples": 2.5}, "samples must be an integer, got 2.5"),
+    ({"T": 50.0, "refine_iters": 1.5}, "refine_iters must be an integer, got 1.5"),
 ], ids=["T-inf", "T-nan", "c-nan", "c-inf", "floor-nan", "floor-inf", "floor-zero",
-        "floor-negative", "samples-zero", "samples-negative", "refine-negative"])
+        "floor-negative", "samples-zero", "samples-negative", "refine-negative",
+        "samples-float", "refine-float"])
 def test_classification_refuses_bad_inputs(kwargs, match):
     kwargs = {"c": 1.1, **kwargs}
     with pytest.raises(ValueError, match=match):
@@ -275,7 +307,7 @@ def test_classification_refuses_grids_over_budget_before_allocating(monkeypatch)
         sup_on_unit_interval(unit_factor(4), 1.1, 5, samples=99)
 
 
-@pytest.mark.parametrize("m", [1.5, 3.0, 0, -2, math.nan])
+@pytest.mark.parametrize("m", [1.5, 3.0, 0, -2, math.nan, True])
 def test_sup_refuses_non_integer_or_small_m(m):
     with pytest.raises(ValueError, match="m must be an integer >= 1"):
         sup_on_unit_interval(unit_factor(8), 1.1, m)
@@ -377,6 +409,34 @@ def test_classification_matches_reference_edge_sets(factors, c, T):
     _assert_same_classification(factors, c, T)
 
 
+@pytest.mark.parametrize("factors,c,T", [
+    ([unit_factor(16), mobius_factor(8)], 1.12, 300.0),
+    ([unit_factor(8), singleton_factor(), log_factor(4), mobius_factor(4)], 1.07, 100.0),
+], ids=["two-factors", "three-with-singleton"])
+def test_bands_in_doubt_refine_the_factor_bracket(monkeypatch, factors, c, T):
+    import gapscope.dirichlet as dirichlet
+
+    golden, own = dirichlet._golden, []
+
+    def recording_golden(fs, c, lo, *args):
+        if len(fs) == 1:
+            own.append(len(lo))
+        return golden(fs, c, lo, *args)
+
+    monkeypatch.setattr(dirichlet, "_golden", recording_golden)
+    # 4 samples leave wide ceilings, so many bands stay in doubt
+    got = classify_profile(factors, c, T, samples=4)
+    cells, s0, sups = _ref_classify_profile(factors, c, T, samples=4)
+    assert list(got.cells.items()) == list(cells.items())
+    assert got.s0 == s0
+    assert list(got.sups.items()) == list(sups.items())
+    assert sum(own) > 0
+    # at the default 32 samples the ceilings settle almost every band
+    own.clear()
+    classify_profile(factors, c, T)
+    assert sum(own) < 0.05 * len(got.sups) * (len(factors) - 1)
+
+
 def test_refinement_evaluates_repeated_points_once(monkeypatch):
     import gapscope.dirichlet as dirichlet
 
@@ -397,6 +457,21 @@ def test_refinement_evaluates_repeated_points_once(monkeypatch):
     assert list(got.cells.items()) == list(cells.items())
     assert got.s0 == s0
     assert list(got.sups.items()) == list(sups.items())
+
+
+def test_golden_steps_reuse_the_carried_point(monkeypatch):
+    import gapscope.dirichlet as dirichlet
+
+    grid, asked = dirichlet.eval_factor_grid, []
+
+    def counting_grid(f, c, ts):
+        asked.append(len(ts))
+        return grid(f, c, ts)
+
+    monkeypatch.setattr(dirichlet, "eval_factor_grid", counting_grid)
+    cls = classify_profile([unit_factor(16)], 1.12, 3000.0)
+    # 3 golden steps x 2 points, less the carried point of steps 2 and 3
+    assert sum(asked) < 5 * len(cls.sups)
 
 
 def test_factor_lattice_product_equals_product_lattice():
@@ -493,6 +568,15 @@ def test_count_examples():
     assert count_R_Rstar([], 10.0).R_star == 0
 
 
+def rstar_bruteforce(members) -> int:
+    """O(R^4) quadruple enumeration (the oracle for count_R_Rstar)."""
+    ms = np.asarray(sorted(members), dtype=np.int64)
+    if len(ms) == 0:
+        return 0
+    sums = (ms[:, None] + ms[None, :]).ravel()
+    return int(np.count_nonzero(sums[:, None] == sums[None, :]))
+
+
 def ap_rstar_exact(R: int) -> int:
     """Closed form (2R^3 + R)/3 for an arithmetic progression of length R."""
     return (2 * R**3 + R) // 3
@@ -574,6 +658,18 @@ def test_huxley_rhs_plugin():
     T = N ** (2 / 3)
     s = 2 / 3
     assert N ** (2 - 2 * s) == pytest.approx(T * N ** (4 - 6 * s))
+
+
+def hb_rstar_check(counts, N, sigma_prime, T) -> dict:
+    rhs = hb_rstar_rhs(counts.R, counts.R_star, N, sigma_prime, T)
+    ratio = float("nan") if rhs == 0 else counts.R_star / rhs
+    return {
+        "R": counts.R,
+        "R_star": counts.R_star,
+        "rhs": rhs,
+        "ratio": ratio,
+        "vacuous": counts.R == 0,
+    }
 
 
 def test_hb_rstar_plugin_and_vacuous():
