@@ -1,20 +1,26 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomials and rational functions over the rationals.
 
-At the interface a polynomial is a list of Fractions, low degree first, with
-a nonzero leading coefficient (the zero polynomial is the empty list).
-Inside, each function converts each input once to integers over one common
-denominator, works in Python ints and builds one Fraction per returned
-coefficient or value.
+Inside, a polynomial is a list of Python ints, low degree first, with a
+nonzero leading coefficient (the zero polynomial is the empty list).
+Fractions appear only at the edges: the coefficient sequences that
+`RatFn.make`, the decisions and `AlgebraicNumber` take, each converted once
+to integers over one common denominator (`_ints`), and the Fraction values,
+coefficients and certificate strings they hand back.
+
+`RatFn` holds a rational function as integer polynomials N, D over one
+positive scale k: N/k and D/k are, coefficient for coefficient, the
+numerator and denominator over Q in lowest terms (divided by their monic
+gcd, D's leading coefficient positive).
 
 gcds, square-free parts and Sturm chains use primitive remainder sequences
 over Z (Knuth, TAOCP Vol. 2, 4.6.1): each pseudo-remainder is divided by its
 content, so coefficients do not swell as in Euclid over Q.  A Sturm chain
 member is sign-corrected to a positive multiple of Euclid's member, so sign
 variations are unchanged; the sign at p/q (q > 0) is that of
-sum_i c_i p^i q^(d-i).  Each decision (root count, isolation, sign
-refinement, nonnegativity on a closed interval, comparison of an algebraic
-number given as (polynomial, isolating interval)) builds one square-free
-part and one chain per polynomial and reuses them at every bisection step.
+sum_i c_i p^i q^(d-i).  Each decision (root isolation, sign on an interval,
+nonnegativity on a closed interval, comparison of an algebraic number given
+as (polynomial, isolating interval)) builds one square-free part and one
+chain per polynomial and reuses them at every bisection step.
 
 Everything here is exact; no floats enter any decision.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence
 
@@ -37,39 +44,20 @@ def poly(coeffs: Sequence) -> Poly:
     return p
 
 
-def trim(p: Sequence[Fraction]) -> Poly:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def degree(p: Poly) -> int:
-    return len(p) - 1  # -1 for the zero polynomial
-
-
 # ---------------------------------------------------------------------------
 # Integer polynomials (private): lists of ints, low degree first
 # ---------------------------------------------------------------------------
 
 def _ints(p: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(N, D) with p == N / D, D > 0 the lcm of the denominators."""
+    """(N, d) with p == N / d, N trimmed and d > 0 the lcm of the denominators."""
     d = 1
     for c in p:
         if c.denominator != 1:
             d = lcm(d, c.denominator)
-    if d == 1:
-        return [c.numerator for c in p], 1
-    return [c.numerator * (d // c.denominator) for c in p], d
-
-
-def _fractions(n: list[int], d: int) -> Poly:
-    """The Fraction polynomial n / d, trimmed."""
+    n = [c.numerator * (d // c.denominator) for c in p]
     while n and not n[-1]:
         n.pop()
-    if d == 1:
-        return [Q(c) for c in n]
-    return [Q(c, d) for c in n]
+    return n, d
 
 
 def _primitive(n: list[int]) -> list[int]:
@@ -82,6 +70,25 @@ def _primitive(n: list[int]) -> list[int]:
 
 def _deriv(n: list[int]) -> list[int]:
     return [i * n[i] for i in range(1, len(n))]
+
+
+def _add(a: Sequence[int], b: Sequence[int], sign: int = 1) -> list[int]:
+    """a + sign * b, trimmed."""
+    out = [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _horner(n: list[int], x: Fraction) -> int:
@@ -206,98 +213,89 @@ class _Sturm:
 
 
 # ---------------------------------------------------------------------------
-# Fraction polynomial kernels
+# Rational functions
 # ---------------------------------------------------------------------------
 
-def peval(p: Poly, x: Fraction) -> Fraction:
-    return _value(*_ints(p), x)
+@dataclass(frozen=True)
+class RatFn:
+    """(N/k) / (D/k) for integer polynomials N, D and a scale k > 0.
 
+    `num` and `den`, the Fraction coefficients N/k and D/k, are in lowest
+    terms: divided by their monic gcd, with den's leading coefficient
+    positive.  N, D and k have no common integer factor.
+    """
 
-def padd(a: Poly, b: Poly) -> Poly:
-    return _combine(a, b, 1)
+    N: tuple[int, ...]
+    D: tuple[int, ...]
+    k: int = 1
 
+    @staticmethod
+    def make(num, den=(1,)) -> "RatFn":
+        (n, a), (d, b) = _ints(poly(num)), _ints(poly(den))
+        k = lcm(a, b)
+        return RatFn._of([c * (k // a) for c in n], [c * (k // b) for c in d], k)
 
-def psub(a: Poly, b: Poly) -> Poly:
-    return _combine(a, b, -1)
+    @staticmethod
+    def _of(n: list[int], d: list[int], k: int) -> "RatFn":
+        """n/k over d/k in lowest terms, for trimmed n and d."""
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        # a nonzero constant n or d has gcd 1 with the other side;
+        # a zero n over a non-constant d still reduces (to d's leading term)
+        if len(n) != 1 and len(d) > 1:
+            g = _gcd(_primitive(n), _primitive(d))
+            if len(g) > 1:  # divide by g / lc(g), the monic gcd over Q
+                n = [c * g[-1] for c in _exact_div(n, g)]
+                d = [c * g[-1] for c in _exact_div(d, g)]
+        if d[-1] < 0:
+            n, d = [-c for c in n], [-c for c in d]
+        c = gcd(k, *n, *d)
+        if c > 1:
+            n, d, k = [x // c for x in n], [x // c for x in d], k // c
+        return RatFn(tuple(n), tuple(d), k)
 
+    @staticmethod
+    def const(c) -> "RatFn":
+        p, q = Q(c).as_integer_ratio()  # make([c]), without the gcds
+        return RatFn((p,) if p else (), (q,), q)
 
-def _combine(a: Poly, b: Poly, sign: int) -> Poly:
-    (na, da), (nb, db) = _ints(a), _ints(b)
-    d = lcm(da, db)
-    fa, fb = d // da, sign * (d // db)
-    n = max(len(na), len(nb))
-    na += [0] * (n - len(na))
-    nb += [0] * (n - len(nb))
-    return _fractions([x * fa + y * fb for x, y in zip(na, nb)], d)
+    @property
+    def num(self) -> tuple[Fraction, ...]:
+        return tuple(Q(c, self.k) for c in self.N)
 
+    @property
+    def den(self) -> tuple[Fraction, ...]:
+        return tuple(Q(c, self.k) for c in self.D)
 
-def pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return []
-    (na, da), (nb, db) = _ints(a), _ints(b)
-    out = [0] * (len(na) + len(nb) - 1)
-    for i, x in enumerate(na):
-        if x:
-            for j, y in enumerate(nb):
-                out[i + j] += x * y
-    return _fractions(out, da * db)
+    def __add__(self, o: "RatFn") -> "RatFn":
+        return RatFn._of(_add(_mul(self.N, o.D), _mul(o.N, self.D)),
+                         _mul(self.D, o.D), self.k * o.k)
 
+    def __sub__(self, o: "RatFn") -> "RatFn":
+        return RatFn._of(_add(_mul(self.N, o.D), _mul(o.N, self.D), -1),
+                         _mul(self.D, o.D), self.k * o.k)
 
-def pscale(a: Poly, c: Fraction) -> Poly:
-    na, d = _ints(a)
-    p, q = c.numerator, c.denominator
-    return _fractions([x * p for x in na], d * q)
+    def __mul__(self, o: "RatFn") -> "RatFn":
+        return RatFn._of(_mul(self.N, o.N), _mul(self.D, o.D), self.k * o.k)
 
+    def __truediv__(self, o: "RatFn") -> "RatFn":
+        if not o.N:
+            raise ZeroDivisionError
+        return RatFn._of(_mul(self.N, o.D), _mul(self.D, o.N), self.k * o.k)
 
-def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    (na, da), (nb, db) = _ints(a), _ints(b)
-    q, r, m = _pdivmod(na, nb)
-    # m*na = q*nb + r, so a = (q*db / (m*da)) * b + r / (m*da)
-    return _fractions([c * db for c in q], m * da), _fractions(r, m * da)
+    def is_zero(self) -> bool:
+        return not self.N
 
-
-def pderiv(p: Poly) -> Poly:
-    return trim([p[i] * i for i in range(1, len(p))])
-
-
-def _monic(n: list[int]) -> Poly:
-    return [Q(c, n[-1]) for c in n]
-
-
-def pgcd(a: Poly, b: Poly) -> Poly:
-    return _monic(_gcd(_primitive(_ints(a)[0]), _primitive(_ints(b)[0])))
-
-
-def squarefree_part(p: Poly) -> Poly:
-    return _monic(_squarefree(_primitive(_ints(p)[0])))
-
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    """[p, then positive multiples of p', -rem(p, p'), ...] as Fractions."""
-    n = _primitive(_ints(p)[0])
-    if not n:
-        return []
-    return [list(p)] + [[Q(c) for c in m] for m in _chain(n)[1:]]
+    def __call__(self, s: Fraction) -> Fraction:
+        dv = _value(self.D, self.k, s)
+        if dv == 0:
+            raise ZeroDivisionError(f"denominator vanishes at s={s}")
+        return _value(self.N, self.k, s) / dv
 
 
 # ---------------------------------------------------------------------------
 # Decisions
 # ---------------------------------------------------------------------------
-
-def count_roots_halfopen(p_sf: Poly, a: Fraction, b: Fraction) -> int:
-    """Distinct roots in (a, b] for square-free p with p(a) != 0."""
-    if a >= b:
-        return 0
-    st = _Sturm(_primitive(_ints(p_sf)[0]))
-    return st._at(a)[0] - st._at(b)[0]
-
-
-def count_roots_open(p: Poly, a: Fraction, b: Fraction) -> int:
-    """Distinct roots of p strictly inside (a, b)."""
-    return _Sturm.of(p).count_open(a, b)
-
 
 def sign_on_interval(p: Poly, a: Fraction, b: Fraction) -> int:
     """+1 or -1 when p has that sign at every point of [a, b]; 0 when p
@@ -347,7 +345,9 @@ def isolate_roots_open(p: Poly, a: Fraction, b: Fraction) -> list[tuple[Fraction
 def _refine_to_sign(
     target: list[int], st: _Sturm, sb: _Sturm, lo: Fraction, hi: Fraction
 ) -> tuple[int, Fraction]:
-    """refine_to_sign on prepared chains: st of the target, sb of the bracket."""
+    """(sign, witness): the sign of `target` (chain `st`) at the unique root
+    of the bracket polynomial (chain `sb`) in (lo, hi), which must not be a
+    root of `target`, and a rational point carrying that sign."""
     while True:
         mid = (lo + hi) / 2
         if st.count_open(lo, hi) == 0 or sb.is_root(mid):
@@ -360,18 +360,6 @@ def _refine_to_sign(
             lo = mid
 
 
-def refine_to_sign(
-    target: Poly, bracket_poly: Poly, lo: Fraction, hi: Fraction
-) -> tuple[int, Fraction]:
-    """Sign of `target` at the unique root of `bracket_poly` in (lo, hi).
-
-    Requires that root not be a root of `target`.  Returns (sign, witness)
-    where witness is a rational point carrying that sign.
-    """
-    return _refine_to_sign(
-        _ints(target)[0], _Sturm.of(target), _Sturm.of(bracket_poly), lo, hi)
-
-
 def nonneg_on_interval(
     h: Poly, a: Fraction, b: Fraction
 ) -> tuple[bool, dict]:
@@ -382,14 +370,13 @@ def nonneg_on_interval(
     points is complete.  On failure the certificate carries a rational point
     where h < 0.
     """
-    h = trim(h)
     if a > b:
         raise ValueError("empty interval")
     cert: dict = {"interval": [str(a), str(b)]}
-    if not h:
+    n, d = _ints(h)
+    if not n:
         cert["kind"] = "zero-polynomial"
         return True, cert
-    n, d = _ints(h)
     va, vb = _value(n, d, a), _value(n, d, b)
     cert["endpoint_values"] = [str(va), str(vb)]
     if va < 0:
@@ -398,7 +385,7 @@ def nonneg_on_interval(
     if vb < 0:
         cert["counterexample"] = str(b)
         return False, cert
-    if a == b or degree(h) <= 1:
+    if a == b or len(n) <= 2:
         cert["kind"] = "endpoints-suffice"
         return True, cert
 
@@ -445,8 +432,7 @@ class AlgebraicNumber:
     """A real algebraic number as (polynomial, isolating rational interval).
 
     The polynomial must change sign across [lo, hi] and contain exactly one
-    root there; `refine` bisects the bracket, `cmp_fraction` decides order
-    against any rational exactly.
+    root there; `cmp_fraction` decides order against any rational exactly.
     """
 
     coeffs: Poly
@@ -462,22 +448,18 @@ class AlgebraicNumber:
         if st.count_open(self.lo, self.hi) + st.is_root(self.lo) != 1:
             raise ValueError("interval does not isolate exactly one root")
 
-    def _bisect(self, st: _Sturm, bits: int) -> None:
-        for _ in range(bits):
-            if st.is_root(self.lo):
-                self.hi = self.lo
-                return
-            mid = (self.lo + self.hi) / 2
-            if st.is_root(mid):
-                self.lo = self.hi = mid
-                return
-            if st.count_open(self.lo, mid) > 0:
-                self.hi = mid
-            else:
-                self.lo = mid
-
-    def refine(self, bits: int = 1) -> None:
-        self._bisect(_Sturm.of(self.coeffs), bits)
+    def _bisect(self, st: _Sturm) -> None:
+        """Halve the bracket, or close it on a rational root."""
+        if st.is_root(self.lo):
+            self.hi = self.lo
+            return
+        mid = (self.lo + self.hi) / 2
+        if st.is_root(mid):
+            self.lo = self.hi = mid
+        elif st.count_open(self.lo, mid) > 0:
+            self.hi = mid
+        else:
+            self.lo = mid
 
     def cmp_fraction(self, q: Fraction) -> int:
         """-1, 0, +1 comparing this number with the rational q."""
@@ -487,9 +469,7 @@ class AlgebraicNumber:
             if st.is_root(q):
                 return 0  # q is the isolated root itself
             while self.lo < q < self.hi:
-                self._bisect(st, 1)
-                if self.lo == self.hi:
-                    break
+                self._bisect(st)
         if self.lo == self.hi:
             r = self.lo
             return (r > q) - (r < q)
@@ -502,5 +482,5 @@ class AlgebraicNumber:
         for _ in range(8 * digits):
             if f.hi - f.lo < Fraction(1, 10**digits):
                 break
-            f._bisect(st, 1)
+            f._bisect(st)
         return float((f.lo + f.hi) / 2)

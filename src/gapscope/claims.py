@@ -7,6 +7,11 @@ so the extremes in mu sit at the interval endpoints; substituting each
 endpoint reduces the claim to sign conditions on univariate polynomials,
 decided exactly by the Sturm machinery in `algebra`.
 
+Both parts of a value are `algebra.RatFn`s, integer polynomials over one
+scale.  Fractions appear only at the edges: literals and box endpoints as
+parsed, the coefficients handed to the decisions, and the ledger text and
+certificates written out.
+
 Expressions are written over the symbols `s` (sigma) and `u` (short for
 1/mu).  Ledger files are line-oriented:
 
@@ -24,22 +29,14 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .algebra import (
     AlgebraicNumber,
-    Poly,
-    degree,
+    RatFn,
     isolate_roots_open,
     nonneg_on_interval,
-    padd,
-    pdivmod,
-    peval,
-    pgcd,
-    pmul,
-    poly,
-    pscale,
-    psub,
     sign_on_interval,
 )
 from .errors import CapacityError
@@ -50,7 +47,7 @@ MU_RANGE = (Q(4, 3), Q(19, 9))  # global range of mu = log x1 / log T0
 
 
 class IllPosedClaimError(ValueError):
-    """A denominator changes sign inside the claim's sigma interval."""
+    """A denominator vanishes somewhere in the claim's sigma interval."""
 
     def __init__(self, message: str, root_interval: tuple[Fraction, Fraction]):
         super().__init__(message)
@@ -60,69 +57,6 @@ class IllPosedClaimError(ValueError):
 # ---------------------------------------------------------------------------
 # Rational functions of sigma, linear in u = 1/mu
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RatFn:
-    """num(s)/den(s) in lowest terms, as tuples of Fraction coefficients.
-
-    `make` divides both sides by their monic gcd (`algebra.pgcd`, computed
-    over the integers) and makes den's leading coefficient positive.
-    """
-
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
-
-    @staticmethod
-    def make(num, den=(1,)) -> "RatFn":
-        n, d = poly(num), poly(den)
-        if not d:
-            raise ZeroDivisionError("zero denominator")
-        # a nonzero constant num or den has gcd 1 with the other side;
-        # a zero num over a non-constant den still reduces (to den's leading term)
-        if len(n) != 1 and len(d) > 1:
-            g = pgcd(n, d)
-            if degree(g) > 0:
-                n = pdivmod(n, g)[0]
-                d = pdivmod(d, g)[0]
-        if d and d[-1] < 0:
-            n, d = pscale(n, Q(-1)), pscale(d, Q(-1))
-        return RatFn(tuple(n), tuple(d))
-
-    @staticmethod
-    def const(c) -> "RatFn":
-        return RatFn.make([Q(c)])
-
-    def __add__(self, other: "RatFn") -> "RatFn":
-        a, b = list(self.num), list(self.den)
-        c, d = list(other.num), list(other.den)
-        return RatFn.make(padd(pmul(a, d), pmul(c, b)), pmul(b, d))
-
-    def __sub__(self, other: "RatFn") -> "RatFn":
-        a, b = list(self.num), list(self.den)
-        c, d = list(other.num), list(other.den)
-        return RatFn.make(psub(pmul(a, d), pmul(c, b)), pmul(b, d))
-
-    def __mul__(self, other: "RatFn") -> "RatFn":
-        return RatFn.make(
-            pmul(list(self.num), list(other.num)), pmul(list(self.den), list(other.den))
-        )
-
-    def __truediv__(self, other: "RatFn") -> "RatFn":
-        if not other.num:
-            raise ZeroDivisionError
-        return RatFn.make(
-            pmul(list(self.num), list(other.den)), pmul(list(self.den), list(other.num))
-        )
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __call__(self, s: Fraction) -> Fraction:
-        dv = peval(list(self.den), s)
-        if dv == 0:
-            raise ZeroDivisionError(f"denominator vanishes at s={s}")
-        return peval(list(self.num), s) / dv
-
 
 ZERO = RatFn.make([0])
 ONE = RatFn.make([1])
@@ -161,7 +95,7 @@ class MuLinear:
         return out
 
     def at_u(self, u: Fraction) -> RatFn:
-        return self.a + RatFn.make(pscale(list(self.b.num), u), self.b.den)
+        return self.a + self.b * RatFn.const(u)
 
     def __call__(self, s: Fraction, mu: Fraction) -> Fraction:
         return self.a(s) + self.b(s) / Q(mu)
@@ -190,21 +124,22 @@ _TOKEN = re.compile(r"\s*(\d+|[su]|\*\*|[()+\-*/^])")
 
 #: Largest degree of a polynomial in a parsed expression (numerator or
 #: denominator, in s).  The ledger needs 2; a claim at degree 12 with every
-#: root in the sigma box verifies in about 6 ms, 15 ms at degree 16.
+#: root in the sigma box verifies in about 6 ms, 16 ms at degree 16.
 MAX_DEGREE = 12
-#: Every coefficient keeps |numerator| * denominator below 2^MAX_COEFF_BITS: the
-#: gcd in a degree-12 over degree-11 quotient takes about 3 ms there, 9 s at
-#: 4000 digits.
+#: Every coefficient keeps |numerator| * denominator below 2^MAX_COEFF_BITS:
+#: `RatFn.make` on a coprime degree-12 over degree-11 quotient takes about
+#: 1 ms there, 9 s at 4000 digits.
 MAX_COEFF_BITS = 64
 MAX_NESTING = 32  # parenthesis depth; the parser takes four frames per level
 
 
 def _capped(v: MuLinear, text: str) -> MuLinear:
-    ps = (v.a.num, v.a.den, v.b.num, v.b.den)
-    deg = max(len(p) - 1 for p in ps)
+    fs = (v.a, v.b)
+    deg = max(len(p) - 1 for f in fs for p in (f.N, f.D))
     if deg > MAX_DEGREE:
         raise CapacityError(f"degree {deg} over the cap {MAX_DEGREE} in {text.strip()!r}")
-    if max(abs(q.numerator) * q.denominator for p in ps for q in p) >> MAX_COEFF_BITS:
+    # |p| * q for each coefficient p/q = c/k in lowest terms
+    if max(abs(c) * f.k // gcd(c, f.k) ** 2 for f in fs for c in f.N + f.D) >> MAX_COEFF_BITS:
         raise CapacityError(f"coefficient over {MAX_COEFF_BITS} bits in {text.strip()!r}")
     return v
 
@@ -312,7 +247,7 @@ def format_ratfn(r: RatFn) -> str:
         return " + ".join(parts).replace("+ -", "- ") or "0"
 
     num = fmt_poly(r.num)
-    if list(r.den) == [Q(1)]:
+    if r.D == (r.k,):
         return f"({num})" if ("+" in num or "-" in num[1:]) else num
     return f"({num})/({fmt_poly(r.den)})"
 
@@ -374,7 +309,7 @@ class Verdict:
         return Q(ce["sigma"]), Q(ce["mu"])
 
 
-def _certify_denominator_sign(den: Poly, a: Fraction, b: Fraction) -> int:
+def _certify_denominator_sign(den: Sequence[int], a: Fraction, b: Fraction) -> int:
     """+1/-1 if den has that constant sign on [a, b]; raise if it vanishes."""
     sign = sign_on_interval(den, a, b)
     if sign:
@@ -382,7 +317,7 @@ def _certify_denominator_sign(den: Poly, a: Fraction, b: Fraction) -> int:
     if a == b:
         raise IllPosedClaimError(f"denominator vanishes at {a}", (a, a))
     for x in (a, b):
-        if peval(den, x) == 0:
+        if not sign_on_interval(den, x, x):
             raise IllPosedClaimError(f"denominator vanishes at endpoint {x}", (x, x))
     iso = isolate_roots_open(den, a, b)[0]
     raise IllPosedClaimError("denominator sign change inside interval", iso)
@@ -392,8 +327,8 @@ def _nonneg_ratfn(F: RatFn, a: Fraction, b: Fraction) -> tuple[bool, dict]:
     """Decide F(s) >= 0 for s in [a, b] (claims are checked non-strictly;
     epsilon slack is dropped and the strict flag is recorded, not enforced,
     for box claims)."""
-    sign = _certify_denominator_sign(list(F.den), a, b)
-    h = list(F.num) if sign > 0 else pscale(list(F.num), Q(-1))
+    sign = _certify_denominator_sign(F.D, a, b)
+    h = F.num if sign > 0 else [-c for c in F.num]
     ok, cert = nonneg_on_interval(h, a, b)
     cert["denominator_sign"] = sign
     return ok, cert
@@ -419,6 +354,10 @@ def verify_claim(claim: Claim) -> Verdict:
         raise ValueError(f"empty box in claim {claim.id}")
     if mu_lo <= 0:
         raise ValueError(f"mu box of claim {claim.id} starts at {mu_lo}; u = 1/mu needs mu > 0")
+    # each side must be defined on the whole box, not only rhs - lhs
+    for v in (*claim.lhs, claim.rhs):
+        for f in (v.a, v.b):
+            _certify_denominator_sign(f.D, s_lo, s_hi)
     cert: dict = {"kind": "mu-endpoint-reduction", "strict_flag": claim.strict, "checks": []}
     mu_ends = (mu_lo,) if mu_lo == mu_hi else (mu_lo, mu_hi)
     for i, lhs in enumerate(claim.lhs):
@@ -507,7 +446,7 @@ def parse_ledger_line(line: str) -> Claim | None:
 
 def _poly_from_expression(text: str) -> list[Fraction]:
     v = parse_expression(text)
-    if not v.b.is_zero() or list(v.a.den) != [Q(1)]:
+    if not v.b.is_zero() or v.a.D != (v.a.k,):
         raise ValueError("root() needs a plain polynomial in s")
     return list(v.a.num)
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraicNumber, poly
-from .claims import Claim, MuLinear, RatFn, ml, rf
+from .algebra import AlgebraicNumber, RatFn, poly
+from .claims import Claim, MuLinear, ml, rf
 
 Q = Fraction
 

@@ -9,27 +9,117 @@ from hypothesis import strategies as st
 
 from gapscope.algebra import (
     AlgebraicNumber,
-    count_roots_halfopen,
-    count_roots_open,
-    degree,
+    _Sturm,
+    _add,
+    _chain,
+    _deriv,
+    _gcd,
+    _ints,
+    _mul,
+    _pdivmod,
+    _primitive,
+    _refine_to_sign,
+    _squarefree,
+    _value,
     isolate_roots_open,
     nonneg_on_interval,
-    padd,
-    pderiv,
-    pdivmod,
-    peval,
-    pgcd,
-    pmul,
     poly,
-    pscale,
-    psub,
-    refine_to_sign,
     sign_on_interval,
-    squarefree_part,
-    sturm_chain,
-    trim,
 )
 from gapscope.claims import MAX_COEFF_BITS, MAX_DEGREE
+
+
+# ---------------------------------------------------------------------------
+# Adapter: the integer kernels on Fraction lists, one conversion each way
+# ---------------------------------------------------------------------------
+
+def _fracs(n, d):
+    return trim([Q(c, d) for c in n])
+
+
+def _monic(n):
+    return [Q(c, n[-1]) for c in n]
+
+
+def trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def degree(p):
+    return len(p) - 1  # -1 for the zero polynomial
+
+
+def peval(p, x):
+    return _value(*_ints(p), x)
+
+
+def _combine(a, b, sign):
+    (na, da), (nb, db) = _ints(a), _ints(b)
+    return _fracs(_add([c * db for c in na], [c * da for c in nb], sign), da * db)
+
+
+def padd(a, b):
+    return _combine(a, b, 1)
+
+
+def psub(a, b):
+    return _combine(a, b, -1)
+
+
+def pmul(a, b):
+    (na, da), (nb, db) = _ints(a), _ints(b)
+    return _fracs(_mul(na, nb), da * db)
+
+
+def pscale(a, c):
+    na, d = _ints(a)
+    return _fracs([x * c.numerator for x in na], d * c.denominator)
+
+
+def pdivmod(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    (na, da), (nb, db) = _ints(a), _ints(b)
+    q, r, m = _pdivmod(na, nb)  # m*na = q*nb + r
+    return _fracs([c * db for c in q], m * da), _fracs(r, m * da)
+
+
+def pderiv(p):
+    n, d = _ints(p)
+    return _fracs(_deriv(n), d)
+
+
+def pgcd(a, b):
+    return _monic(_gcd(_primitive(_ints(a)[0]), _primitive(_ints(b)[0])))
+
+
+def squarefree_part(p):
+    return _monic(_squarefree(_primitive(_ints(p)[0])))
+
+
+def sturm_chain(p):
+    n = _primitive(_ints(p)[0])
+    return [list(p)] + [[Q(c) for c in m] for m in _chain(n)[1:]] if n else []
+
+
+def count_roots_halfopen(p_sf, a, b):
+    """Distinct roots in (a, b] for square-free p with p(a) != 0."""
+    if a >= b:
+        return 0
+    st = _Sturm(_primitive(_ints(p_sf)[0]))
+    return st._at(a)[0] - st._at(b)[0]
+
+
+def count_roots_open(p, a, b):
+    return _Sturm.of(p).count_open(a, b)
+
+
+def refine_to_sign(target, bracket_poly, lo, hi):
+    return _refine_to_sign(
+        _ints(target)[0], _Sturm.of(target), _Sturm.of(bracket_poly), lo, hi)
 
 
 def test_basic_ops():

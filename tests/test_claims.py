@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapscope.errors import CapacityError
-from gapscope.algebra import AlgebraicNumber, degree, pdivmod, pgcd, pmul, poly, pscale
+from gapscope.algebra import AlgebraicNumber, poly
 from gapscope.claims import (
     Claim,
     IllPosedClaimError,
@@ -33,6 +33,7 @@ from gapscope.ledger import (
     mutated_ledger,
     specified_mutations,
 )
+from test_algebra import ref_pdivmod, ref_pgcd, ref_pmul, ref_pscale
 
 
 def test_plugin_claim_mean_value_at_34():
@@ -91,6 +92,19 @@ def test_denominator_vanishing_anywhere_in_the_box_is_refused(den, s_lo, s_hi, m
         verify_claim(c)
     lo, hi = exc.value.root_interval
     assert lo <= Q(1, 2) <= hi
+
+
+@pytest.mark.parametrize("lhs, rhs, s_hi, message", [
+    ("1 + u/s", "u/s", Q(0), "denominator vanishes at 0"),
+    ("1 + 1/s", "1/s", Q(1), "denominator vanishes at endpoint 0"),
+    ("1/s", "1/s + 1", Q(1), "denominator vanishes at endpoint 0"),
+    ("1/(2*s - 1)", "1/(2*s - 1) + 1", Q(1), "denominator sign change inside interval"),
+], ids=["u-part-point-box", "failing", "holding", "inside"])
+def test_a_side_with_a_pole_in_the_box_is_refused(lhs, rhs, s_hi, message):
+    # rhs - lhs has no pole in the box, but a side does
+    c = Claim.box("bad", parse_expression(lhs), parse_expression(rhs), Q(0), s_hi)
+    with pytest.raises(IllPosedClaimError, match=f"^{message}$"):
+        verify_claim(c)
 
 
 def test_expression_parser_round_trip():
@@ -207,16 +221,17 @@ def test_mu_all_is_global_range():
     assert verify_claim(c).holds  # u <= 3/4 for mu >= 4/3
 
 
-def make_by_gcd(num, den) -> RatFn:
-    """RatFn.make as it was before constant sides skipped the gcd."""
+def make_by_gcd(num, den) -> tuple[list[Q], list[Q]]:
+    """RatFn.make's (num, den) by Euclid over Q, as before constant sides
+    skipped the gcd."""
     n, d = poly(num), poly(den)
-    g = pgcd(n, d)
-    if degree(g) > 0:
-        n = pdivmod(n, g)[0]
-        d = pdivmod(d, g)[0]
+    g = ref_pgcd(n, d)
+    if len(g) > 1:
+        n = ref_pdivmod(n, g)[0]
+        d = ref_pdivmod(d, g)[0]
     if d and d[-1] < 0:
-        n, d = pscale(n, Q(-1)), pscale(d, Q(-1))
-    return RatFn(tuple(n), tuple(d))
+        n, d = ref_pscale(n, Q(-1)), ref_pscale(d, Q(-1))
+    return n, d
 
 
 small_q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -228,9 +243,9 @@ polys = st.lists(small_q, max_size=4)
 def test_ratfn_make_equals_gcd_path(a, b, c):
     # a shared factor c gives the gcd path something to cancel
     shared = poly(c) or [Q(1)]
-    num, den = pmul(poly(a), shared), pmul(poly(b), shared) or [Q(1)]
+    num, den = ref_pmul(poly(a), shared), ref_pmul(poly(b), shared) or [Q(1)]
     r = RatFn.make(num, den)
-    assert r == make_by_gcd(num, den)
+    assert (list(r.num), list(r.den)) == make_by_gcd(num, den)
     assert all(type(v) is Q for v in r.num + r.den)
 
 
@@ -310,3 +325,54 @@ def test_parse_ledger_keeps_nesting_and_exponents_in_range():
     (claim,) = parse_ledger("a | " + "(" * 32 + "s" + ")" * 32 + " | 1 | 0, 1e-4 | 1e4, 2e4")
     assert claim.sigma_interval == (Q(0), Q(1, 10**4))
     assert claim.mu_interval == (Q(10**4), Q(2 * 10**4))
+
+
+# ---------------------------------------------------------------------------
+# ledger text round trip: generated box claims survive format -> parse
+# ---------------------------------------------------------------------------
+
+_coeffs = st.lists(st.one_of(st.integers(-9, 9).map(Q),
+                             st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+                   min_size=1, max_size=4)  # degree <= 3
+_ratfns = st.builds(lambda n, d: RatFn.make(n, poly(d) or [Q(1)]), _coeffs, _coeffs)
+_values = st.one_of(st.builds(MuLinear, _ratfns), st.builds(MuLinear, _ratfns, _ratfns))
+_unit = st.fractions(min_value=0, max_value=1, max_denominator=16)
+
+
+@st.composite
+def _box_claims(draw):
+    s_lo, s_hi = sorted(draw(st.lists(st.fractions(0, 2, max_denominator=8),
+                                      min_size=2, max_size=2)))
+    mu = draw(st.one_of(st.just("all"), st.lists(
+        st.fractions(1, 3, max_denominator=8), min_size=2, max_size=2).map(sorted)))
+    return Claim.box("g", draw(st.lists(_values, min_size=1, max_size=3)), draw(_values),
+                     s_lo, s_hi, mu=mu, strict=draw(st.booleans()))
+
+
+def _value_or_pole(v, s, mu):
+    try:
+        return v(s, mu)
+    except ZeroDivisionError:
+        return None
+
+
+def _outcome(claim):
+    try:
+        return verify_claim(claim).holds
+    except IllPosedClaimError as e:
+        return str(e), e.root_interval
+
+
+@settings(max_examples=60, deadline=None)
+@given(_box_claims(), st.lists(st.tuples(_unit, _unit), min_size=1, max_size=4))
+def test_generated_box_claims_survive_the_ledger_text(claim, points):
+    (back,) = parse_ledger(format_ledger([claim]))
+    assert (back.sigma_interval, back.mu_interval, back.strict) == (
+        claim.sigma_interval, claim.mu_interval, claim.strict)
+    assert len(back.lhs) == len(claim.lhs)
+    (s_lo, s_hi), (mu_lo, mu_hi) = claim.sigma_interval, claim.mu_interval
+    for x, y in points:
+        s, mu = s_lo + (s_hi - s_lo) * x, mu_lo + (mu_hi - mu_lo) * y
+        for v, w in zip(claim.lhs + [claim.rhs], back.lhs + [back.rhs]):
+            assert _value_or_pole(v, s, mu) == _value_or_pole(w, s, mu)
+    assert _outcome(back) == _outcome(claim)
