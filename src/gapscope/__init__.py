@@ -3,7 +3,7 @@
 Five pieces, mirroring the machinery behind the bound
 sum_{p_n <= x} (p_{n+1} - p_n)^2 << x^(5/4 + eps):
 
-* `primes` — segmented sieving, gap statistics, psi windows, band sums;
+* `primes` — segmented sieving, gap statistics, band sums;
 * `identity` — the combinatorial Lambda identity and its dyadic
   factorizations into short polynomials;
 * `dirichlet` / `perron` — numerical polynomial evaluation, large-value
@@ -40,19 +40,17 @@ from .identity import (
 )
 from .ledger import builtin_ledger, specified_mutations
 from .nu import BoundCatalog, builtin_catalog, coverage_check, optimize_nu, required_nu
-from .perron import PerronParams, make_perron_params, perron_window, tail_segment
+from .perron import PerronParams, make_perron_params, perron_window
 from .primes import (
     BandSum,
     GapSummary,
     PrimeGap,
-    chebyshev_psi,
     composite_run_demo,
     dyadic_band_sum,
     gap_moment_sum,
     gap_sweep,
     iter_gaps,
     max_gap_table,
-    psi_window,
     sieve_primes,
     von_mangoldt,
 )

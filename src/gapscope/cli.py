@@ -25,6 +25,7 @@ from .errors import CapacityError, QuadratureError
 from .claims import parse_ledger, verify_claim
 from .ledger import builtin_ledger
 from .reports import (
+    factorization_dump,
     summary_dict,
     write_gap_csv,
     write_json,
@@ -170,7 +171,7 @@ def cmd_identity(opt: dict) -> int:
     write_json(out / "identity_report.json", report)
     if opt["dump_factorizations"]:
         try:
-            dump = [f.as_dict() for f in identity.enumerate_factorizations(cfg)]
+            dump = factorization_dump(identity.factorization_rows(cfg))
             write_json(out / "factorizations.json", dump)
         except CapacityError as exc:
             print(f"capacity: {exc}", file=sys.stderr)

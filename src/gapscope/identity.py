@@ -17,8 +17,9 @@ integers with a divisor above the cutoff, so the k-fold product is supported
 above cutoff^k-adjacent values, and (cutoff+1)^k > 3x.
 
 Dyadic decomposition then splits each K_j into products of short polynomials
-S_1 ... S_2k over blocks (N_i, 2N_i]; `enumerate_factorizations` lists the
-admissible block tuples.  Every block's support comes from the cached
+S_1 ... S_2k over blocks (N_i, 2N_i]; `factorization_rows` lists the
+admissible block tuples as integer exponent rows and `enumerate_factorizations`
+as `Factorization` objects.  Every block's support comes from the cached
 `block_support`, and every product of supports from one kernel,
 `product_terms`, which `window_coefficient_sum` here, `perron` and
 `experiments` reduce to their sums.
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Iterable
 
 import numpy as np
@@ -328,6 +330,9 @@ def identity_residuals(cfg: IdentityConfig) -> np.ndarray:
 
 HALF = Fraction(1, 2)
 
+#: Cap on the block tuples an enumeration lists; (5000, 3) has 73,499, (5000, 4) 1,424,971.
+MAX_FACTORIZATIONS = 10**5
+
 
 @dataclass(frozen=True)
 class Factorization:
@@ -340,37 +345,19 @@ class Factorization:
     weight: int
 
     def validate(self, cfg: IdentityConfig) -> None:
-        """Raise ValueError unless this is an admissible tuple for cfg.
-
-        Checked on the exponents e of N_i = 2^e (e = -1 for N_i = 1/2), so the
-        product window x/4^k <= prod N_i <= 3x is an integer range of sum(e).
-        """
-        self._check(cfg, [_dyadic_exponent(N) for N in self.lengths])
-
-    def _check(self, cfg: IdentityConfig, exps: list[int]) -> None:
-        """validate, given the exponents of the lengths."""
-        k, j = self.k, self.j
-        if k != cfg.k or not 1 <= j <= k:
-            raise ValueError(f"j={j}, k={k} do not fit the config's k={cfg.k}")
-        if not len(exps) == 2 * k == len(self.classes):
-            raise ValueError(f"{len(exps)} lengths and {len(self.classes)} "
-                             f"classes for 2k = {2 * k} slots")
-        top_mobius = cfg.mobius_cutoff.bit_length() - 1  # 2^e <= cutoff
+        """Raise ValueError unless this is an admissible tuple for cfg: its
+        exponents pass `_check_rows` as a row, and its classes and weight match."""
+        exps = tuple(_dyadic_exponent(N) for N in self.lengths)
+        k = self.k
+        if k != cfg.k or len(self.classes) != 2 * k:
+            raise ValueError(f"k={k} with {len(self.classes)} classes misfits k={cfg.k}")
+        _check_rows(cfg, [(self.j, exps)])
         for i, (e, cls) in enumerate(zip(exps, self.classes), start=1):
-            if ((j < i <= k) or (k + j <= i < 2 * k)) and e != -1:
-                raise ValueError(f"slot {i} is a placeholder but has length 2^{e}")
             if cls is not _slot_class(i, k, e):
                 raise ValueError(f"slot {i} of length {self.lengths[i - 1]} has class "
                                  f"{cls.value}, not {_slot_class(i, k, e).value}")
-            if cls is CoefficientClass.MOBIUS and e > top_mobius:
-                raise ValueError(f"Moebius slot {i} has length 2^{e} above the "
-                                 f"cutoff {cfg.mobius_cutoff}")
-        lo_e, hi_e = _product_exponents(cfg)
-        if not lo_e <= sum(exps) <= hi_e:
-            raise ValueError(f"product 2^{sum(exps)} outside [x/4^k, 3x] "
-                             f"for x={cfg.x}, k={k}")
-        if self.weight != identity_weight(k, j):
-            raise ValueError(f"weight {self.weight} is not c_{j} = {identity_weight(k, j)}")
+        if self.weight != identity_weight(k, self.j):
+            raise ValueError(f"weight {self.weight} is not c_j = {identity_weight(k, self.j)}")
 
     def supports(self, cfg: IdentityConfig) -> list[tuple[np.ndarray, np.ndarray]]:
         """Supports of the blocks but the singletons (each the factor 1), in order."""
@@ -387,8 +374,21 @@ class Factorization:
         }
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+@dataclass(frozen=True)
+class FactorizationRows:
+    """Admissible block tuples as integer rows (j, exps), in enumeration order:
+    N_i = 2^e for e = exps[i - 1] in range(-1, top), e = -1 standing for 1/2."""
+
+    cfg: IdentityConfig
+    rows: list[tuple[int, tuple[int, ...]]]
+    top: int
+
+    def leaf(self, i: int, e: int) -> tuple[str, str]:
+        """The texts `Factorization.as_dict` gives N_i = 2^e and its class."""
+        return str(_length(e)), _slot_class(i, self.cfg.k, e).value
+
+    def weight(self, j: int) -> int:
+        return identity_weight(self.cfg.k, j)
 
 
 def _dyadic_exponent(N: Fraction) -> int:
@@ -396,9 +396,13 @@ def _dyadic_exponent(N: Fraction) -> int:
     num, den = N.numerator, N.denominator
     if num == 1 and den == 2:
         return -1
-    if den == 1 and _is_pow2(num):
+    if den == 1 and num >= 1 and num & (num - 1) == 0:
         return num.bit_length() - 1
     raise ValueError(f"length {N} is neither 1/2 nor a power of two")
+
+
+def _length(e: int) -> Fraction:
+    return HALF if e == -1 else Fraction(1 << e)
 
 
 def _slot_class(i: int, k: int, e: int) -> CoefficientClass:
@@ -423,70 +427,105 @@ def enumerate_factorizations(cfg: IdentityConfig) -> list[Factorization]:
     Active Moebius slots may sit at any dyadic N below the cutoff (the top
     block is truncated at the cutoff); N = 1/2 marks a slot pinned to n_i = 1
     and is the forced value at placeholder positions.  The log slot skips
-    N = 1/2 since log 1 = 0 would zero the product.
-
-    The walk is over integer exponents, N = 2^e with e = -1 for 1/2, so a
-    partial product is the exponent sum E and the window x/4^k <= 2^E <= 3x
-    an integer range [lo, hi].  Each slot's exponents ascend and stop at the
-    first e that leaves no room below hi: every later slot adds at least -1,
-    the log slot at least 0.
+    N = 1/2 since log 1 = 0 would zero the product.  Built from the rows of
+    `factorization_rows` with per-(slot, e) and per-j tables.
     """
-    if cfg.k > 6:
-        est = (int(math.log2(3 * cfg.x)) + 2) ** (2 * cfg.k)
-        raise CapacityError(
-            f"enumeration refused for k={cfg.k} > 6 (~{est:g} tuples)"
-        )
+    k, table = cfg.k, factorization_rows(cfg)
+    es = range(-1, table.top)
+    lengths = {e: _length(e) for e in es}
+    classes = [{e: _slot_class(i, k, e) for e in es} for i in range(1, 2 * k + 1)]
+    weights = [identity_weight(k, j) for j in range(k + 1)]
+    return [Factorization(j, k, tuple(map(lengths.__getitem__, exps)),
+                          tuple(map(dict.__getitem__, classes, exps)), weights[j])
+            for j, exps in table.rows]
+
+
+def factorization_rows(cfg: IdentityConfig) -> FactorizationRows:
+    """Every admissible block tuple of cfg as an integer row, checked by `_check_rows`.
+
+    The walk is over integer exponents, so a partial product is the exponent
+    sum E and the window x/4^k <= 2^E <= 3x an integer range [lo, hi].  Each
+    slot's exponents ascend and stop at the first e that leaves no room below
+    hi: every later slot adds at least -1, the log slot at least 0.  Over
+    MAX_FACTORIZATIONS tuples, counted first, raise CapacityError.
+    """
+    if _row_count(cfg, stop=MAX_FACTORIZATIONS) > MAX_FACTORIZATIONS:
+        raise CapacityError(f"enumeration refused at x={cfg.x}, k={cfg.k}: "
+                            f"more than {MAX_FACTORIZATIONS} block tuples")
     k = cfg.k
     lo, hi = _product_exponents(cfg)
     top_mobius = _ceil_log2(cfg.mobius_cutoff) - 1  # blocks below the cutoff
-    # no single exponent exceeds hi + 2k - 1, since the others sum to >= 1 - 2k
-    lengths = [HALF] + [Fraction(1 << e) for e in range(hi + 2 * k)]
-
-    out: list[Factorization] = []
+    rows: list[tuple[int, tuple[int, ...]]] = []
     for j in range(1, k + 1):
-        weight = identity_weight(k, j)
+        pad = (-1,) * (k - j)  # the placeholders after the Moebius and unit slots
+        before_log = pad * (2 if j == 1 else 1)
 
         def rec(slot: int, E: int, chosen: tuple[int, ...]):
-            if slot == 2 * j:
-                if lo <= E <= hi:
-                    out.append(_assemble(cfg, j, weight, chosen, lengths))
-                return
+            if slot == j:
+                chosen += pad
             # each later active slot but the log slot can still take off 1
-            top = hi - E + max(0, 2 * j - slot - 2)
-            if slot < j:
-                exps = range(-1, min(top, top_mobius) + 1)
-            elif slot < 2 * j - 1:
-                exps = range(-1, top + 1)
-            else:
-                exps = range(0, top + 1)
-            for e in exps:
-                rec(slot + 1, E + e, chosen + (e,))
+            top = hi - E + 2 * j - slot - 2
+            exps = range(-1, min(top, top_mobius) + 1 if slot < j else top + 1)
+            if slot < 2 * j - 2:
+                for e in exps:
+                    rec(slot + 1, E + e, chosen + (e,))
+            else:  # the log slot follows and closes the window
+                rows.extend((j, head + (g,)) for e in exps for head in [chosen + (e,) + before_log]
+                            for g in range(max(0, lo - E - e), hi - E - e + 1))
 
         rec(0, -2 * (k - j), ())  # the 2(k - j) placeholders sit at 1/2
-    return out
+    _check_rows(cfg, rows)
+    # no exponent exceeds hi + 2k - 1, since the others sum to at least 1 - 2k
+    return FactorizationRows(cfg, rows, hi + 2 * k)
+
+
+def _row_count(cfg: IdentityConfig, stop: int | None = None) -> int:
+    """The number of rows `factorization_rows` lists, stopping once past `stop`.
+
+    Shifted to start at 0, each of the j Moebius slots takes one of w values,
+    the j - 1 unit slots and the log slot any value >= 0, and a tuple counts
+    when the shifted exponents sum to S in [lo + 2k - 1, hi + 2k - 1].
+    """
+    lo, hi = _product_exponents(cfg)
+    w, total = _ceil_log2(cfg.mobius_cutoff) + 1, 0
+    for j in range(1, cfg.k + 1):
+        ways = [1] + [0] * (hi + 2 * cfg.k - 1)  # ways[S]: choices summing to S
+        for _ in range(j):  # a Moebius slot, then a unit or the log slot
+            acc = [0] * w + list(accumulate(ways))
+            ways = list(accumulate(acc[S + w] - acc[S] for S in range(len(ways))))
+        total += sum(ways[lo + 2 * cfg.k - 1 :])
+        if stop is not None and total > stop:
+            break
+    return total
+
+
+def _check_rows(cfg: IdentityConfig, rows: list[tuple[int, tuple[int, ...]]]) -> None:
+    """Raise ValueError unless every row (j, exps) is an admissible tuple for cfg:
+    1 <= j <= k, 2k exponents each >= -1, -1 at the placeholders, Moebius slots
+    at 2^e <= cutoff, the log slot at e >= 0 and the exponent sum in [lo, hi]."""
+    k, (lo, hi) = cfg.k, _product_exponents(cfg)
+    if any(len(exps) != 2 * k for _, exps in rows):
+        raise ValueError(f"a row without 2k = {2 * k} exponents")
+    js = np.fromiter((j for j, _ in rows), dtype=np.int64, count=len(rows))
+    es = np.fromiter(chain.from_iterable(exps for _, exps in rows), dtype=np.int64,
+                     count=2 * k * len(rows)).reshape(len(rows), 2 * k)
+    slot, sums, j = np.arange(1, 2 * k + 1), es.sum(axis=1), js[:, None]
+    placeholder = ((j < slot) & (slot <= k)) | ((k + j <= slot) & (slot < 2 * k))
+    for what, bad in {
+        f"j outside 1..{k}": (js < 1) | (js > k),
+        "a length below 1/2": (es < -1).any(axis=1),
+        "a placeholder not at 1/2": (placeholder & (es != -1)).any(axis=1),
+        f"a Moebius slot above the cutoff {cfg.mobius_cutoff}":
+            (es[:, :k] > cfg.mobius_cutoff.bit_length() - 1).any(axis=1),
+        "the log slot at 1/2": es[:, -1] < 0,
+        f"a product outside [x/4^k, 3x] = [2^{lo}, 2^{hi}]": (sums < lo) | (sums > hi),
+    }.items():
+        if bad.any():
+            raise ValueError(f"row {rows[int(bad.argmax())]} has {what}")
 
 
 def _ceil_log2(n: int) -> int:
     return max(0, (n - 1).bit_length())
-
-
-def _assemble(
-    cfg: IdentityConfig, j: int, weight: int, chosen: tuple[int, ...], lengths: list[Fraction]
-) -> Factorization:
-    """The tuple with active exponents `chosen`; lengths[e + 1] is 2^e."""
-    k = cfg.k
-    exps = [-1] * (2 * k)
-    exps[:j] = chosen[:j]
-    exps[k : k + j - 1] = chosen[j : 2 * j - 1]
-    exps[2 * k - 1] = chosen[2 * j - 1]
-    f = Factorization(
-        j, k,
-        tuple(lengths[e + 1] for e in exps),
-        tuple(_slot_class(i, k, e) for i, e in enumerate(exps, start=1)),
-        weight,
-    )
-    f._check(cfg, exps)
-    return f
 
 
 def window_coefficient_sum(cfg: IdentityConfig) -> np.ndarray:

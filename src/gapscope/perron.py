@@ -74,18 +74,6 @@ def make_perron_params(
     )
 
 
-def c1_factor(s: complex, tau: float) -> complex:
-    """((1 + 1/tau)^s - 1)/s; bounded by O(1/tau) on the contour."""
-    u = math.log1p(1.0 / tau)
-    return (np.exp(s * u) - 1.0) / s
-
-
-def c2_factor(s: complex, tau: float) -> complex:
-    """((1 + 1/tau)^s - 1 - s/tau)/s; bounded by O(|s|/tau^2)."""
-    u = math.log1p(1.0 / tau)
-    return (np.exp(s * u) - 1.0 - s / tau) / s
-
-
 def exp1(w) -> np.ndarray:
     """Principal-branch E1(w) of a complex array, w != 0 and off the cut past |w| = 40.
 
@@ -241,26 +229,3 @@ def perron_window_scan(
     direct = direct_window_sum(factors, y, tau)
     return [_report(make_perron_params(y, tau, T0=t), e, direct)
             for t, e in zip(heights, estimates)]
-
-
-def tail_segment(
-    params: PerronParams, factors: Sequence[PolyFactor], t_lo: float, t_hi: float,
-) -> float:
-    """|Int over the vertical segment t in [t_lo, t_hi] of y^s C1(s) S(s) dt|.
-
-    Localizes which heights dominate the window truncation error.  A term
-    integrates to i E1(-s log z) between the heights (t_lo >= T1 > 0 keeps
-    the path off the cut), or to -i log((c + i t_hi)/(c + i t_lo)) at z = 1.
-    """
-    if not (params.T1 <= t_lo <= t_hi <= params.T0):
-        raise ValueError("need T1 <= t_lo <= t_hi <= T0")
-    top, bottom, an = _window_logs(factors, params.y, params.tau)
-    s_lo, s_hi = complex(params.c, t_lo), complex(params.c, t_hi)
-    return abs(complex((_segment(top, s_lo, s_hi) - _segment(bottom, s_lo, s_hi)) @ an))
-
-
-def _segment(logs: np.ndarray, s_lo: complex, s_hi: complex) -> np.ndarray:
-    """Int e^(sL)/s dt from s_lo to s_hi on the c-line, per log-ratio L."""
-    on_one = logs == 0.0
-    w = -np.where(on_one, 1.0, logs)
-    return np.where(on_one, -1j * np.log(s_hi / s_lo), 1j * (exp1(s_hi * w) - exp1(s_lo * w)))

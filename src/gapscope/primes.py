@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -321,7 +320,7 @@ def dyadic_band_sum(x: int, tau: Fraction | int, **kw) -> BandSum:
 
 
 # ---------------------------------------------------------------------------
-# von Mangoldt / Chebyshev psi
+# von Mangoldt
 # ---------------------------------------------------------------------------
 
 def von_mangoldt(n: int) -> float:
@@ -360,45 +359,6 @@ def proper_prime_powers(lo: int, hi: int) -> Iterator[tuple[int, float]]:
             if pk >= lo:
                 yield pk, math.log(p)
             pk *= p
-
-
-def chebyshev_psi(y: float, **kw) -> float:
-    """psi(y) = sum of Lambda(n) for n <= y.
-
-    Prime parts are summed segmentwise with numpy's pairwise reduction and the
-    segment totals are combined with math.fsum; the relative error stays far
-    below the documented 1e-9 at desk scale (y <= 1e8).
-    """
-    if y < 0:
-        raise ValueError("y must be >= 0")
-    limit = math.floor(y)
-    if limit < 2:
-        return 0.0
-    partials = []
-    for seg in iter_prime_segments(2, limit, **kw):
-        partials.append(float(np.sum(np.log(seg.astype(np.float64)))))
-    return math.fsum(partials) + math.fsum(log_p for _, log_p in proper_prime_powers(2, limit))
-
-
-def psi_window(y: float, tau: float, *, ceiling: int = DEFAULT_CEILING) -> float:
-    """psi(y + y/tau) - psi(y) over the integers in the window (y, y + y/tau].
-
-    The window's primes come from the segmented sieve and its proper prime
-    powers from the base primes; every term is math.log(p), summed by one
-    math.fsum, so the result equals the exactly rounded sum of
-    von_mangoldt(n) over the window.
-    """
-    if y < 2 or tau < 2:
-        raise ValueError("need y >= 2 and tau >= 2")
-    n_lo = math.floor(y) + 1  # first integer > y (open left endpoint)
-    n_hi = math.floor(y + y / tau)
-    if n_hi < n_lo:
-        return 0.0
-    primes = iter_prime_segments(n_lo, n_hi, ceiling=ceiling)
-    return math.fsum(chain(
-        (math.log(p) for seg in primes for p in seg.tolist()),
-        (log_p for _, log_p in proper_prime_powers(n_lo, n_hi)),
-    ))
 
 
 # ---------------------------------------------------------------------------

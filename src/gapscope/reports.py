@@ -1,8 +1,9 @@
 """Canonical, byte-stable report serialization.
 
-All machine-readable outputs go through `canonical_json`: dict keys keep
-insertion order, floats print as %.12g, Fractions as "p/q" strings.  Two
-runs with identical configuration therefore produce identical bytes.
+All machine-readable outputs take `canonical_json`'s layout: dict keys keep
+insertion order, floats print as %.12g, Fractions as "p/q" strings, and
+strings escape control characters.  `factorization_dump` fills that layout
+from integer rows.  Identical configurations give identical bytes.
 """
 
 from __future__ import annotations
@@ -55,37 +56,72 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
+#: U+0000..U+001F, which JSON strings must escape, for str.translate.
+_CONTROL_ESCAPES = {c: f"\\u{c:04x}" for c in range(32)}
+
+
 def _json_str(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    s = s.replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + (s if s.isprintable() else s.translate(_CONTROL_ESCAPES)) + '"'
 
 
 def _json_dict(obj: dict, indent: int) -> str:
     if not obj:
         return "{}"
-    inner = "  " * (indent + 1)
-    rows = [f'{inner}"{k}": {canonical_json(v, indent + 1)}' for k, v in obj.items()]
-    return "{\n" + ",\n".join(rows) + f"\n{'  ' * indent}}}"
+    rows = [f'"{k}": {canonical_json(v, indent + 1)}' for k, v in obj.items()]
+    return _block("{", rows, "}", indent)
+
+
+def _block(open_: str, rows: list[str], close: str, indent: int) -> str:
+    """Rendered rows, one a line at indent + 1, between open_ and close."""
+    inner = "\n" + "  " * (indent + 1)
+    return open_ + inner + ("," + inner).join(rows) + "\n" + "  " * indent + close
 
 
 _FLAT = (int, float, str, bool, Fraction)
 _FLAT_TYPES = frozenset(_FLAT)
+_FLAT_MAX = 12  # longest list of flat values written on one line
 
 
 def _json_seq(obj, indent: int) -> str:
     seq = list(obj)
     if not seq:
         return "[]"
-    if len(seq) <= 12 and all(type(v) in _FLAT_TYPES or isinstance(v, _FLAT) for v in seq):
-        return "[" + ", ".join(canonical_json(v) for v in seq) + "]"
-    inner = "  " * (indent + 1)
-    rows = [f"{inner}{canonical_json(v, indent + 1)}" for v in seq]
-    return "[\n" + ",\n".join(rows) + f"\n{'  ' * indent}]"
+    flat = len(seq) <= _FLAT_MAX and all(type(v) in _FLAT_TYPES or isinstance(v, _FLAT) for v in seq)
+    return _list([canonical_json(v, indent + 1) for v in seq], flat, indent)
+
+
+def _list(items: list[str], flat: bool, indent: int) -> str:
+    """Rendered items as a list: on one line when flat, else one a line."""
+    return "[" + ", ".join(items) + "]" if flat else _block("[", items, "]", indent)
+
+
+class JsonText(str):
+    """Text already in canonical layout, which `write_json` writes as it is."""
+
+
+def factorization_dump(table) -> JsonText:
+    """`canonical_json` of the `as_dict` records of an `identity.FactorizationRows`:
+    each (slot, exponent) leaf is quoted once, each row filled into one template."""
+    slots, es = range(1, 2 * table.cfg.k + 1), range(-1, table.top)
+    lengths = [{e: _json_str(table.leaf(i, e)[0]) for e in es} for i in slots]
+    classes = [{e: _json_str(table.leaf(i, e)[1]) for e in es} for i in slots]
+    weights = [repr(table.weight(j)) for j in range(table.cfg.k + 1)]
+    leaves = _list(["%s"] * len(slots), len(slots) <= _FLAT_MAX, 2)
+    record = _block("{", ['"j": %s', f'"lengths": {leaves}', f'"classes": {leaves}',
+                          '"weight": %s'], "}", 1)
+    get = dict.__getitem__
+    records = [record % (j, *map(get, lengths, exps), *map(get, classes, exps), weights[j])
+               for j, exps in table.rows]
+    return JsonText(_block("[", records, "]", 0) if records else "[]")
 
 
 def write_json(path: Path, obj) -> None:
+    """Write obj in canonical layout, or a JsonText unchanged, with a final newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(obj) + "\n", encoding="utf-8")
+    text = obj if isinstance(obj, JsonText) else canonical_json(obj)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def write_gap_csv(path: Path, gaps: Iterable) -> int:

@@ -177,6 +177,29 @@ def test_identity_command(tmp_path):
     assert all(set(d) == {"j", "lengths", "classes", "weight"} for d in dump)
 
 
+def test_identity_dump_over_the_enumeration_cap_exits_2_at_once(tmp_path, capsys):
+    # k = 5 at x = 5000 has 17,819,340 block tuples, refused before any is built
+    out = tmp_path / "o"
+    t0 = time.perf_counter()
+    assert run(["identity", "--x", "5000", "--k", "5", "--dump-factorizations",
+                "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.strip() == ("capacity: enumeration refused at x=5000, k=5: "
+                                               "more than 100000 block tuples")
+    assert not (out / "factorizations.json").exists()
+
+
+def test_verify_escapes_control_characters_in_claim_ids(tmp_path):
+    ledger = tmp_path / "l.txt"
+    ledger.write_text("tab\there\x01 | s | 5/8 | 1/2, 5/8 | all\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["verify", "--ledger", str(ledger), "--out", str(out)]) == 0
+    report = json.loads((out / "verdicts.json").read_text(encoding="utf-8"))
+    assert [v["id"] for v in report["verdicts"]] == ["tab\there\x01"]
+    every = "".join(map(chr, range(32))) + '\x7f "\\ é\u2028'
+    assert json.loads(canonical_json(every)) == every
+
+
 def test_verify_builtin_and_mutated(tmp_path, capsys):
     out = tmp_path / "v"
     assert run(["verify", "--out", str(out)]) == 0

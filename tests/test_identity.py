@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from gapscope import identity as I
 from gapscope.errors import CapacityError, WindowError
 from gapscope.primes import von_mangoldt
+from gapscope.reports import canonical_json, factorization_dump
 
 HALF = Fraction(1, 2)
 
@@ -315,6 +318,68 @@ def test_validate_rejects_each_broken_invariant():
 def test_enumeration_capacity_guard():
     with pytest.raises(CapacityError):
         I.enumerate_factorizations(I.make_config(64, 7))
+
+
+@pytest.mark.parametrize("x,k", [(2, 1), (8, 1), (16, 1), (777, 1), (3, 2), (8, 2), (16, 2),
+                                 (50, 2), (3000, 2), (5000, 2), (5, 3), (137, 3), (8, 4)])
+def test_row_count_matches_enumeration(x, k):
+    cfg = I.make_config(x, k)
+    assert I._row_count(cfg) == len(I.enumerate_factorizations(cfg))
+
+
+def test_enumeration_count_guard():
+    # (5000, 3) is admitted; (5000, 4) would list 1,424,971 tuples
+    assert I._row_count(I.make_config(5000, 3)) == 73499 <= I.MAX_FACTORIZATIONS
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="x=5000, k=4: more than 100000 block tuples"):
+        I.enumerate_factorizations(I.make_config(5000, 4))
+    with pytest.raises(CapacityError):
+        I.factorization_rows(I.make_config(50, 1000))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_row_check_refuses_each_broken_invariant():
+    cfg = I.make_config(50, 2)  # cutoff 12, exponent sums in [2, 7]
+    rows = I.factorization_rows(cfg).rows
+    I._check_rows(cfg, rows)
+    broken = {  # each row breaks one invariant and keeps the others
+        "j outside 1..2": (3, (3, 1, 1, 2)),
+        "a length below 1/2": (2, (3, 1, -2, 5)),
+        "a placeholder not at 1/2": (1, (1, 0, -1, 3)),
+        "a Moebius slot above the cutoff 12": (2, (4, 0, 0, 2)),
+        "the log slot at 1/2": (2, (3, 3, 2, -1)),
+        "a product outside": (2, (3, 3, 3, 3)),
+        "without 2k = 4 exponents": (2, (3, 1, 1)),
+    }
+    for needle, row in broken.items():
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            I._check_rows(cfg, rows[:5] + [row] + rows[5:])
+
+
+def test_validate_refuses_a_log_slot_at_half():
+    # classes and weight fit such a tuple, so only the row check refuses it
+    f = I.Factorization(1, 1, (Fraction(1), HALF), (I.CoefficientClass.MOBIUS,
+                                                    I.CoefficientClass.SINGLETON), 1)
+    with pytest.raises(ValueError, match="the log slot at 1/2"):
+        f.validate(I.make_config(2, 1))
+
+
+@pytest.mark.parametrize("x,k", [(8, 1), (777, 1), (3, 2), (3000, 2), (137, 3), (8, 4), (5000, 2)])
+def test_factorization_dump_equals_canonical_json(x, k):
+    cfg = I.make_config(x, k)
+    want = canonical_json([f.as_dict() for f in I.enumerate_factorizations(cfg)])
+    assert factorization_dump(I.factorization_rows(cfg)) == want
+
+
+def test_factorization_dump_lays_out_rows_over_12_slots_like_canonical_json():
+    # every k >= 7 is over the enumeration cap, so this 14-slot row is built by hand
+    cfg, exps = I.make_config(2, 7), (0,) + (-1,) * 12 + (1,)
+    f = I.Factorization(1, 7, tuple(I._length(e) for e in exps),
+                        tuple(I._slot_class(i, 7, e) for i, e in enumerate(exps, start=1)),
+                        I.identity_weight(7, 1))
+    f.validate(cfg)
+    table = I.FactorizationRows(cfg, [(1, exps)], top=2)
+    assert factorization_dump(table) == canonical_json([f.as_dict()])
 
 
 # ---------------------------------------------------------------------------

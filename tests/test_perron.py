@@ -18,15 +18,49 @@ from gapscope.dirichlet import (
 )
 from gapscope.experiments import PERRON_DECAY_CONFIGS, _decay_factors
 from gapscope.perron import (
-    c1_factor,
-    c2_factor,
     direct_window_sum,
     exp1,
     make_perron_params,
     perron_window,
     perron_window_scan,
-    tail_segment,
 )
+
+
+# ---------------------------------------------------------------------------
+# The C1, C2 multipliers and the tail of the line integral as E1 differences
+# ---------------------------------------------------------------------------
+
+def c1_factor(s: complex, tau: float) -> complex:
+    """((1 + 1/tau)^s - 1)/s; bounded by O(1/tau) on the contour."""
+    u = math.log1p(1.0 / tau)
+    return (np.exp(s * u) - 1.0) / s
+
+
+def c2_factor(s: complex, tau: float) -> complex:
+    """((1 + 1/tau)^s - 1 - s/tau)/s; bounded by O(|s|/tau^2)."""
+    u = math.log1p(1.0 / tau)
+    return (np.exp(s * u) - 1.0 - s / tau) / s
+
+
+def tail_segment(params, factors, t_lo, t_hi):
+    """|Int over the vertical segment t in [t_lo, t_hi] of y^s C1(s) S(s) dt|.
+
+    Localizes which heights dominate the window truncation error.  A term
+    integrates to i E1(-s log z) between the heights (t_lo >= T1 > 0 keeps
+    the path off the cut), or to -i log((c + i t_hi)/(c + i t_lo)) at z = 1.
+    """
+    if not (params.T1 <= t_lo <= t_hi <= params.T0):
+        raise ValueError("need T1 <= t_lo <= t_hi <= T0")
+    top, bottom, an = perron._window_logs(factors, params.y, params.tau)
+    s_lo, s_hi = complex(params.c, t_lo), complex(params.c, t_hi)
+    return abs(complex((_segment(top, s_lo, s_hi) - _segment(bottom, s_lo, s_hi)) @ an))
+
+
+def _segment(logs: np.ndarray, s_lo: complex, s_hi: complex) -> np.ndarray:
+    """Int e^(sL)/s dt from s_lo to s_hi on the c-line, per log-ratio L."""
+    on_one = logs == 0.0
+    w = -np.where(on_one, 1.0, logs)
+    return np.where(on_one, -1j * np.log(s_hi / s_lo), 1j * (exp1(s_hi * w) - exp1(s_lo * w)))
 
 
 # ---------------------------------------------------------------------------
