@@ -25,7 +25,6 @@ from .dirichlet import (
     classify_profile,
     count_R_Rstar,
     eval_factor,
-    sup_on_unit_interval,
 )
 from .errors import CapacityError, QuadratureError, WindowError
 from .identity import (

@@ -1,14 +1,14 @@
 """Batch command-line entry point.
 
 Subcommands: gaps, identity, largevalues, perron, verify, optimize-nu,
-report.  Every run writes a manifest echoing its full effective options;
-`report --manifest <file>` re-dispatches from a manifest and reproduces the
-outputs byte-for-byte.
+report.  Every completed run writes a manifest echoing its full effective
+options; `report --manifest <file>` re-dispatches from a manifest and
+reproduces the outputs byte-for-byte.
 
-Exit codes: 0 success, 1 usage, 2 capacity, 3 verification failure.
-Numeric literals accept scientific notation (1e6) and rationals (9/5).
-A --config file of key=value lines supplies defaults that the command line
-overrides.
+Exit codes: 0 success, 1 usage, 2 capacity, 3 verification failure; a
+refused run (exit 2) writes no manifest.  Integer options accept scientific
+notation (1e6); --res also takes a rational (9/5).  A --config file of
+key=value lines supplies defaults that the command line overrides.
 """
 
 from __future__ import annotations
@@ -128,18 +128,10 @@ def cmd_gaps(opt: dict) -> int:
     if not opt["allow_large"]:
         over = [n for n in limits if n > GAPS_DEFAULT_LIMIT]
         if over:
-            print(
-                f"limit {over[0]} beyond desk scale {GAPS_DEFAULT_LIMIT}; "
-                "pass --allow-large to attempt it",
-                file=sys.stderr,
-            )
-            return EXIT_CAPACITY
+            raise CapacityError(f"limit {over[0]} beyond desk scale {GAPS_DEFAULT_LIMIT}; "
+                                "pass --allow-large to attempt it")
     out = Path(opt["out"])
-    try:
-        summaries = primes.gap_sweep(limits, ceiling=ceiling)
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    summaries = primes.gap_sweep(limits, ceiling=ceiling)
     rows = [primes.max_gap_row(s) for s in summaries]
     write_table_csv(out / "max_gap_table.csv", rows)
     write_json(out / "gap_summaries.json", [summary_dict(s) for s in summaries])
@@ -156,7 +148,9 @@ def cmd_identity(opt: dict) -> int:
     from . import identity
 
     x, k = opt["x"], opt["k"]
+    identity.check_capacity(x, k)
     cfg = identity.make_config(x, k)
+    rows = identity.factorization_rows(cfg) if opt["dump_factorizations"] else None
     residuals = identity.identity_residuals(cfg)
     report = {
         "x": x,
@@ -169,13 +163,8 @@ def cmd_identity(opt: dict) -> int:
     }
     out = Path(opt["out"])
     write_json(out / "identity_report.json", report)
-    if opt["dump_factorizations"]:
-        try:
-            dump = factorization_dump(identity.factorization_rows(cfg))
-            write_json(out / "factorizations.json", dump)
-        except CapacityError as exc:
-            print(f"capacity: {exc}", file=sys.stderr)
-            return EXIT_CAPACITY
+    if rows is not None:
+        write_json(out / "factorizations.json", factorization_dump(rows))
     print(f"identity x={x} k={k}: max residual {report['max_residual']:.3e}")
     return EXIT_OK if report["exact"] else EXIT_VERIFICATION
 
@@ -226,10 +215,7 @@ def cmd_perron(opt: dict) -> int:
     from .perron import make_perron_params, perron_window
 
     factors = _parse_factors(opt["factors"])
-    params = make_perron_params(
-        float(opt["y"]), float(opt["tau"]),
-        T0=float(opt["T0"]) if opt["T0"] is not None else None,
-    )
+    params = make_perron_params(opt["y"], opt["tau"], T0=opt["T0"])
     rep = perron_window(params, factors)
     write_json(Path(opt["out"]) / "perron_report.json", rep.as_dict())
     print(
@@ -289,24 +275,36 @@ def cmd_optimize_nu(opt: dict) -> int:
     return EXIT_OK
 
 
-def cmd_report(opt: dict) -> int:
-    manifest = json.loads(Path(opt["manifest"]).read_text(encoding="utf-8"))
+def _read_manifest(path: str, out: str) -> tuple[str, dict]:
+    """The command of a manifest and its options, with out replaced.
+
+    Each value is re-parsed as its command-line text: this restores exact
+    types lost through JSON (a Fraction res) and refuses values of the wrong
+    type.  Keys the command does not take, such as the retired threads, are
+    dropped.
+    """
+    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     command = manifest.get("command") if isinstance(manifest, dict) else None
     if not isinstance(command, str) or command not in _HANDLERS:
         raise ValueError(f"manifest command {command!r} is not one of {', '.join(_HANDLERS)}")
     if not isinstance(manifest.get("options"), dict):
         raise ValueError("manifest has no 'options' object")
-    options = dict(manifest["options"])
-    if opt["out"] is not None:
-        options["out"] = opt["out"]
-    missing = [k for k in (*_DEFAULTS[command], "out") if k not in options]
+    options = {**manifest["options"], "out": out}
+    table = _table(command)
+    missing = [k for k in table if k not in options]
     if missing:
         raise ValueError(f"manifest options lack {', '.join(missing)}")
-    handler = _HANDLERS[command]
-    options = _revive_options(command, options)
-    code = handler(options)
-    write_manifest(Path(options["out"]) / "manifest.json", command, _manifest_options(options))
-    return code
+    revived = {}
+    for key, value in options.items():
+        if key not in table:
+            continue
+        parse, default, _ = table[key]
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        try:
+            revived[key] = None if value is None and default is None else parse(text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"manifest option {key}={value!r}: {exc}") from None
+    return command, revived
 
 
 _HANDLERS = {
@@ -319,38 +317,58 @@ _HANDLERS = {
 }
 
 
-def _manifest_options(options: dict) -> dict:
-    out = {}
-    for k, v in options.items():
-        out[k] = str(v) if isinstance(v, Fraction) else v
-    return out
-
-
-def _revive_options(command: str, options: dict) -> dict:
-    """Re-parse manifest values with the parsers of their command-line forms.
-
-    This restores exact types lost through JSON (a Fraction `res`) and
-    refuses values of the wrong type.  Keys the command does not take, such
-    as the retired `threads`, are dropped.
-    """
-    revived = {}
-    for key, value in options.items():
-        if key not in _DEFAULTS[command] and key != "out":
-            continue
-        if value is None and _DEFAULTS[command].get(key, "") is None:
-            revived[key] = None
-            continue
-        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-        try:
-            revived[key] = _CONFIG_PARSERS[key](text)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"manifest option {key}={value!r}: {exc}") from None
-    return revived
-
-
 # ---------------------------------------------------------------------------
-# Argument wiring
+# Options and argument wiring
 # ---------------------------------------------------------------------------
+
+_SUMMARIES = {
+    "gaps": "gap table and moment summaries",
+    "identity": "Lambda recovery check",
+    "largevalues": "randomized cell experiments",
+    "perron": "truncated window estimate",
+    "verify": "exact inequality ledger",
+    "optimize-nu": "recover the critical exponent",
+    "report": "re-run from a manifest",
+}
+
+#: Each command's options, name -> (parser, default, help).  The parser reads
+#: command-line, config-file and manifest text alike; a parse_flag option is a
+#: command-line switch.  Every command also takes --out and --config, and
+#: report its --manifest.
+_OPTIONS = {
+    "gaps": {
+        "limits": (_limits_arg, [10, 100, 1000], "comma list, e.g. 10,1e6"),
+        "allow_large": (parse_flag, False, None),
+        "ceiling": (parse_int_literal, 10**10, None),
+        "stream_csv": (parse_flag, False, "also write the per-gap CSV stream"),
+        "stream_limit": (parse_int_literal, 10**5, None),
+    },
+    "identity": {
+        "x": (parse_int_literal, 50, None),
+        "k": (parse_int_literal, 2, None),
+        "dump_factorizations": (parse_flag, False, None),
+    },
+    "largevalues": {
+        "experiments": (parse_int_literal, 100, None),
+        "seed": (parse_int_literal, 20120116, None),
+        "slack": (float, 100.0, None),
+    },
+    "perron": {
+        "y": (float, 201.5, None),
+        "tau": (float, 10.0, None),
+        "T0": (float, None, None),
+        "factors": (str, "unit:128", "e.g. unit:8,singleton"),
+    },
+    "verify": {"ledger": (str, None, "ledger file (default: builtin)")},
+    "optimize-nu": {"res": (parse_fraction_literal, Fraction(1, 64), None)},
+    "report": {},
+}
+
+
+def _table(command: str) -> dict:
+    """The options a config file or a manifest may set for command, out last."""
+    return {**_OPTIONS[command], "out": (str, "gapscope-out", None)}
+
 
 def build_parser() -> _Parser:
     p = _Parser(prog="gapscope", description=__doc__)
@@ -361,86 +379,26 @@ def build_parser() -> _Parser:
     common.add_argument("--out", default=None, help="output directory (default ./gapscope-out)")
     common.add_argument("--config", default=None, help="key=value config file")
 
-    g = sub.add_parser("gaps", parents=[common], help="gap table and moment summaries")
-    g.add_argument("--limits", type=_limits_arg, default=None, help="comma list, e.g. 10,1e6")
-    g.add_argument("--allow-large", action="store_true", default=None)
-    g.add_argument("--ceiling", type=parse_int_literal, default=None)
-    g.add_argument("--stream-csv", action="store_true", default=None,
-                   help="also write the per-gap CSV stream")
-    g.add_argument("--stream-limit", type=parse_int_literal, default=None)
-
-    i = sub.add_parser("identity", parents=[common], help="Lambda recovery check")
-    i.add_argument("--x", type=parse_int_literal, default=None)
-    i.add_argument("--k", type=parse_int_literal, default=None)
-    i.add_argument("--dump-factorizations", action="store_true", default=None)
-
-    l = sub.add_parser("largevalues", parents=[common], help="randomized cell experiments")
-    l.add_argument("--experiments", type=parse_int_literal, default=None)
-    l.add_argument("--seed", type=parse_int_literal, default=None)
-    l.add_argument("--slack", type=float, default=None)
-
-    pe = sub.add_parser("perron", parents=[common], help="truncated window estimate")
-    pe.add_argument("--y", type=float, default=None)
-    pe.add_argument("--tau", type=float, default=None)
-    pe.add_argument("--T0", type=float, default=None)
-    pe.add_argument("--factors", default=None, help="e.g. unit:8,singleton")
-
-    v = sub.add_parser("verify", parents=[common], help="exact inequality ledger")
-    v.add_argument("--ledger", default=None, help="ledger file (default: builtin)")
-
-    o = sub.add_parser("optimize-nu", parents=[common], help="recover the critical exponent")
-    o.add_argument("--res", type=parse_fraction_literal, default=None)
-
-    r = sub.add_parser("report", parents=[common], help="re-run from a manifest")
-    r.add_argument("--manifest", required=True)
+    for command, summary in _SUMMARIES.items():
+        sp = sub.add_parser(command, parents=[common], help=summary)
+        for key, (parse, _, text) in _OPTIONS[command].items():
+            kind = {"action": "store_true"} if parse is parse_flag else {"type": parse}
+            sp.add_argument("--" + key.replace("_", "-"), default=None, help=text, **kind)
+        if command == "report":
+            sp.add_argument("--manifest", required=True)
     return p
-
-
-_DEFAULTS = {
-    "gaps": {"limits": [10, 100, 1000], "allow_large": False,
-             "ceiling": 10**10, "stream_csv": False, "stream_limit": 10**5},
-    "identity": {"x": 50, "k": 2, "dump_factorizations": False},
-    "largevalues": {"experiments": 100, "seed": 20120116, "slack": 100.0},
-    "perron": {"y": 201.5, "tau": 10.0, "T0": None, "factors": "unit:128"},
-    "verify": {"ledger": None},
-    "optimize-nu": {"res": Fraction(1, 64)},
-    "report": {"manifest": None},
-}
-
-_CONFIG_PARSERS = {
-    "limits": _limits_arg,
-    "allow_large": parse_flag,
-    "stream_csv": parse_flag,
-    "dump_factorizations": parse_flag,
-    "ceiling": parse_int_literal,
-    "stream_limit": parse_int_literal,
-    "x": parse_int_literal,
-    "k": parse_int_literal,
-    "experiments": parse_int_literal,
-    "seed": parse_int_literal,
-    "slack": float,
-    "y": float,
-    "tau": float,
-    "T0": float,
-    "res": parse_fraction_literal,
-    "out": str,
-    "ledger": str,
-    "factors": str,
-}
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
     """Layered options: command line > config file > defaults."""
-    command = args.command
-    opt = dict(_DEFAULTS.get(command, {}))
-    opt.setdefault("out", "gapscope-out")
-    cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
-    settable = [k for k in opt if k in _CONFIG_PARSERS]
+    table = _table(args.command)
+    opt = {key: default for key, (_, default, _) in table.items()}
+    cfg = load_config_file(args.config) if args.config else {}
     for key, raw in cfg.items():
-        if key not in settable:
-            raise ValueError(f"config key {key!r} is not an option of {command} "
-                             f"(it takes {', '.join(settable)})")
-        opt[key] = _CONFIG_PARSERS[key](raw)
+        if key not in table:
+            raise ValueError(f"config key {key!r} is not an option of {args.command} "
+                             f"(it takes {', '.join(table)})")
+        opt[key] = table[key][0](raw)
     for key, val in vars(args).items():
         if key in ("command", "config") or val is None:
             continue
@@ -462,10 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command
     try:
         if command == "report":
-            return cmd_report(opt)
-        handler = _HANDLERS[command]
-        code = handler(opt)
-        write_manifest(Path(opt["out"]) / "manifest.json", command, _manifest_options(opt))
+            command, opt = _read_manifest(opt["manifest"], opt["out"])
+        code = _HANDLERS[command](opt)
+        write_manifest(Path(opt["out"]) / "manifest.json", command, opt)
         return code
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)

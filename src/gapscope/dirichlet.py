@@ -162,40 +162,9 @@ def eval_factor_grid(f: PolyFactor, c: float, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_product_grid(factors: Sequence[PolyFactor], c: float, ts: np.ndarray) -> np.ndarray:
-    out = np.ones(len(ts), dtype=complex)
-    for f in factors:
-        out *= eval_factor_grid(f, c, ts)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Unit-interval sups
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SupEstimate:
-    value: float
-    samples: int
-
-
-def sup_on_unit_interval(
-    factors: Sequence[PolyFactor] | PolyFactor,
-    c: float,
-    m: int,
-    samples: int = 32,
-    refine_iters: int = 3,
-) -> SupEstimate:
-    """Approximate sup over [m, m+1] of |prod S_i(c+it)|."""
-    if not (_is_int(m) and m >= 1):
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    _check_sampling(c, samples, refine_iters, 1)
-    fs = [factors] if isinstance(factors, PolyFactor) else list(factors)
-    base, offsets = np.array([float(m)]), np.linspace(0.0, 1.0, samples + 1)
-    vals = np.abs(eval_product_grid(fs, c, base + offsets))
-    peak = _golden(fs, c, *_bracket(vals[None], base, offsets), refine_iters)
-    return SupEstimate(float(peak[0]), samples + 1 + 2 * refine_iters)
-
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -290,11 +259,6 @@ class LargeValueProfile:
         logs = (math.log(float(N)) for N in self.lengths)
         return tuple(1.0 - b * math.log(2.0) / L if L > 0 else 1.0
                      for b, L in zip(self.band_indices, logs))
-
-    def aggregate_sigma(self) -> float:
-        """sigma with x1^sigma = prod N_i^(sigma_i), i.e. x1 2^(-sum b)."""
-        x1 = float(math.prod(self.lengths))
-        return 1.0 - sum(self.band_indices) * math.log(2.0) / math.log(x1)
 
 
 @dataclass
@@ -404,18 +368,9 @@ class LargeValueCounts:
     T: float
     R: int
     R_star: int
-    profile: LargeValueProfile | None = None
-    x1: float | None = None
-    sigma_agg: float | None = None
-    mu: float | None = None
 
 
-def count_R_Rstar(
-    members: Iterable[int],
-    T: float,
-    profile: LargeValueProfile | None = None,
-    T0: float | None = None,
-) -> LargeValueCounts:
+def count_R_Rstar(members: Iterable[int], T: float) -> LargeValueCounts:
     """R = |members|, R* = #{(m1,m2,m3,m4): m1+m2 = m3+m4}.
 
     R* is the additive energy sum_s r(s)^2, with r(s) the number of ordered
@@ -438,13 +393,7 @@ def count_R_Rstar(
         for i in range(0, len(a), step):
             r += np.bincount((a[i : i + step, None] + a).ravel(), minlength=len(r))
         r_star = int(r @ r) if len(a) < 2**21 else sum(v * v for v in r.tolist())
-    x1 = sigma = mu = None
-    if profile is not None:
-        x1 = float(math.prod(profile.lengths))
-        sigma = profile.aggregate_sigma()
-        if T0 is not None and T0 > 1:
-            mu = math.log(x1) / math.log(T0)
-    return LargeValueCounts(float(T), len(ms), r_star, profile, x1, sigma, mu)
+    return LargeValueCounts(float(T), len(ms), r_star)
 
 
 # ---------------------------------------------------------------------------

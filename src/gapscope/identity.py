@@ -307,13 +307,26 @@ def _von_mangoldt_table(N: int) -> np.ndarray:
 #: Largest x that `identity_residuals` takes.  Its tables hold about 70 bytes
 #: per n <= 3x, so the cap bounds them near 260 MB.
 IDENTITY_MAX_X = 10**6
+#: Largest k: every weight binom(k, j) is below 2^53, so exact in the tables.
+IDENTITY_MAX_K = 56
+#: Cap on k^2 * 3x, the entries swept by the k^2 convolutions of the check:
+#: that of (10^6, 3), which takes about 2 s.
+IDENTITY_MAX_WORK = 27 * 10**6
+
+
+def check_capacity(x: int, k: int) -> None:
+    """Refuse an identity check over the caps, before its config is built."""
+    if x > IDENTITY_MAX_X:
+        raise CapacityError(f"identity check at x = {x} over the desk-scale cap "
+                            f"x <= {IDENTITY_MAX_X} (about 70 bytes per n <= 3x)")
+    if k > IDENTITY_MAX_K or k > 0 and k * k * 3 * x > IDENTITY_MAX_WORK:
+        raise CapacityError(f"identity check at x = {x}, k = {k} over the caps "
+                            f"k <= {IDENTITY_MAX_K} and k^2 * 3x <= {IDENTITY_MAX_WORK}")
 
 
 def identity_residuals(cfg: IdentityConfig) -> np.ndarray:
     """|sum_j c_j K_j(n) - Lambda(n)| for n in (x, 3x], via batched tables."""
-    if cfg.x > IDENTITY_MAX_X:
-        raise CapacityError(f"identity check at x = {cfg.x} over the desk-scale cap "
-                            f"x <= {IDENTITY_MAX_X} (about 70 bytes per n <= 3x)")
+    check_capacity(cfg.x, cfg.k)
     N = 3 * cfg.x
     mu = mobius_sieve(N)
     total = np.zeros(N + 1)

@@ -28,37 +28,10 @@ from .errors import CapacityError
 DEFAULT_SEGMENT_ODDS = 1 << 20
 DEFAULT_CEILING = 10**10
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 # ---------------------------------------------------------------------------
-# Basic primality / small sieves
+# Small sieves
 # ---------------------------------------------------------------------------
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the base set is proven for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 def simple_sieve(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (plain in-memory sieve)."""
@@ -143,21 +116,6 @@ def sieve_primes(
     if not chunks:
         return np.array([], dtype=np.int64)
     return np.concatenate(chunks)
-
-
-def next_prime_above(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
-    """Smallest prime > n."""
-    k = n + 1
-    if k <= 2:
-        return 2
-    if k % 2 == 0:
-        k += 1
-    while True:
-        if k > ceiling:
-            raise CapacityError(f"next_prime_above({n}) passed ceiling {ceiling}")
-        if is_prime(k):
-            return k
-        k += 2
 
 
 # ---------------------------------------------------------------------------

