@@ -5,8 +5,6 @@ Lambda(n) is recovered on (x, 3x] from Moebius-truncated convolutions, then
 again from the exact window coefficients of the enumerated dyadic products.
 """
 
-import math
-
 from gapscope import identity
 from gapscope.primes import von_mangoldt
 
@@ -14,9 +12,11 @@ x, k = 60, 2
 cfg = identity.make_config(x, k)
 print(f"x = {x}, k = {k}, Moebius cutoff = floor((3x)^(1/k)) = {cfg.mobius_cutoff}")
 
+recovered = sum(identity.identity_weight(k, j) * identity.kj_table(cfg, j)
+                for j in range(1, k + 1))
 print("\nPointwise recovery on the window:")
 for n in (61, 64, 125, 127, 180):
-    got = identity.lambda_via_identity(n, cfg)
+    got = recovered[n]
     want = von_mangoldt(n)
     print(f"  n = {n:3d}: identity {got:12.8f}   Lambda {want:12.8f}   "
           f"diff {abs(got - want):.2e}")
@@ -24,16 +24,16 @@ for n in (61, 64, 125, 127, 180):
 res = identity.identity_residuals(cfg)
 print(f"\nMax residual over the whole window (x, 3x]: {float(res.max()):.2e}")
 
-fs = identity.enumerate_factorizations(cfg)
-print(f"\n{len(fs)} dyadic factorizations; the first few:")
-for f in fs[:5]:
-    lens = ", ".join(str(N) for N in f.lengths)
-    print(f"  j = {f.j}  weight {f.weight:+d}  lengths ({lens})")
+table = identity.enumerate_factorizations(cfg)
+print(f"\n{len(table)} dyadic factorizations; the first few:")
+for j, exps in table.rows[:5]:
+    lens = ", ".join(table.leaf(i, e)[0] for i, e in enumerate(exps, start=1))
+    print(f"  j = {j}  weight {table.weight(j):+d}  lengths ({lens})")
 
 total = identity.window_coefficient_sum(cfg)
 worst = max(abs(total[n] - von_mangoldt(n)) for n in range(x + 1, 3 * x + 1))
 print(f"\nSummed window coefficients reproduce Lambda to {worst:.2e}")
 
-f_part, g_part = identity.split_long(fs, x)
+f_part, g_part = identity.split_long(table)
 print(f"Long/short split at x^(19/20) = {x**(19/20):.1f}: "
       f"{len(f_part)} long, {len(g_part)} short")

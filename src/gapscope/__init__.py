@@ -24,18 +24,14 @@ from .dirichlet import (
     PolyFactor,
     classify_profile,
     count_R_Rstar,
-    eval_factor,
 )
-from .errors import CapacityError, QuadratureError, WindowError
+from .errors import CapacityError, QuadratureError
 from .identity import (
     CoefficientClass,
-    Factorization,
+    FactorizationRows,
     IdentityConfig,
-    compute_Kj,
     enumerate_factorizations,
-    lambda_via_identity,
     make_config,
-    mobius,
 )
 from .ledger import builtin_ledger, specified_mutations
 from .nu import BoundCatalog, builtin_catalog, coverage_check, optimize_nu, required_nu

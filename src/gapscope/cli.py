@@ -150,7 +150,7 @@ def cmd_identity(opt: dict) -> int:
     x, k = opt["x"], opt["k"]
     identity.check_capacity(x, k)
     cfg = identity.make_config(x, k)
-    rows = identity.factorization_rows(cfg) if opt["dump_factorizations"] else None
+    rows = identity.enumerate_factorizations(cfg) if opt["dump_factorizations"] else None
     residuals = identity.identity_residuals(cfg)
     report = {
         "x": x,
@@ -191,11 +191,8 @@ def cmd_largevalues(opt: dict) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-_FACTOR_KINDS = ("unit", "log", "mobius", "singleton")
-
-
 def _parse_factors(spec: str):
-    from .dirichlet import log_factor, mobius_factor, singleton_factor, unit_factor
+    from .dirichlet import FACTOR_KINDS, singleton_factor
 
     out = []
     for part in spec.split(","):
@@ -204,10 +201,9 @@ def _parse_factors(spec: str):
             out.append(singleton_factor())
             continue
         kind, _, n = part.partition(":")
-        if kind not in _FACTOR_KINDS or not n:
+        if kind not in FACTOR_KINDS or not n:
             raise ValueError(f"bad factor spec {part!r} (e.g. unit:8, mobius:16, singleton)")
-        mk = {"unit": unit_factor, "log": log_factor, "mobius": mobius_factor}[kind]
-        out.append(mk(int(n)))
+        out.append(FACTOR_KINDS[kind](int(n)))
     return out
 
 

@@ -8,7 +8,7 @@ Every factor value is built from the phase rows a_n n^(-c) e^(-it log n) of
 `_phase_rows`.  `eval_factor_lattice` evaluates on a lattice t = base +
 offset as one matrix product per chunk of bases; `eval_factor_grid` sums
 each row on its own, so a point's value does not depend on the batch it is
-evaluated in; `eval_factor` is the compensated pointwise oracle.
+evaluated in.
 
 The sup over a unit interval is approximated by G + 1 equally spaced
 samples (both ends included) plus golden-section refinement around the best
@@ -94,16 +94,8 @@ def singleton_factor() -> PolyFactor:
     return PolyFactor(CoefficientClass.SINGLETON, Fraction(1, 2))
 
 
-def eval_factor(f: PolyFactor, c: float, t: float) -> complex:
-    """sum a_n n^(-c-it) by direct compensated summation."""
-    ns, an = f.support()
-    if len(ns) == 0:
-        return 0.0 + 0.0j
-    mags = an * ns.astype(np.float64) ** (-c)
-    phases = -t * np.log(ns.astype(np.float64))
-    re = math.fsum((mags * np.cos(phases)).tolist())
-    im = math.fsum((mags * np.sin(phases)).tolist())
-    return complex(re, im)
+#: The constructor of each factor kind that takes a length N.
+FACTOR_KINDS = {"unit": unit_factor, "log": log_factor, "mobius": mobius_factor}
 
 
 def _phase_rows(ts: np.ndarray, logs: np.ndarray, mags: np.ndarray) -> np.ndarray:

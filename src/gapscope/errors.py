@@ -14,6 +14,3 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
 
-
-class WindowError(ValueError):
-    """An argument lies outside the window where an identity is guaranteed."""

@@ -29,13 +29,12 @@ from typing import Sequence
 import numpy as np
 
 from .dirichlet import (
+    FACTOR_KINDS,
     PolyFactor,
     classify_profile,
     count_R_Rstar,
     hb_rstar_rhs,
     huxley_rhs,
-    log_factor,
-    mobius_factor,
     montgomery_rhs,
     singleton_factor,
     unit_factor,
@@ -119,11 +118,6 @@ def analyze_classification(cls) -> list[CellReport]:
 
 
 def _random_factors(rng: random.Random) -> list[PolyFactor]:
-    mk = {
-        "unit": unit_factor,
-        "log": log_factor,
-        "mobius": mobius_factor,
-    }
     n = rng.choice([1, 1, 2, 2, 3])
     out: list[PolyFactor] = []
     budget = 1
@@ -132,7 +126,7 @@ def _random_factors(rng: random.Random) -> list[PolyFactor]:
         if budget * N > 4096:
             N = 4
         budget *= N
-        out.append(mk[rng.choice(["unit", "log", "mobius"])](N))
+        out.append(FACTOR_KINDS[rng.choice(list(FACTOR_KINDS))](N))
     if rng.random() < 0.3:
         out.append(singleton_factor())
     return out
@@ -201,15 +195,11 @@ PERRON_DECAY_CONFIGS: tuple[tuple[float, float, int, str], ...] = (
 
 
 def _decay_factors(N: int, kind: str) -> list[PolyFactor]:
-    if kind == "unit":
-        return [unit_factor(N)]
     if kind == "unit+1":
         return [unit_factor(N), singleton_factor()]
-    if kind == "log":
-        return [log_factor(N)]
-    if kind == "mobius":
-        return [mobius_factor(N)]
-    raise ValueError(kind)
+    if kind not in FACTOR_KINDS:
+        raise ValueError(kind)
+    return [FACTOR_KINDS[kind](N)]
 
 
 def octave_residuals(

@@ -8,8 +8,8 @@ Writing M_x(s) = sum_{n <= (3x)^(1/k)} mu(n) n^{-s}, the expansion of
 where K_j(n) runs over ordered factorizations n = n_1 ... n_{2j} with the
 first j variables Moebius-weighted and capped at the cutoff, the next j-1
 unit-weighted, and the last carrying log(n_{2j}).  (The sign here differs
-from a common typeset form of the identity; the convolution below is the one
-that actually recovers Lambda, which the tests verify numerically.)
+from a common typeset form of the identity; the convolution of `kj_table` is
+the one that actually recovers Lambda, which `identity_residuals` checks.)
 
 The identity is exact for n <= 3x because the discarded term's Dirichlet
 coefficients vanish there: each factor of (1 - M_x zeta) is supported on
@@ -17,12 +17,12 @@ integers with a divisor above the cutoff, so the k-fold product is supported
 above cutoff^k-adjacent values, and (cutoff+1)^k > 3x.
 
 Dyadic decomposition then splits each K_j into products of short polynomials
-S_1 ... S_2k over blocks (N_i, 2N_i]; `factorization_rows` lists the
-admissible block tuples as integer exponent rows and `enumerate_factorizations`
-as `Factorization` objects.  Every block's support comes from the cached
-`block_support`, and every product of supports from one kernel,
-`product_terms`, which `window_coefficient_sum` here, `perron` and
-`experiments` reduce to their sums.
+S_1 ... S_2k over blocks (N_i, 2N_i]; `enumerate_factorizations` lists the
+admissible block tuples as the integer exponent rows of a `FactorizationRows`.
+Every block's support comes from the cached `block_support`, and every
+product of supports from one kernel, `product_terms`, which
+`window_coefficient_sum` here, `perron` and `experiments` reduce to their
+sums.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CapacityError, WindowError
+from .errors import CapacityError
 from .primes import proper_prime_powers, simple_sieve
 
 EXACTNESS_TOL = 1e-9
@@ -59,8 +59,7 @@ class IdentityConfig:
     def __post_init__(self):
         if self.x < 2 or self.k < 1:
             raise ValueError("need x >= 2 and k >= 1")
-        c = self.mobius_cutoff
-        if not (c**self.k <= 3 * self.x < (c + 1) ** self.k):
+        if self.mobius_cutoff != _integer_root(3 * self.x, self.k):
             raise ValueError("mobius_cutoff is not floor((3x)^(1/k))")
 
 
@@ -69,46 +68,23 @@ def make_config(x: int, k: int) -> IdentityConfig:
 
 
 def _integer_root(n: int, k: int) -> int:
-    """floor(n^(1/k)) by correction of the float estimate."""
+    """floor(n^(1/k)) by integer Newton steps down from 2^ceil(bitlen(n)/k).
+
+    When k >= bitlen(n), n < 2^k and the root is 0 or 1: no power is built.
+    """
     if n < 0 or k < 1:
         raise ValueError(f"need n >= 0 and k >= 1 for the integer k-th root, got n={n}, k={k}")
-    r = max(1, int(round(n ** (1.0 / k))))
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
+    if k >= n.bit_length():
+        return min(n, 1)
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
     return r
 
 
 # ---------------------------------------------------------------------------
 # Moebius function
 # ---------------------------------------------------------------------------
-
-def mobius(n: int) -> int:
-    """mu(n) via factorization."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    result = 1
-    m = n
-    for p in (2, 3):
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-    f = 5
-    while f * f <= m:
-        for p in (f, f + 2):
-            if m % p == 0:
-                m //= p
-                if m % p == 0:
-                    return 0
-                result = -result
-        f += 6
-    if m > 1:
-        result = -result
-    return result
-
 
 def mobius_sieve(limit: int) -> np.ndarray:
     """mu(1..limit) as an int8 array (index 0 unused).
@@ -182,65 +158,12 @@ def product_terms(
 
 
 # ---------------------------------------------------------------------------
-# K_j convolutions
+# K_j tables
 # ---------------------------------------------------------------------------
-
-def compute_Kj(n: int, j: int, cfg: IdentityConfig) -> float:
-    """The 2j-fold convolution at a single n."""
-    if not (1 <= j <= cfg.k):
-        raise ValueError("need 1 <= j <= k")
-    if n > 3 * cfg.x:
-        raise ValueError("n beyond 3x")
-    cut = cfg.mobius_cutoff
-
-    @lru_cache(maxsize=None)
-    def unit_part(m: int, slots: int) -> float:
-        # (1^(*slots) * log)(m)
-        if slots == 0:
-            return math.log(m)
-        return sum(unit_part(m // d, slots - 1) for d in _divisors(m))
-
-    @lru_cache(maxsize=None)
-    def mob_part(m: int, slots: int) -> float:
-        if slots == 0:
-            return unit_part(m, j - 1)
-        total = 0.0
-        for d in _divisors(m):
-            if d <= cut:
-                mu = mobius(d)
-                if mu:
-                    total += mu * mob_part(m // d, slots - 1)
-        return total
-
-    return mob_part(n, j)
-
-
-@lru_cache(maxsize=4096)
-def _divisors(n: int) -> tuple[int, ...]:
-    small = []
-    large = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
-
 
 def identity_weight(k: int, j: int) -> int:
     """c_j = (-1)^(j+1) * binom(k, j); the sign that recovers Lambda."""
     return (-1) ** (j + 1) * math.comb(k, j)
-
-
-def lambda_via_identity(n: int, cfg: IdentityConfig) -> float:
-    """Evaluate sum_j c_j K_j(n); equals Lambda(n) on the window [x, 3x]."""
-    if not (cfg.x <= n <= 3 * cfg.x):
-        raise WindowError(f"n={n} outside [{cfg.x}, {3 * cfg.x}]")
-    return math.fsum(
-        identity_weight(cfg.k, j) * compute_Kj(n, j, cfg) for j in range(1, cfg.k + 1)
-    )
 
 
 def kj_table(cfg: IdentityConfig, j: int, mu: np.ndarray | None = None) -> np.ndarray:
@@ -343,48 +266,11 @@ def identity_residuals(cfg: IdentityConfig) -> np.ndarray:
 
 HALF = Fraction(1, 2)
 
+#: One block tuple (j, exps): N_i = 2^exps[i - 1], the exponent -1 standing for 1/2.
+Row = tuple[int, tuple[int, ...]]
+
 #: Cap on the block tuples an enumeration lists; (5000, 3) has 73,499, (5000, 4) 1,424,971.
 MAX_FACTORIZATIONS = 10**5
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """One dyadic block tuple (N_1..N_2k) with its identity weight c_j."""
-
-    j: int
-    k: int
-    lengths: tuple[Fraction, ...]
-    classes: tuple[CoefficientClass, ...]
-    weight: int
-
-    def validate(self, cfg: IdentityConfig) -> None:
-        """Raise ValueError unless this is an admissible tuple for cfg: its
-        exponents pass `_check_rows` as a row, and its classes and weight match."""
-        exps = tuple(_dyadic_exponent(N) for N in self.lengths)
-        k = self.k
-        if k != cfg.k or len(self.classes) != 2 * k:
-            raise ValueError(f"k={k} with {len(self.classes)} classes misfits k={cfg.k}")
-        _check_rows(cfg, [(self.j, exps)])
-        for i, (e, cls) in enumerate(zip(exps, self.classes), start=1):
-            if cls is not _slot_class(i, k, e):
-                raise ValueError(f"slot {i} of length {self.lengths[i - 1]} has class "
-                                 f"{cls.value}, not {_slot_class(i, k, e).value}")
-        if self.weight != identity_weight(k, self.j):
-            raise ValueError(f"weight {self.weight} is not c_j = {identity_weight(k, self.j)}")
-
-    def supports(self, cfg: IdentityConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Supports of the blocks but the singletons (each the factor 1), in order."""
-        return [block_support(cls, N, cfg.mobius_cutoff)
-                for N, cls in zip(self.lengths, self.classes)
-                if cls is not CoefficientClass.SINGLETON]
-
-    def as_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "lengths": [str(N) for N in self.lengths],
-            "classes": [c.value for c in self.classes],
-            "weight": self.weight,
-        }
 
 
 @dataclass(frozen=True)
@@ -393,25 +279,24 @@ class FactorizationRows:
     N_i = 2^e for e = exps[i - 1] in range(-1, top), e = -1 standing for 1/2."""
 
     cfg: IdentityConfig
-    rows: list[tuple[int, tuple[int, ...]]]
+    rows: list[Row]
     top: int
 
+    def __len__(self) -> int:
+        return len(self.rows)
+
     def leaf(self, i: int, e: int) -> tuple[str, str]:
-        """The texts `Factorization.as_dict` gives N_i = 2^e and its class."""
+        """The texts of N_i = 2^e and of its class in a dumped record."""
         return str(_length(e)), _slot_class(i, self.cfg.k, e).value
 
     def weight(self, j: int) -> int:
         return identity_weight(self.cfg.k, j)
 
-
-def _dyadic_exponent(N: Fraction) -> int:
-    """e with N = 2^e, where N is 1/2 (e = -1) or a power of two."""
-    num, den = N.numerator, N.denominator
-    if num == 1 and den == 2:
-        return -1
-    if den == 1 and num >= 1 and num & (num - 1) == 0:
-        return num.bit_length() - 1
-    raise ValueError(f"length {N} is neither 1/2 nor a power of two")
+    def supports(self, exps: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Supports of a row's blocks but the singletons (each the factor 1), in order."""
+        k, cutoff = self.cfg.k, self.cfg.mobius_cutoff
+        return [block_support(_slot_class(i, k, e), _length(e), cutoff)
+                for i, e in enumerate(exps, start=1) if e != -1]
 
 
 def _length(e: int) -> Fraction:
@@ -434,27 +319,14 @@ def _product_exponents(cfg: IdentityConfig) -> tuple[int, int]:
     return (cfg.x - 1).bit_length() - 2 * cfg.k, (3 * cfg.x).bit_length() - 1
 
 
-def enumerate_factorizations(cfg: IdentityConfig) -> list[Factorization]:
-    """Every admissible block tuple, each exactly once, in deterministic order.
+def enumerate_factorizations(cfg: IdentityConfig) -> FactorizationRows:
+    """Every admissible block tuple of cfg as an integer row, each exactly once,
+    in deterministic order, checked by `_check_rows`.
 
     Active Moebius slots may sit at any dyadic N below the cutoff (the top
     block is truncated at the cutoff); N = 1/2 marks a slot pinned to n_i = 1
     and is the forced value at placeholder positions.  The log slot skips
-    N = 1/2 since log 1 = 0 would zero the product.  Built from the rows of
-    `factorization_rows` with per-(slot, e) and per-j tables.
-    """
-    k, table = cfg.k, factorization_rows(cfg)
-    es = range(-1, table.top)
-    lengths = {e: _length(e) for e in es}
-    classes = [{e: _slot_class(i, k, e) for e in es} for i in range(1, 2 * k + 1)]
-    weights = [identity_weight(k, j) for j in range(k + 1)]
-    return [Factorization(j, k, tuple(map(lengths.__getitem__, exps)),
-                          tuple(map(dict.__getitem__, classes, exps)), weights[j])
-            for j, exps in table.rows]
-
-
-def factorization_rows(cfg: IdentityConfig) -> FactorizationRows:
-    """Every admissible block tuple of cfg as an integer row, checked by `_check_rows`.
+    N = 1/2 since log 1 = 0 would zero the product.
 
     The walk is over integer exponents, so a partial product is the exponent
     sum E and the window x/4^k <= 2^E <= 3x an integer range [lo, hi].  Each
@@ -468,7 +340,7 @@ def factorization_rows(cfg: IdentityConfig) -> FactorizationRows:
     k = cfg.k
     lo, hi = _product_exponents(cfg)
     top_mobius = _ceil_log2(cfg.mobius_cutoff) - 1  # blocks below the cutoff
-    rows: list[tuple[int, tuple[int, ...]]] = []
+    rows: list[Row] = []
     for j in range(1, k + 1):
         pad = (-1,) * (k - j)  # the placeholders after the Moebius and unit slots
         before_log = pad * (2 if j == 1 else 1)
@@ -493,7 +365,7 @@ def factorization_rows(cfg: IdentityConfig) -> FactorizationRows:
 
 
 def _row_count(cfg: IdentityConfig, stop: int | None = None) -> int:
-    """The number of rows `factorization_rows` lists, stopping once past `stop`.
+    """The number of rows `enumerate_factorizations` lists, stopping once past `stop`.
 
     Shifted to start at 0, each of the j Moebius slots takes one of w values,
     the j - 1 unit slots and the log slot any value >= 0, and a tuple counts
@@ -512,7 +384,7 @@ def _row_count(cfg: IdentityConfig, stop: int | None = None) -> int:
     return total
 
 
-def _check_rows(cfg: IdentityConfig, rows: list[tuple[int, tuple[int, ...]]]) -> None:
+def _check_rows(cfg: IdentityConfig, rows: list[Row]) -> None:
     """Raise ValueError unless every row (j, exps) is an admissible tuple for cfg:
     1 <= j <= k, 2k exponents each >= -1, -1 at the placeholders, Moebius slots
     at 2^e <= cutoff, the log slot at e >= 0 and the exponent sum in [lo, hi]."""
@@ -548,25 +420,28 @@ def window_coefficient_sum(cfg: IdentityConfig) -> np.ndarray:
     """
     N = 3 * cfg.x
     total = np.zeros(N + 1)
-    for f in enumerate_factorizations(cfg):
-        ns, an = product_terms(f.supports(cfg), N)
-        total += f.weight * np.bincount(ns, an, minlength=N + 1)
+    table = enumerate_factorizations(cfg)
+    for j, exps in table.rows:
+        ns, an = product_terms(table.supports(exps), N)
+        total += table.weight(j) * np.bincount(ns, an, minlength=N + 1)
     total[: cfg.x + 1] = 0.0
     return total
 
 
 def split_long(
-    factorizations: Iterable[Factorization],
-    x: int,
-    threshold: Fraction = Fraction(19, 20),
-) -> tuple[list[Factorization], list[Factorization]]:
-    """Partition by whether some N_i exceeds x^threshold (exact comparison)."""
+    table: FactorizationRows, threshold: Fraction = Fraction(19, 20)
+) -> tuple[list[Row], list[Row]]:
+    """Partition the rows by whether some N_i exceeds x^threshold = x^(p/q).
+
+    Exactly: N_i = 2^e is long when e >= 0 and 2^(e q) > x^p, that is when
+    e q reaches the bit length of x^p, so from e = ceil(bitlen(x^p) / q) on.
+    """
     if not (0 < threshold <= 1):
         raise ValueError("threshold exponent must be in (0, 1]")
     p, q = threshold.numerator, threshold.denominator
-    f_part: list[Factorization] = []
-    g_part: list[Factorization] = []
-    for f in factorizations:
-        long = any(N**q > Fraction(x) ** p for N in f.lengths)
-        (f_part if long else g_part).append(f)
-    return f_part, g_part
+    first_long = -(-(table.cfg.x**p).bit_length() // q)
+    long_rows: list[Row] = []
+    short_rows: list[Row] = []
+    for row in table.rows:
+        (long_rows if max(row[1]) >= first_long else short_rows).append(row)
+    return long_rows, short_rows

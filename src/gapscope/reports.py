@@ -101,8 +101,10 @@ class JsonText(str):
 
 
 def factorization_dump(table) -> JsonText:
-    """`canonical_json` of the `as_dict` records of an `identity.FactorizationRows`:
-    each (slot, exponent) leaf is quoted once, each row filled into one template."""
+    """`canonical_json` of one record {"j", "lengths", "classes", "weight"} per
+    row of an `identity.FactorizationRows`, lengths as Fraction texts ("1/2",
+    "4") and classes by value: each (slot, exponent) leaf is quoted once, each
+    row filled into one template."""
     slots, es = range(1, 2 * table.cfg.k + 1), range(-1, table.top)
     lengths = [{e: _json_str(table.leaf(i, e)[0]) for e in es} for i in slots]
     classes = [{e: _json_str(table.leaf(i, e)[1]) for e in es} for i in slots]

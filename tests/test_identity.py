@@ -1,11 +1,17 @@
-"""Lambda recovery through the combinatorial identity and its dyadic tiling."""
+"""Lambda recovery through the combinatorial identity and its dyadic tiling.
+
+The pointwise oracles live here: trial-division Moebius, the divisor
+recursion for K_j and the Factorization records of the Fraction walk.
+"""
 
 import dataclasses
+import json
 import math
 import random
 import re
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapscope import identity as I
-from gapscope.errors import CapacityError, WindowError
+from gapscope.errors import CapacityError
 from gapscope.primes import von_mangoldt
 from gapscope.reports import canonical_json, factorization_dump
 
@@ -24,23 +30,49 @@ HALF = Fraction(1, 2)
 # Moebius
 # ---------------------------------------------------------------------------
 
+def mobius(n: int) -> int:
+    """mu(n) by trial division."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    result = 1
+    m = n
+    for p in (2, 3):
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+    f = 5
+    while f * f <= m:
+        for p in (f, f + 2):
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    return 0
+                result = -result
+        f += 6
+    if m > 1:
+        result = -result
+    return result
+
+
 def test_mobius_values():
-    assert I.mobius(1) == 1
-    assert I.mobius(12) == 0
-    assert I.mobius(30) == -1
-    assert I.mobius(2 * 3 * 5 * 7) == 1
+    assert mobius(1) == 1
+    assert mobius(12) == 0
+    assert mobius(30) == -1
+    assert mobius(2 * 3 * 5 * 7) == 1
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=1, max_value=3000))
 def test_mobius_sieve_matches_pointwise(n):
-    assert int(I.mobius_sieve(n)[n]) == I.mobius(n)
+    assert int(I.mobius_sieve(n)[n]) == mobius(n)
 
 
 def test_mobius_sieve_every_limit_to_3000():
     table = I.mobius_sieve(3000)
     assert table.dtype == np.int8 and table[0] == 0
-    assert table[1:].tolist() == [I.mobius(n) for n in range(1, 3001)]
+    assert table[1:].tolist() == [mobius(n) for n in range(1, 3001)]
     for limit in range(3000):
         assert np.array_equal(I.mobius_sieve(limit), table[: limit + 1]), limit
 
@@ -49,47 +81,109 @@ def test_mobius_sieve_every_limit_to_3000():
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300))
 def test_mobius_multiplicative_on_coprimes(a, b):
     if math.gcd(a, b) == 1:
-        assert I.mobius(a * b) == I.mobius(a) * I.mobius(b)
+        assert mobius(a * b) == mobius(a) * mobius(b)
 
 
 # ---------------------------------------------------------------------------
 # K_j and the identity
 # ---------------------------------------------------------------------------
 
+def compute_Kj(n: int, j: int, cfg) -> float:
+    """The 2j-fold convolution at a single n, by recursion over divisors."""
+    if not (1 <= j <= cfg.k):
+        raise ValueError("need 1 <= j <= k")
+    if n > 3 * cfg.x:
+        raise ValueError("n beyond 3x")
+    cut = cfg.mobius_cutoff
+
+    @lru_cache(maxsize=None)
+    def unit_part(m: int, slots: int) -> float:
+        # (1^(*slots) * log)(m)
+        if slots == 0:
+            return math.log(m)
+        return sum(unit_part(m // d, slots - 1) for d in divisors(m))
+
+    @lru_cache(maxsize=None)
+    def mob_part(m: int, slots: int) -> float:
+        if slots == 0:
+            return unit_part(m, j - 1)
+        total = 0.0
+        for d in divisors(m):
+            if d <= cut:
+                mu = mobius(d)
+                if mu:
+                    total += mu * mob_part(m // d, slots - 1)
+        return total
+
+    return mob_part(n, j)
+
+
+@lru_cache(maxsize=4096)
+def divisors(n: int) -> tuple[int, ...]:
+    small = []
+    large = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return tuple(small + large[::-1])
+
+
+def lambda_via_identity(n: int, cfg) -> float:
+    """sum_j c_j K_j(n) by the divisor recursion; Lambda(n) on the window [x, 3x]."""
+    if not (cfg.x <= n <= 3 * cfg.x):
+        raise ValueError(f"n={n} outside [{cfg.x}, {3 * cfg.x}]")
+    return math.fsum(
+        I.identity_weight(cfg.k, j) * compute_Kj(n, j, cfg) for j in range(1, cfg.k + 1)
+    )
+
+
 def test_Kj_divisor_examples():
     cfg = I.make_config(2, 1)
-    assert I.compute_Kj(4, 1, cfg) == pytest.approx(math.log(2))  # log4 - log2
-    assert I.compute_Kj(1, 1, cfg) == 0.0
-    assert I.compute_Kj(5, 1, cfg) == pytest.approx(math.log(5))  # pairs (1,5),(5,1)
+    assert compute_Kj(4, 1, cfg) == pytest.approx(math.log(2))  # log4 - log2
+    assert compute_Kj(1, 1, cfg) == 0.0
+    assert compute_Kj(5, 1, cfg) == pytest.approx(math.log(5))  # pairs (1,5),(5,1)
+
+
+@pytest.mark.parametrize("x,k", [(2, 1), (8, 1), (50, 2), (60, 3), (20, 4)])
+def test_kj_table_matches_divisor_recursion(x, k):
+    cfg = I.make_config(x, k)
+    for j in range(1, k + 1):
+        table = I.kj_table(cfg, j)
+        want = [compute_Kj(n, j, cfg) for n in range(1, 3 * x + 1)]
+        assert table[1:].tolist() == pytest.approx(want, rel=1e-12, abs=1e-9)
 
 
 def test_identity_sign_convention():
     # the weight (-1)^(j+1) C(k,j) recovers Lambda; the flipped sign fails at n=4
     cfg = I.make_config(2, 1)
-    assert I.lambda_via_identity(4, cfg) == pytest.approx(math.log(2))
+    assert lambda_via_identity(4, cfg) == pytest.approx(math.log(2))
     flipped = sum(
-        (-1) ** j * math.comb(1, j) * I.compute_Kj(4, j, cfg) for j in (1,)
+        (-1) ** j * math.comb(1, j) * compute_Kj(4, j, cfg) for j in (1,)
     )
     assert flipped == pytest.approx(-math.log(2))
 
 
 def test_identity_examples():
     cfg2 = I.make_config(2, 2)
-    assert I.lambda_via_identity(6, cfg2) == pytest.approx(0.0, abs=1e-12)
+    assert lambda_via_identity(6, cfg2) == pytest.approx(0.0, abs=1e-12)
     for k in (1, 2, 3):
         cfg = I.make_config(53, k)  # 106 = 2*53 prime
-        assert I.lambda_via_identity(106, cfg) == pytest.approx(0.0, abs=1e-9)
+        assert lambda_via_identity(106, cfg) == pytest.approx(0.0, abs=1e-9)
         cfg = I.make_config(64, k)
-        assert I.lambda_via_identity(127, cfg) == pytest.approx(math.log(127), rel=1e-12)
+        assert lambda_via_identity(127, cfg) == pytest.approx(math.log(127), rel=1e-12)
 
 
 def test_identity_window_guard():
     cfg = I.make_config(50, 2)
-    with pytest.raises(WindowError):
-        I.lambda_via_identity(49, cfg)
-    with pytest.raises(WindowError):
-        I.lambda_via_identity(151, cfg)
-    assert I.lambda_via_identity(50, cfg) == pytest.approx(von_mangoldt(50), abs=1e-9)
+    with pytest.raises(ValueError, match="outside"):
+        lambda_via_identity(49, cfg)
+    with pytest.raises(ValueError, match="outside"):
+        lambda_via_identity(151, cfg)
+    assert lambda_via_identity(50, cfg) == pytest.approx(von_mangoldt(50), abs=1e-9)
 
 
 def test_identity_residual_tables():
@@ -178,11 +272,32 @@ def test_config_cutoff_invariant():
         I.IdentityConfig(50, 2, 13)  # 13^2 > 150
 
 
+def test_make_config_at_large_k_or_x_returns_at_once():
+    # k >= bitlen(3x) gives cutoff 1 from bit lengths, without building 2^k; a
+    # float estimate corrected in steps of 1 never finished at x = 10^60
+    t0 = time.perf_counter()
+    assert I.make_config(2, 10**9).mobius_cutoff == 1
+    assert I.make_config(10**6, 10**400).mobius_cutoff == 1
+    with pytest.raises(ValueError, match="not floor"):
+        I.IdentityConfig(2, 10**9, 2)
+    assert I.make_config(10**60, 2).mobius_cutoff == math.isqrt(3 * 10**60)
+    c = I.make_config(10**400, 3).mobius_cutoff
+    assert c**3 <= 3 * 10**400 < (c + 1) ** 3
+    assert time.perf_counter() - t0 < 0.05
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**80), st.integers(1, 300))
+def test_integer_root_is_the_floor_root(n, k):
+    r = I._integer_root(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
 def test_identity_works_beyond_enumeration_order():
-    # compute_Kj needs no tuple enumeration, so large k still evaluates
+    # the divisor recursion needs no tuple enumeration, so large k still evaluates
     cfg = I.make_config(20, 8)
     n = 43
-    assert I.lambda_via_identity(n, cfg) == pytest.approx(math.log(43), rel=1e-9)
+    assert lambda_via_identity(n, cfg) == pytest.approx(math.log(43), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +328,95 @@ def brute_count(cfg):
     return total
 
 
+def slot_class(i, k, N):
+    """The class slot i (1-based) of a 2k-tuple takes at length N."""
+    U = I.CoefficientClass
+    if N == HALF:
+        return U.SINGLETON
+    return U.MOBIUS if i <= k else U.UNIT if i < 2 * k else U.LOG
+
+
+def dyadic_exponent(N: Fraction) -> int:
+    """e with N = 2^e, where N is 1/2 (e = -1) or a power of two."""
+    num, den = N.numerator, N.denominator
+    if num == 1 and den == 2:
+        return -1
+    if den == 1 and num >= 1 and num & (num - 1) == 0:
+        return num.bit_length() - 1
+    raise ValueError(f"length {N} is neither 1/2 nor a power of two")
+
+
+@dataclasses.dataclass(frozen=True)
+class Factorization:
+    """One dyadic block tuple (N_1..N_2k) with its classes and identity weight c_j."""
+
+    j: int
+    k: int
+    lengths: tuple[Fraction, ...]
+    classes: tuple[I.CoefficientClass, ...]
+    weight: int
+
+    def validate(self, cfg) -> None:
+        """Raise ValueError unless this is an admissible tuple for cfg: its
+        exponents pass the row check, and its classes and weight match."""
+        exps = tuple(dyadic_exponent(N) for N in self.lengths)
+        k = self.k
+        if k != cfg.k or len(self.classes) != 2 * k:
+            raise ValueError(f"k={k} with {len(self.classes)} classes misfits k={cfg.k}")
+        I._check_rows(cfg, [(self.j, exps)])
+        for i, (N, cls) in enumerate(zip(self.lengths, self.classes), start=1):
+            if cls is not slot_class(i, k, N):
+                raise ValueError(f"slot {i} of length {N} has class "
+                                 f"{cls.value}, not {slot_class(i, k, N).value}")
+        if self.weight != (-1) ** (self.j + 1) * math.comb(k, self.j):
+            raise ValueError(f"weight {self.weight} is not c_j")
+
+    def supports(self, cfg):
+        """Supports of the blocks but the singletons (each the factor 1), in order."""
+        return [I.block_support(cls, N, cfg.mobius_cutoff)
+                for N, cls in zip(self.lengths, self.classes)
+                if cls is not I.CoefficientClass.SINGLETON]
+
+    def as_dict(self) -> dict:
+        return {
+            "j": self.j,
+            "lengths": [str(N) for N in self.lengths],
+            "classes": [c.value for c in self.classes],
+            "weight": self.weight,
+        }
+
+
+def reference_factorizations(cfg):
+    """The Factorization records of the Fraction walk, classes and weights
+    assigned by the slot rule and (-1)^(j+1) binom(k, j)."""
+    k = cfg.k
+    return [Factorization(j, k, lengths,
+                          tuple(slot_class(i, k, N) for i, N in enumerate(lengths, start=1)),
+                          (-1) ** (j + 1) * math.comb(k, j))
+            for j, lengths in reference_enumeration(cfg)]
+
+
+def read_rows(table):
+    """The rows of a FactorizationRows as Factorization records, read through
+    its `leaf` texts and `weight`."""
+    @lru_cache(maxsize=None)
+    def leaf(i, e):
+        n, c = table.leaf(i, e)
+        return Fraction(n), I.CoefficientClass(c)
+
+    out = []
+    for j, exps in table.rows:
+        lengths, classes = zip(*(leaf(i, e) for i, e in enumerate(exps, start=1)))
+        out.append(Factorization(j, table.cfg.k, lengths, classes, table.weight(j)))
+    return out
+
+
 @pytest.mark.parametrize("x,k", [(8, 1), (16, 1), (8, 2), (16, 2)])
 def test_enumeration_count_and_invariants(x, k):
     cfg = I.make_config(x, k)
-    fs = I.enumerate_factorizations(cfg)
-    assert len({(f.j, f.lengths) for f in fs}) == len(fs)
+    table = I.enumerate_factorizations(cfg)
+    fs = read_rows(table)
+    assert len({(f.j, f.lengths) for f in fs}) == len(fs) == len(table)
     for f in fs:
         f.validate(cfg)
     assert len(fs) == brute_count(cfg)
@@ -225,7 +424,7 @@ def test_enumeration_count_and_invariants(x, k):
 
 def test_enumeration_x8_k1_frozen():
     cfg = I.make_config(8, 1)
-    fs = I.enumerate_factorizations(cfg)
+    fs = read_rows(I.enumerate_factorizations(cfg))
     assert len(fs) == 18
     tuples = sorted((f.lengths[0], f.lengths[1]) for f in fs)
     assert set(t[0] for t in tuples) == {HALF, Fraction(1), Fraction(2),
@@ -236,7 +435,7 @@ def test_enumeration_x8_k1_frozen():
 
 def test_placeholders_forced_at_half():
     cfg = I.make_config(16, 2)
-    for f in I.enumerate_factorizations(cfg):
+    for f in read_rows(I.enumerate_factorizations(cfg)):
         k, j = f.k, f.j
         for i in range(1, 2 * k + 1):
             if (j < i <= k) or (k + j <= i < 2 * k):
@@ -295,22 +494,13 @@ def reference_enumeration(cfg):
 @pytest.mark.parametrize("x,k", [(2, 1), (777, 1), (3, 2), (3000, 2), (5, 3), (137, 3), (8, 4)])
 def test_exponent_walk_matches_fraction_walk(x, k):
     cfg = I.make_config(x, k)
-    fs = I.enumerate_factorizations(cfg)
-    assert [(f.j, f.lengths) for f in fs] == reference_enumeration(cfg)
-    for f in fs:
-        assert all(type(N) is Fraction for N in f.lengths)
-        assert f.weight == I.identity_weight(k, f.j)
-        for i, (N, cls) in enumerate(zip(f.lengths, f.classes), start=1):
-            if N == HALF:
-                assert cls is I.CoefficientClass.SINGLETON
-            else:
-                assert cls is (I.CoefficientClass.MOBIUS if i <= k else
-                               I.CoefficientClass.UNIT if i < 2 * k else I.CoefficientClass.LOG)
+    assert read_rows(I.enumerate_factorizations(cfg)) == reference_factorizations(cfg)
 
 
 def test_validate_rejects_each_broken_invariant():
     cfg = I.make_config(50, 2)  # cutoff 12
-    f = next(f for f in I.enumerate_factorizations(cfg)
+    fs = reference_factorizations(cfg)
+    f = next(f for f in fs
              if f.j == 2 and f.lengths[0] == 8 and f.lengths[1] == 2 and f.lengths[2] == 1)
     f.validate(cfg)
     U = I.CoefficientClass
@@ -321,7 +511,7 @@ def test_validate_rejects_each_broken_invariant():
         "outside": dataclasses.replace(f, lengths=f.lengths[:3] + (Fraction(2**10),)),
         "weight": dataclasses.replace(f, weight=-f.weight),
         "placeholder": dataclasses.replace(
-            next(g for g in I.enumerate_factorizations(cfg) if g.j == 1 and g.lengths[0] == 1),
+            next(g for g in fs if g.j == 1 and g.lengths[0] == 1),
             lengths=(Fraction(1), Fraction(1), HALF, Fraction(16)),
         ),
     }
@@ -349,13 +539,13 @@ def test_enumeration_count_guard():
     with pytest.raises(CapacityError, match="x=5000, k=4: more than 100000 block tuples"):
         I.enumerate_factorizations(I.make_config(5000, 4))
     with pytest.raises(CapacityError):
-        I.factorization_rows(I.make_config(50, 1000))
+        I.enumerate_factorizations(I.make_config(50, 1000))
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_row_check_refuses_each_broken_invariant():
     cfg = I.make_config(50, 2)  # cutoff 12, exponent sums in [2, 7]
-    rows = I.factorization_rows(cfg).rows
+    rows = I.enumerate_factorizations(cfg).rows
     I._check_rows(cfg, rows)
     broken = {  # each row breaks one invariant and keeps the others
         "j outside 1..2": (3, (3, 1, 1, 2)),
@@ -373,8 +563,8 @@ def test_row_check_refuses_each_broken_invariant():
 
 def test_validate_refuses_a_log_slot_at_half():
     # classes and weight fit such a tuple, so only the row check refuses it
-    f = I.Factorization(1, 1, (Fraction(1), HALF), (I.CoefficientClass.MOBIUS,
-                                                    I.CoefficientClass.SINGLETON), 1)
+    f = Factorization(1, 1, (Fraction(1), HALF), (I.CoefficientClass.MOBIUS,
+                                                  I.CoefficientClass.SINGLETON), 1)
     with pytest.raises(ValueError, match="the log slot at 1/2"):
         f.validate(I.make_config(2, 1))
 
@@ -382,16 +572,16 @@ def test_validate_refuses_a_log_slot_at_half():
 @pytest.mark.parametrize("x,k", [(8, 1), (777, 1), (3, 2), (3000, 2), (137, 3), (8, 4), (5000, 2)])
 def test_factorization_dump_equals_canonical_json(x, k):
     cfg = I.make_config(x, k)
-    want = canonical_json([f.as_dict() for f in I.enumerate_factorizations(cfg)])
-    assert factorization_dump(I.factorization_rows(cfg)) == want
+    want = canonical_json([f.as_dict() for f in reference_factorizations(cfg)])
+    assert factorization_dump(I.enumerate_factorizations(cfg)) == want
 
 
 def test_factorization_dump_lays_out_rows_over_12_slots_like_canonical_json():
     # every k >= 7 is over the enumeration cap, so this 14-slot row is built by hand
     cfg, exps = I.make_config(2, 7), (0,) + (-1,) * 12 + (1,)
-    f = I.Factorization(1, 7, tuple(I._length(e) for e in exps),
-                        tuple(I._slot_class(i, 7, e) for i, e in enumerate(exps, start=1)),
-                        I.identity_weight(7, 1))
+    lengths = tuple(Fraction(2) ** e for e in exps)
+    f = Factorization(1, 7, lengths,
+                      tuple(slot_class(i, 7, N) for i, N in enumerate(lengths, start=1)), 7)
     f.validate(cfg)
     table = I.FactorizationRows(cfg, [(1, exps)], top=2)
     assert factorization_dump(table) == canonical_json([f.as_dict()])
@@ -420,7 +610,7 @@ def test_window_coefficient_point_values():
 
 def test_small_product_factorization_is_empty_in_window():
     cfg = I.make_config(16, 2)
-    for f in I.enumerate_factorizations(cfg):
+    for f in reference_factorizations(cfg):
         if all(c is I.CoefficientClass.SINGLETON for c in f.classes[:-1]):
             if f.lengths[-1] < cfg.x / 2:
                 ns, _ = I.product_terms(f.supports(cfg), 3 * cfg.x)
@@ -433,13 +623,13 @@ def test_small_product_factorization_is_empty_in_window():
 # ---------------------------------------------------------------------------
 
 def reference_factor_support(N, cls, cfg):
-    """The block support as the identity built it, from pointwise mobius."""
+    """The block support as the identity built it, from trial-division mobius."""
     if cls is I.CoefficientClass.SINGLETON:
         return [(1, 1.0)]
     lo, hi = int(N), int(2 * N)
     if cls is I.CoefficientClass.MOBIUS:
         hi = min(hi, cfg.mobius_cutoff)
-        return [(n, float(m)) for n in range(lo + 1, hi + 1) if (m := I.mobius(n))]
+        return [(n, float(m)) for n in range(lo + 1, hi + 1) if (m := mobius(n))]
     if cls is I.CoefficientClass.UNIT:
         return [(n, 1.0) for n in range(lo + 1, hi + 1)]
     return [(n, math.log(n)) for n in range(lo + 1, hi + 1)]
@@ -517,8 +707,9 @@ def reference_mean_square(factors):
 @pytest.mark.parametrize("x,k", [(30, 2), (500, 2), (40, 3)])
 def test_kernel_matches_recursion_per_factorization(x, k):
     cfg = I.make_config(x, k)
-    for f in I.enumerate_factorizations(cfg):
-        ns, an = I.product_terms(f.supports(cfg), 3 * x)
+    table = I.enumerate_factorizations(cfg)
+    for (_, exps), f in zip(table.rows, reference_factorizations(cfg), strict=True):
+        ns, an = I.product_terms(table.supports(exps), 3 * x)
         got = np.bincount(ns, an, minlength=3 * x + 1)
         want = np.zeros(3 * x + 1)
         for n, c in reference_window_coefficients(f, cfg).items():
@@ -592,7 +783,7 @@ def test_cached_support_is_read_only():
 
 def test_factorization_dump_shape():
     cfg = I.make_config(8, 1)
-    d = I.enumerate_factorizations(cfg)[0].as_dict()
+    d = json.loads(factorization_dump(I.enumerate_factorizations(cfg)))[0]
     assert set(d) == {"j", "lengths", "classes", "weight"}
     assert all(isinstance(s, str) for s in d["lengths"])
 
@@ -601,22 +792,39 @@ def test_factorization_dump_shape():
 # long/short split
 # ---------------------------------------------------------------------------
 
+def fraction_split(table, threshold):
+    """Rows whose record has some N_i**q > x**p, by Fraction arithmetic, and the rest."""
+    p, q, x = threshold.numerator, threshold.denominator, Fraction(table.cfg.x)
+    longs = [any(N**q > x**p for N in f.lengths) for f in read_rows(table)]
+    return ([r for r, lg in zip(table.rows, longs) if lg],
+            [r for r, lg in zip(table.rows, longs) if not lg])
+
+
 def test_split_long_partition_and_membership():
     cfg = I.make_config(1024, 1)
-    fs = I.enumerate_factorizations(cfg)
-    f_part, g_part = I.split_long(fs, 1024, Fraction(19, 20))
-    assert len(f_part) + len(g_part) == len(fs)
+    table = I.enumerate_factorizations(cfg)
+    f_part, g_part = I.split_long(table, Fraction(19, 20))
+    assert len(f_part) + len(g_part) == len(table)
     # x = 2^10: membership decided by N_i > 2^9.5, i.e. N_i >= 2^10 dyadically
-    for f in fs:
+    for row, f in zip(table.rows, read_rows(table)):
         expected_long = any(N >= 1024 for N in f.lengths)
-        assert (f in f_part) == expected_long
+        assert (row in f_part) == expected_long
+
+
+@pytest.mark.parametrize("x,k,threshold", [(60, 2, Fraction(19, 20)), (777, 1, Fraction(1, 3)),
+                                           (60, 3, Fraction(2, 3)), (3000, 2, Fraction(7, 8)),
+                                           (64, 1, Fraction(1)), (2, 1, Fraction(1, 2))])
+def test_split_long_matches_fraction_comparison(x, k, threshold):
+    table = I.enumerate_factorizations(I.make_config(x, k))
+    assert I.split_long(table, threshold) == fraction_split(table, threshold)
 
 
 def test_split_long_thresholds():
     cfg = I.make_config(64, 1)
-    fs = I.enumerate_factorizations(cfg)
+    table = I.enumerate_factorizations(cfg)
     with pytest.raises(ValueError):
-        I.split_long(fs, 64, Fraction(0))
-    f1, g1 = I.split_long(fs, 64, Fraction(1))
+        I.split_long(table, Fraction(0))
+    f1, g1 = I.split_long(table, Fraction(1))
     # the predicate is N_i > x; blocks above x exist (up to 3x), so f is nonempty
-    assert f1 and all(any(N > 64 for N in f.lengths) for f in f1)
+    lengths = {row: f.lengths for row, f in zip(table.rows, read_rows(table))}
+    assert f1 and all(any(N > 64 for N in lengths[row]) for row in f1)

@@ -244,7 +244,7 @@ def test_tail_segment():
 def test_mobius_window_direct():
     # (20, 30] meets the mu-weighted block (16, 32]
     got = direct_window_sum([mobius_factor(16)], 20.0, 2.0)
-    from gapscope.identity import mobius
+    from test_identity import mobius
 
     assert got == pytest.approx(sum(mobius(n) for n in range(21, 31)))
 
