@@ -1,16 +1,14 @@
-"""Exact univariate polynomials and rational functions over the rationals.
+"""Exact univariate polynomials over the rationals, and ledger values.
 
 Inside, a polynomial is a list of Python ints, low degree first, with a
 nonzero leading coefficient (the zero polynomial is the empty list).
-Fractions appear only at the edges: the coefficient sequences that
-`RatFn.make`, the decisions and `AlgebraicNumber` take, each converted once
-to integers over one common denominator (`_ints`), and the Fraction values,
-coefficients and certificate strings they hand back.
+Fractions appear only at the edges: the coefficient sequences that `frac`,
+the decisions and `AlgebraicNumber` take, each converted once to integers
+over one common denominator (`_ints`), and the Fraction values and
+certificate strings they hand back.
 
-`RatFn` holds a rational function as integer polynomials N, D over one
-positive scale k: N/k and D/k are, coefficient for coefficient, the
-numerator and denominator over Q in lowest terms (divided by their monic
-gcd, D's leading coefficient positive).
+`MuLinear` holds a value (A(s) + u*B(s)) / D(s), u = 1/mu, as three integer
+polynomials in one canonical form, so equal values have equal fields.
 
 gcds, square-free parts and Sturm chains use primitive remainder sequences
 over Z (Knuth, TAOCP Vol. 2, 4.6.1): each pseudo-remainder is divided by its
@@ -213,84 +211,106 @@ class _Sturm:
 
 
 # ---------------------------------------------------------------------------
-# Rational functions
+# Values linear in u = 1/mu
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RatFn:
-    """(N/k) / (D/k) for integer polynomials N, D and a scale k > 0.
+class MuLinear:
+    """(A(s) + u*B(s)) / D(s) with u = 1/mu, for integer polynomials A, B, D.
 
-    `num` and `den`, the Fraction coefficients N/k and D/k, are in lowest
-    terms: divided by their monic gcd, with den's leading coefficient
-    positive.  N, D and k have no common integer factor.
+    The form is canonical, so equal values have equal fields: A, B and D have
+    no common factor over Q[s] and no common integer factor, and D's leading
+    coefficient is positive (zero is A = B = (), D = (1,)).
     """
 
-    N: tuple[int, ...]
-    D: tuple[int, ...]
-    k: int = 1
+    A: tuple[int, ...]
+    B: tuple[int, ...] = ()
+    D: tuple[int, ...] = (1,)
 
     @staticmethod
-    def make(num, den=(1,)) -> "RatFn":
-        (n, a), (d, b) = _ints(poly(num)), _ints(poly(den))
-        k = lcm(a, b)
-        return RatFn._of([c * (k // a) for c in n], [c * (k // b) for c in d], k)
-
-    @staticmethod
-    def _of(n: list[int], d: list[int], k: int) -> "RatFn":
-        """n/k over d/k in lowest terms, for trimmed n and d."""
+    def _of(a: list[int], b: list[int], d: list[int]) -> "MuLinear":
+        """(a + u*b) / d in canonical form, for trimmed a, b and d."""
         if not d:
             raise ZeroDivisionError("zero denominator")
-        # a nonzero constant n or d has gcd 1 with the other side;
-        # a zero n over a non-constant d still reduces (to d's leading term)
-        if len(n) != 1 and len(d) > 1:
-            g = _gcd(_primitive(n), _primitive(d))
-            if len(g) > 1:  # divide by g / lc(g), the monic gcd over Q
-                n = [c * g[-1] for c in _exact_div(n, g)]
-                d = [c * g[-1] for c in _exact_div(d, g)]
-        if d[-1] < 0:
-            n, d = [-c for c in n], [-c for c in d]
-        c = gcd(k, *n, *d)
-        if c > 1:
-            n, d, k = [x // c for x in n], [x // c for x in d], k // c
-        return RatFn(tuple(n), tuple(d), k)
+        if len(d) > 1:
+            g = _primitive(d)
+            for p in (a, b):
+                if p and len(g) > 1:
+                    g = _gcd(g, _primitive(p))
+            if len(g) > 1:  # g divides d, a and b (all of d when a and b are zero)
+                a, b, d = (_exact_div(p, g) if p else p for p in (a, b, d))
+        c = gcd(*a, *b, *d) * (1 if d[-1] > 0 else -1)
+        if c != 1:
+            a, b, d = ([x // c for x in p] for p in (a, b, d))
+        return MuLinear(tuple(a), tuple(b), tuple(d))
 
-    @staticmethod
-    def const(c) -> "RatFn":
-        p, q = Q(c).as_integer_ratio()  # make([c]), without the gcds
-        return RatFn((p,) if p else (), (q,), q)
+    def _plus(self, o: "MuLinear", sign: int) -> "MuLinear":
+        if self.D == o.D:
+            return MuLinear._of(_add(self.A, o.A, sign), _add(self.B, o.B, sign), list(self.D))
+        return MuLinear._of(_add(_mul(self.A, o.D), _mul(o.A, self.D), sign),
+                            _add(_mul(self.B, o.D), _mul(o.B, self.D), sign),
+                            _mul(self.D, o.D))
 
-    @property
-    def num(self) -> tuple[Fraction, ...]:
-        return tuple(Q(c, self.k) for c in self.N)
+    def __add__(self, o: "MuLinear") -> "MuLinear":
+        return self._plus(o, 1)
 
-    @property
-    def den(self) -> tuple[Fraction, ...]:
-        return tuple(Q(c, self.k) for c in self.D)
+    def __sub__(self, o: "MuLinear") -> "MuLinear":
+        return self._plus(o, -1)
 
-    def __add__(self, o: "RatFn") -> "RatFn":
-        return RatFn._of(_add(_mul(self.N, o.D), _mul(o.N, self.D)),
-                         _mul(self.D, o.D), self.k * o.k)
+    def __neg__(self) -> "MuLinear":
+        return MuLinear(tuple(-c for c in self.A), tuple(-c for c in self.B), self.D)
 
-    def __sub__(self, o: "RatFn") -> "RatFn":
-        return RatFn._of(_add(_mul(self.N, o.D), _mul(o.N, self.D), -1),
-                         _mul(self.D, o.D), self.k * o.k)
+    def __mul__(self, o: "MuLinear") -> "MuLinear":
+        if self.B and o.B:
+            raise ValueError("product would be quadratic in 1/mu")
+        return MuLinear._of(_mul(self.A, o.A), _add(_mul(self.A, o.B), _mul(self.B, o.A)),
+                            _mul(self.D, o.D))
 
-    def __mul__(self, o: "RatFn") -> "RatFn":
-        return RatFn._of(_mul(self.N, o.N), _mul(self.D, o.D), self.k * o.k)
+    def __truediv__(self, o: "MuLinear") -> "MuLinear":
+        if o.B:
+            raise ValueError("division by a u-dependent expression")
+        if not o.A:
+            raise ZeroDivisionError("division by zero")
+        return MuLinear._of(_mul(self.A, o.D), _mul(self.B, o.D), _mul(self.D, o.A))
 
-    def __truediv__(self, o: "RatFn") -> "RatFn":
-        if not o.N:
-            raise ZeroDivisionError
-        return RatFn._of(_mul(self.N, o.D), _mul(self.D, o.N), self.k * o.k)
+    def __pow__(self, e: int) -> "MuLinear":
+        if e < 0:
+            raise ValueError("negative powers not supported")
+        if self.B and e > 1:
+            raise ValueError("product would be quadratic in 1/mu")
+        a, d = [1], [1]
+        for _ in range(e):
+            a, d = _mul(a, self.A), _mul(d, self.D)
+        # A^e and D^e stay coprime with joint content 1: canonical as they are
+        return MuLinear(tuple(a), self.B if e == 1 else (), tuple(d))
 
-    def is_zero(self) -> bool:
-        return not self.N
+    def at_u(self, u: Fraction) -> "MuLinear":
+        """The rational function of s that this value is at one u (B = ())."""
+        p, q = u.numerator, u.denominator
+        return MuLinear._of(_add([q * c for c in self.A], [p * c for c in self.B]), [],
+                            [q * c for c in self.D])
 
-    def __call__(self, s: Fraction) -> Fraction:
-        dv = _value(self.D, self.k, s)
+    def __call__(self, s: Fraction, mu: Fraction) -> Fraction:
+        dv = _value(self.D, 1, s)
         if dv == 0:
             raise ZeroDivisionError(f"denominator vanishes at s={s}")
-        return _value(self.N, self.k, s) / dv
+        return (_value(self.A, 1, s) + _value(self.B, 1, s) / Q(mu)) / dv
+
+
+U = MuLinear((), (1,))
+S = MuLinear((0, 1))
+
+
+def frac(num: Sequence, den: Sequence = (1,)) -> MuLinear:
+    """num(s) / den(s) for rational coefficient sequences, low degree first."""
+    (n, a), (d, b) = _ints(poly(num)), _ints(poly(den))
+    return MuLinear._of([c * b for c in n], [], [c * a for c in d])
+
+
+def ml(a=0, b=0) -> MuLinear:
+    """a + u*b for rationals a and b."""
+    (p, q), (r, t) = Q(a).as_integer_ratio(), Q(b).as_integer_ratio()
+    return MuLinear._of([p * t] if p else [], [r * q] if r else [], [q * t])
 
 
 # ---------------------------------------------------------------------------

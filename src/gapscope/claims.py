@@ -7,10 +7,9 @@ so the extremes in mu sit at the interval endpoints; substituting each
 endpoint reduces the claim to sign conditions on univariate polynomials,
 decided exactly by the Sturm machinery in `algebra`.
 
-Both parts of a value are `algebra.RatFn`s, integer polynomials over one
-scale.  Fractions appear only at the edges: literals and box endpoints as
-parsed, the coefficients handed to the decisions, and the ledger text and
-certificates written out.
+Each side is an `algebra.MuLinear`, (A(s) + u*B(s)) / D(s) in one canonical
+integer form.  Fractions appear only at the edges: box endpoints as parsed,
+and the ledger text and certificates written out.
 
 Expressions are written over the symbols `s` (sigma) and `u` (short for
 1/mu).  Ledger files are line-oriented:
@@ -29,13 +28,15 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
-from .algebra import (
+from .algebra import (  # MuLinear, S, U and ml are re-exported
     AlgebraicNumber,
-    RatFn,
+    MuLinear,
+    S,
+    U,
     isolate_roots_open,
+    ml,
     nonneg_on_interval,
     sign_on_interval,
 )
@@ -55,91 +56,27 @@ class IllPosedClaimError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Rational functions of sigma, linear in u = 1/mu
-# ---------------------------------------------------------------------------
-
-ZERO = RatFn.make([0])
-ONE = RatFn.make([1])
-SIGMA = RatFn.make([0, 1])
-
-
-@dataclass(frozen=True)
-class MuLinear:
-    """a(s) + u * b(s) with u = 1/mu."""
-
-    a: RatFn
-    b: RatFn = ZERO
-
-    def __add__(self, o: "MuLinear") -> "MuLinear":
-        return MuLinear(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o: "MuLinear") -> "MuLinear":
-        return MuLinear(self.a - o.a, self.b - o.b)
-
-    def __mul__(self, o: "MuLinear") -> "MuLinear":
-        if not self.b.is_zero() and not o.b.is_zero():
-            raise ValueError("product would be quadratic in 1/mu")
-        return MuLinear(self.a * o.a, self.a * o.b + self.b * o.a)
-
-    def __truediv__(self, o: "MuLinear") -> "MuLinear":
-        if not o.b.is_zero():
-            raise ValueError("division by a u-dependent expression")
-        return MuLinear(self.a / o.a, self.b / o.a)
-
-    def __pow__(self, e: int) -> "MuLinear":
-        if e < 0:
-            raise ValueError("negative powers not supported")
-        out = MuLinear(ONE)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def at_u(self, u: Fraction) -> RatFn:
-        return self.a + self.b * RatFn.const(u)
-
-    def __call__(self, s: Fraction, mu: Fraction) -> Fraction:
-        return self.a(s) + self.b(s) / Q(mu)
-
-
-U = MuLinear(ZERO, ONE)
-S = MuLinear(SIGMA)
-
-
-def ml(a, b=0) -> MuLinear:
-    """MuLinear from constants/rationals: a(s) given as RatFn or scalar."""
-    aa = a if isinstance(a, RatFn) else RatFn.const(a)
-    bb = b if isinstance(b, RatFn) else RatFn.const(b)
-    return MuLinear(aa, bb)
-
-
-def rf(num, den=(1,)) -> RatFn:
-    return RatFn.make(num, den)
-
-
-# ---------------------------------------------------------------------------
 # Expression parser (for ledger files)
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(\d+|[su]|\*\*|[()+\-*/^])")
 
-#: Largest degree of a polynomial in a parsed expression (numerator or
-#: denominator, in s).  The ledger needs 2; a claim at degree 12 with every
-#: root in the sigma box verifies in about 6 ms, 16 ms at degree 16.
+#: Largest degree in s of A, B or D in a parsed expression.  The ledger needs
+#: 2; a claim at degree 12 with every root in the sigma box verifies in about
+#: 6 ms, 16 ms at degree 16.
 MAX_DEGREE = 12
-#: Every coefficient keeps |numerator| * denominator below 2^MAX_COEFF_BITS:
-#: `RatFn.make` on a coprime degree-12 over degree-11 quotient takes about
-#: 1 ms there, 9 s at 4000 digits.
+#: Every integer of A, B and D stays below 2^MAX_COEFF_BITS: reducing a
+#: coprime degree-12 over degree-11 quotient takes about 1 ms there, seconds
+#: at thousands of digits.
 MAX_COEFF_BITS = 64
 MAX_NESTING = 32  # parenthesis depth; the parser takes four frames per level
 
 
 def _capped(v: MuLinear, text: str) -> MuLinear:
-    fs = (v.a, v.b)
-    deg = max(len(p) - 1 for f in fs for p in (f.N, f.D))
+    deg = max(len(v.A), len(v.B), len(v.D)) - 1
     if deg > MAX_DEGREE:
         raise CapacityError(f"degree {deg} over the cap {MAX_DEGREE} in {text.strip()!r}")
-    # |p| * q for each coefficient p/q = c/k in lowest terms
-    if max(abs(c) * f.k // gcd(c, f.k) ** 2 for f in fs for c in f.N + f.D) >> MAX_COEFF_BITS:
+    if max(abs(c) for c in v.A + v.B + v.D) >> MAX_COEFF_BITS:
         raise CapacityError(f"coefficient over {MAX_COEFF_BITS} bits in {text.strip()!r}")
     return v
 
@@ -188,7 +125,11 @@ def parse_expression(text: str) -> MuLinear:
             return U
         if t and t.isdigit():
             take()
-            return _capped(ml(Q(int(t))), text)
+            t = t.lstrip("0") or "0"
+            if len(t) > len(str(1 << MAX_COEFF_BITS)):  # int() refuses 4300 digits
+                raise CapacityError(f"coefficient over {MAX_COEFF_BITS} bits in {text.strip()!r}")
+            n = int(t)
+            return _capped(MuLinear((n,) if n else ()), text)
         raise ValueError(f"unexpected token {t!r} in {text!r}")
 
     def factor() -> MuLinear:
@@ -199,14 +140,13 @@ def parse_expression(text: str) -> MuLinear:
         v = atom()
         if peek() == "^":
             take("^")
-            e = take()
+            e = take().lstrip("0") or "0"
             if not e.isdigit():
                 raise ValueError("exponent must be an integer literal")
-            if int(e) > MAX_DEGREE:
-                raise CapacityError(
-                    f"exponent {int(e)} over the cap {MAX_DEGREE} in {text.strip()!r}")
+            if len(e) > len(str(MAX_DEGREE)) or int(e) > MAX_DEGREE:
+                raise CapacityError(f"exponent {e} over the cap {MAX_DEGREE} in {text.strip()!r}")
             v = _capped(v ** int(e), text)
-        return ml(-1) * v if neg else v
+        return -v if neg else v
 
     def term() -> MuLinear:
         v = factor()
@@ -230,26 +170,14 @@ def parse_expression(text: str) -> MuLinear:
     return v
 
 
-def format_ratfn(r: RatFn) -> str:
-    def fmt_poly(p: Sequence[Fraction]) -> str:
-        if not p:
-            return "0"
-        parts = []
-        for i, c in enumerate(p):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(_fmt_q(c))
-            elif i == 1:
-                parts.append(f"{_fmt_q(c)}*s" if c != 1 else "s")
-            else:
-                parts.append(f"{_fmt_q(c)}*s^{i}" if c != 1 else f"s^{i}")
-        return " + ".join(parts).replace("+ -", "- ") or "0"
-
-    num = fmt_poly(r.num)
-    if r.D == (r.k,):
-        return f"({num})" if ("+" in num or "-" in num[1:]) else num
-    return f"({num})/({fmt_poly(r.den)})"
+def _fmt_poly(p: Sequence, d: int = 1) -> str:
+    """p(s)/d as `c0 + c1*s + c2*s^2 ...`, zero terms left out."""
+    parts = []
+    for i, c in enumerate(p):
+        if c:
+            q, mono = Q(c, d), "s" if i == 1 else f"s^{i}"
+            parts.append(_fmt_q(q) if i == 0 else mono if q == 1 else f"{_fmt_q(q)}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def _fmt_q(c: Fraction) -> str:
@@ -259,12 +187,15 @@ def _fmt_q(c: Fraction) -> str:
 
 
 def format_mulinear(v: MuLinear) -> str:
-    parts = []
-    if not v.a.is_zero() or v.b.is_zero():
-        parts.append(format_ratfn(v.a))
-    if not v.b.is_zero():
-        parts.append(f"u*{format_ratfn(v.b)}")
-    return " + ".join(parts)
+    """A/d + u*B/d over a constant D = d, else one fraction over D; the text
+    parses back to v field for field."""
+    if len(v.D) == 1:
+        a, b = (_fmt_poly(p, v.D[0]) for p in (v.A, v.B))
+        a, b = (f"({t})" if "+" in t or "-" in t[1:] else t for t in (a, b))
+        return a if not v.B else f"u*{b}" if not v.A else f"{a} + u*{b}"
+    a, b, d = _fmt_poly(v.A), _fmt_poly(v.B), _fmt_poly(v.D)
+    return (f"({a})/({d})" if not v.B else f"u*({b})/({d})" if not v.A
+            else f"({a} + u*({b}))/({d})")
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +254,12 @@ def _certify_denominator_sign(den: Sequence[int], a: Fraction, b: Fraction) -> i
     raise IllPosedClaimError("denominator sign change inside interval", iso)
 
 
-def _nonneg_ratfn(F: RatFn, a: Fraction, b: Fraction) -> tuple[bool, dict]:
-    """Decide F(s) >= 0 for s in [a, b] (claims are checked non-strictly;
-    epsilon slack is dropped and the strict flag is recorded, not enforced,
-    for box claims)."""
-    sign = _certify_denominator_sign(F.D, a, b)
-    h = F.num if sign > 0 else [-c for c in F.num]
+def _nonneg(F: MuLinear, a: Fraction, b: Fraction) -> tuple[bool, dict]:
+    """Decide F(s) >= 0 for s in [a, b], for a u-free F whose denominator
+    keeps one sign there (claims are checked non-strictly; epsilon slack is
+    dropped and the strict flag is recorded, not enforced, for box claims)."""
+    sign = sign_on_interval(F.D, a, a)
+    h = F.A if sign > 0 else [-c for c in F.A]
     ok, cert = nonneg_on_interval(h, a, b)
     cert["denominator_sign"] = sign
     return ok, cert
@@ -337,7 +268,7 @@ def _nonneg_ratfn(F: RatFn, a: Fraction, b: Fraction) -> tuple[bool, dict]:
 def verify_claim(claim: Claim) -> Verdict:
     """Exact verdict for max(lhs) <= rhs on the claim's box."""
     if claim.algebraic_lhs is not None:
-        bound = claim.rhs.a(Q(0))
+        bound = claim.rhs(Q(0), 1)
         cmp = claim.algebraic_lhs.cmp_fraction(bound)
         holds = cmp < 0 if claim.strict else cmp <= 0
         cert = {
@@ -354,17 +285,17 @@ def verify_claim(claim: Claim) -> Verdict:
         raise ValueError(f"empty box in claim {claim.id}")
     if mu_lo <= 0:
         raise ValueError(f"mu box of claim {claim.id} starts at {mu_lo}; u = 1/mu needs mu > 0")
-    # each side must be defined on the whole box, not only rhs - lhs
+    # each side must be defined on the whole box, not only rhs - lhs; then
+    # each F.D below divides rhs.D * lhs.D, so keeps one sign on the box
     for v in (*claim.lhs, claim.rhs):
-        for f in (v.a, v.b):
-            _certify_denominator_sign(f.D, s_lo, s_hi)
+        _certify_denominator_sign(v.D, s_lo, s_hi)
     cert: dict = {"kind": "mu-endpoint-reduction", "strict_flag": claim.strict, "checks": []}
     mu_ends = (mu_lo,) if mu_lo == mu_hi else (mu_lo, mu_hi)
     for i, lhs in enumerate(claim.lhs):
         diff = claim.rhs - lhs  # require diff >= 0
         for mu in mu_ends:
             F = diff.at_u(Q(1) / mu)
-            ok, sub = _nonneg_ratfn(F, s_lo, s_hi)
+            ok, sub = _nonneg(F, s_lo, s_hi)
             entry = {"lhs_index": i, "mu": str(mu), "result": ok, "detail": sub}
             cert["checks"].append(entry)
             if not ok:
@@ -387,7 +318,7 @@ def recheck_verdict(claim: Claim, verdict: Verdict) -> bool:
             claim.algebraic_lhs.lo,
             claim.algebraic_lhs.hi,
         )
-        cmp = v.cmp_fraction(claim.rhs.a(Q(0)))
+        cmp = v.cmp_fraction(claim.rhs(Q(0), 1))
         return (cmp < 0 if claim.strict else cmp <= 0) == verdict.holds
     if not verdict.holds:
         ce = verdict.certificate.get("counterexample")
@@ -446,9 +377,9 @@ def parse_ledger_line(line: str) -> Claim | None:
 
 def _poly_from_expression(text: str) -> list[Fraction]:
     v = parse_expression(text)
-    if not v.b.is_zero() or v.a.D != (v.a.k,):
+    if v.B or len(v.D) != 1:
         raise ValueError("root() needs a plain polynomial in s")
-    return list(v.a.num)
+    return [Q(c, v.D[0]) for c in v.A]
 
 
 def parse_ledger(text: str) -> list[Claim]:
@@ -469,9 +400,8 @@ def parse_ledger(text: str) -> list[Claim]:
 def format_claim(claim: Claim) -> str:
     if claim.algebraic_lhs is not None:
         a = claim.algebraic_lhs
-        ptxt = format_ratfn(RatFn.make(list(a.coeffs))).strip("()")
-        lhs = f"root({ptxt}; {_fmt_q(a.lo)}, {_fmt_q(a.hi)})"
-        return f"{claim.id} | {lhs} | {_fmt_q(claim.rhs.a(Q(0)))} | - | - | strict"
+        lhs = f"root({_fmt_poly(a.coeffs)}; {_fmt_q(a.lo)}, {_fmt_q(a.hi)})"
+        return f"{claim.id} | {lhs} | {_fmt_q(claim.rhs(Q(0), 1))} | - | - | strict"
     lhs = "; ".join(format_mulinear(l) for l in claim.lhs)
     rhs = format_mulinear(claim.rhs)
     s_lo, s_hi = claim.sigma_interval

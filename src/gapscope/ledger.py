@@ -20,27 +20,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraicNumber, RatFn, poly
-from .claims import Claim, MuLinear, ml, rf
+from .algebra import AlgebraicNumber, MuLinear, S, U, frac, ml, poly
+from .claims import Claim
 
 Q = Fraction
-
-U1 = ml(0, 1)          # u = 1/mu
-SVAR = ml(rf([0, 1]))  # s
 
 
 def _L(c0, c1=0) -> MuLinear:
     """Affine function of s as a MuLinear."""
-    return ml(rf([Q(c0), Q(c1)]))
+    return frac([c0, c1])
 
 
 def _frac(num0, num1, den0, den1) -> MuLinear:
     """(num0 + num1 s) / (den0 + den1 s)."""
-    return ml(RatFn.make([Q(num0), Q(num1)], [Q(den0), Q(den1)]))
+    return frac([num0, num1], [den0, den1])
 
 
 def _u_times(num0, num1, den0=1, den1=0) -> MuLinear:
-    return ml(0, RatFn.make([Q(num0), Q(num1)], [Q(den0), Q(den1)]))
+    return U * _frac(num0, num1, den0, den1)
 
 
 # The quadratic whose smaller root is (271 - sqrt(193))/336: substituting
@@ -60,7 +57,7 @@ def builtin_ledger() -> list[Claim]:
     add(Claim.box("slarge-case1-exponent", _L(2, -3), _L("5/4", -2),
                   "3/4", "1",
                   source="fourth-power split geometric mean against the R target, s >= 3/4"))
-    add(Claim.box("trivial-region", SVAR, _L("5/8"), "1/2", "5/8",
+    add(Claim.box("trivial-region", S, _L("5/8"), "1/2", "5/8",
                   source="the trivial count R <= T0 meets the target iff s <= 5/8"))
 
     # --- published-bound sufficiency regions ------------------------------
@@ -77,18 +74,18 @@ def builtin_ledger() -> list[Claim]:
                   "3/4", "13/16", mu=("4/3", "8/5"),
                   source="large-values estimate covers mu <= 8/5 on 3/4 <= s <= 13/16"))
     add(Claim.box("hux-mu-window", _frac(9, 0, 4, 2),
-                  ml(RatFn.make([-16, 24], [5, -23, 24])),
+                  frac([-16, 24], [5, -23, 24]),
                   "53/68", "13/16",
                   source="large-values estimate swallows the residual mu window "
                          "8(3s-2)/((8s-5)(3s-1)) above 9/(4+2s)"))
     add(Claim.box("hb4-boundary-identity",
                   _frac(12, -12, -1, 4),
-                  ml(RatFn.make([1], [1]) ) + ml(RatFn.make([13, -16], [-1, 4])),
+                  ml(1) + frac([13, -16], [-1, 4]),
                   "3/4", "1",
                   source="R* bound matches the target exactly along mu = 4/(4s-1)"))
 
     # --- the two max-comparisons of the large-mu combination --------------
-    rhs_1bc = _L(1) + ml(RatFn.make([39, -48], [-28, 40]))  # 1 + (3/(10s-7))(13-16s)/4
+    rhs_1bc = _L(1) + frac([39, -48], [-28, 40])  # 1 + (3/(10s-7))(13-16s)/4
     add(Claim.box("mu-case1b-max",
                   [_frac(7, -7, -1, 3), _frac(18, -19, -2, 6), _frac(34, -34, -5, 15)],
                   rhs_1bc, "13/16", "25/28",
@@ -101,50 +98,50 @@ def builtin_ledger() -> list[Claim]:
 
     # --- combination feasibility, s <= 3/4 (box mu in [5/3, 2]) -----------
     fbox = dict(mu=("5/3", 2))
-    add(Claim.box("ssmall-feas-energy-sq", _L("2/9", "-2/9") + ml(0, rf(["5/9"])),
+    add(Claim.box("ssmall-feas-energy-sq", _L("2/9", "-2/9") + ml(0, "5/9"),
                   _L("2/5"), "7/10", "3/4", **fbox,
                   source="smaller half exceeds x1^(2(1-s)/9) T0^(5/9)"))
-    add(Claim.box("ssmall-feas-energy-lin", _L("2/3", "-2/3") + ml(0, rf(["1/3"])),
+    add(Claim.box("ssmall-feas-energy-lin", _L("2/3", "-2/3") + ml(0, "1/3"),
                   _L("2/5"), "7/10", "3/4", **fbox,
                   source="smaller half exceeds x1^(2(1-s)/3) T0^(1/3)"))
-    add(Claim.box("ssmall-feas-2b-listed", _L("1/2") - ml(0, rf(["1/5"])),
+    add(Claim.box("ssmall-feas-2b-listed", _L("1/2") - ml(0, "1/5"),
                   _L("2/5"), "7/10", "3/4", **fbox,
                   source="smaller half exceeds x1^(1/2) T0^(-1/5) (as instantiated)"))
-    add(Claim.box("ssmall-feas-2b-derived", _L("1/5", "2/5") - ml(0, rf(["1/5"])),
+    add(Claim.box("ssmall-feas-2b-derived", _L("1/5", "2/5") - ml(0, "1/5"),
                   _L("2/5"), "7/10", "3/4", **fbox,
                   source="smaller half exceeds x1^((2s+1)/5) T0^(-1/5) (stated threshold)"))
-    add(Claim.box("ssmall-feas-2c-listed", _L("11/16") - ml(0, rf(["3/4"])),
+    add(Claim.box("ssmall-feas-2c-listed", _L("11/16") - ml(0, "3/4"),
                   _L("2/5"), "7/10", "3/4", **fbox,
                   source="smaller half exceeds x1^(11/16) T0^(-3/4) (as instantiated)"))
-    add(Claim.box("ssmall-feas-2c-derived", _L("-1/16", 1) - ml(0, rf(["3/4"])),
+    add(Claim.box("ssmall-feas-2c-derived", _L("-1/16", 1) - ml(0, "3/4"),
                   _L("2/5"), "7/10", "3/4", **fbox,
                   source="smaller half exceeds x1^(s-1/16) T0^(-3/4) (stated threshold)"))
 
     # --- combination feasibility, s >= 3/4 (box mu in [8/5, 2]) -----------
     gbox = dict(mu=("8/5", 2))
-    add(Claim.box("slarge-feas-energy-sq", _L(1, -1) + ml(0, rf(["1/6"])),
+    add(Claim.box("slarge-feas-energy-sq", _L(1, -1) + ml(0, "1/6"),
                   _L("2/5"), "3/4", "13/16", **gbox,
                   source="smaller half exceeds x1^(1-s) T0^(1/6)"))
-    add(Claim.box("slarge-feas-energy-lin", _L("1/3", "-1/3") + ml(0, rf(["1/2"])),
+    add(Claim.box("slarge-feas-energy-lin", _L("1/3", "-1/3") + ml(0, "1/2"),
                   _L("2/5"), "3/4", "13/16", **gbox,
                   source="smaller half exceeds x1^((1-s)/3) T0^(1/2)"))
-    add(Claim.box("slarge-feas-2b", _L("4/5", "-1/5") - ml(0, rf(["1/2"])),
+    add(Claim.box("slarge-feas-2b", _L("4/5", "-1/5") - ml(0, "1/2"),
                   _L("2/5"), "3/4", "13/16", **gbox,
                   source="smaller half exceeds x1^((4-s)/5) T0^(-1/2)"))
-    add(Claim.box("slarge-feas-2c", _L("-1/16", 1) - ml(0, rf(["3/4"])),
+    add(Claim.box("slarge-feas-2c", _L("-1/16", 1) - ml(0, "3/4"),
                   _L("2/5"), "3/4", "13/16", **gbox,
                   source="smaller half exceeds x1^(s-1/16) T0^(-3/4)"))
-    add(Claim.box("slarge-feas-comp-energy", ml(0, rf(["7/6"])), SVAR,
+    add(Claim.box("slarge-feas-comp-energy", ml(0, "7/6"), S,
                   "3/4", "13/16", **gbox,
                   source="x1/T0 exceeds x1^(1-s) T0^(1/6)"))
-    add(Claim.box("slarge-feas-comp-2b", _L("4/5", "-1/5") + ml(0, rf(["1/2"])),
+    add(Claim.box("slarge-feas-comp-2b", _L("4/5", "-1/5") + ml(0, "1/2"),
                   _L(1), "3/4", "13/16", **gbox,
                   source="x1/T0 exceeds x1^((4-s)/5) T0^(-1/2)"))
-    add(Claim.box("slarge-feas-comp-2c", _L("-1/16", 1) + ml(0, rf(["1/4"])),
+    add(Claim.box("slarge-feas-comp-2c", _L("-1/16", 1) + ml(0, "1/4"),
                   _L(1), "3/4", "13/16", **gbox,
                   source="x1/T0 exceeds x1^(s-1/16) T0^(-3/4)"))
     add(Claim.box("slarge-mu-threshold-identity",
-                  _L("1/3", "-1/3") + ml(rf([6, 3], [9])),
+                  _L("1/3", "-1/3") + frac([6, 3], [9]),
                   _L(1), "3/4", "13/16",
                   source="worst-mu substitution of the mu >= 9/(4+2s) branch (an identity)"))
     add(Claim.box("slarge-window-floor", _frac(9, 0, 4, 2), _frac(2, 0, -5, 8),
@@ -152,10 +149,10 @@ def builtin_ledger() -> list[Claim]:
                   source="mu window 2/(8s-5) <= mu <= 9/(4+2s) is empty below s = 53/68"))
 
     # --- long-polynomial reduction -----------------------------------------
-    add(Claim.box("longpoly-tail-a", _L("-1/20", "2/7"), ml(0, rf(["5/7"])),
+    add(Claim.box("longpoly-tail-a", _L("-1/20", "2/7"), ml(0, "5/7"),
                   "1/2", "1",
                   source="very long factor, first tail term against the R target"))
-    add(Claim.box("longpoly-tail-b", SVAR * _L("2/7") + ml(0, rf(["1/7"])), _L("11/28"),
+    add(Claim.box("longpoly-tail-b", S * _L("2/7") + ml(0, "1/7"), _L("11/28"),
                   "1/2", "1",
                   source="very long factor, second tail term against the R target"))
 
@@ -174,13 +171,13 @@ def builtin_ledger() -> list[Claim]:
                   source="cubed fallback stays below the low-range R* exponent"))
 
     # --- scale bookkeeping --------------------------------------------------
-    add(Claim.box("identity-order-raise", _L("2/5"), U1, "1/2", "1",
+    add(Claim.box("identity-order-raise", _L("2/5"), U, "1/2", "1",
                   source="raising a short factor keeps length below T0^(1/16) when mu <= 5/2"))
     add(Claim.box("mu-range-consistency", _L("40/19"), _L("19/9"), "1/2", "1",
                   source="window exponent range translates into mu <= 19/9 (361 vs 360)"))
     add(Claim.box("near-one-length", _L(1), _L("-9/8", "9/4"), "17/18", "1",
                   source="raised length Y >= T0^(9/16) dominates T0 once s >= 17/18"))
-    add(Claim.box("near-one-target", ml(0, rf(["5/4", "-5/4"])), _L("15/16", "-15/16"),
+    add(Claim.box("near-one-target", U * _L("5/4", "-5/4"), _L("15/16", "-15/16"),
                   "17/18", "1",
                   source="T0^(5(1-s)/4) sits under x1^(15(1-s)/16) for mu >= 4/3"))
     add(Claim.box("deep-cell-negative-b", _L(8, -10), _L(0), "13/16", "25/28",
@@ -196,7 +193,7 @@ def builtin_ledger() -> list[Claim]:
     add(Claim.box("plugin-mean-value-at-34", _frac(3, -3, 2, -1), _L(1),
                   "3/4", "3/4",
                   source="mean-value exponent at s = 3/4 is 3/5 <= 1"))
-    add(Claim.box("nu-floor-arithmetic", _L("43/60") - U1, _L("29/120"),
+    add(Claim.box("nu-floor-arithmetic", _L("43/60") - U, _L("29/120"),
                   "1/2", "1", mu=("40/19", "40/19"),
                   source="exceptional-set term pins the configured floor 29/120"))
 

@@ -3,22 +3,23 @@
 import re
 import time
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapscope.errors import CapacityError
-from gapscope.algebra import AlgebraicNumber, poly
+from gapscope.algebra import AlgebraicNumber, frac, poly
 from gapscope.claims import (
     Claim,
     IllPosedClaimError,
     MAX_DEGREE,
     MU_RANGE,
     MuLinear,
-    RatFn,
     U,
     format_ledger,
+    format_mulinear,
     ml,
     parse_expression,
     parse_ledger,
@@ -150,7 +151,7 @@ def _degree_cap_claim(rhs: MuLinear, s_lo: Q) -> Claim:
     """The worst case at MAX_DEGREE: every root of the lhs lies in the sigma box."""
     lhs = ml(1)
     for k in range(MAX_DEGREE):
-        lhs = lhs * ml(RatFn.make([-(MAX_DEGREE + k // 2), MAX_DEGREE + k]))
+        lhs = lhs * frac([-(MAX_DEGREE + k // 2), MAX_DEGREE + k])
     return Claim.box("degree-cap", lhs, rhs, s_lo, Q(1))
 
 
@@ -222,8 +223,8 @@ def test_mu_all_is_global_range():
 
 
 def make_by_gcd(num, den) -> tuple[list[Q], list[Q]]:
-    """RatFn.make's (num, den) by Euclid over Q, as before constant sides
-    skipped the gcd."""
+    """num/den in lowest terms by Euclid over Q, den's leading coefficient
+    positive."""
     n, d = poly(num), poly(den)
     g = ref_pgcd(n, d)
     if len(g) > 1:
@@ -240,13 +241,46 @@ polys = st.lists(small_q, max_size=4)
 
 @settings(max_examples=300, deadline=None)
 @given(polys, polys, polys)
-def test_ratfn_make_equals_gcd_path(a, b, c):
+def test_frac_equals_gcd_path(a, b, c):
     # a shared factor c gives the gcd path something to cancel
     shared = poly(c) or [Q(1)]
     num, den = ref_pmul(poly(a), shared), ref_pmul(poly(b), shared) or [Q(1)]
-    r = RatFn.make(num, den)
-    assert (list(r.num), list(r.den)) == make_by_gcd(num, den)
-    assert all(type(v) is Q for v in r.num + r.den)
+    v = frac(num, den)
+    n, d = make_by_gcd(num, den)
+    assert not v.B and all(type(c) is int for c in v.A + v.D)
+    # one positive rational r with (A, D) == r * (n, d)
+    r = Q(v.D[-1]) / d[-1]
+    assert r > 0 and list(v.A) == ref_pscale(n, r) and list(v.D) == ref_pscale(d, r)
+
+
+_small = st.builds(lambda n, d: frac(n, poly(d) or [Q(1)]), polys, polys)
+_linear = st.one_of(_small, st.builds(lambda a, b: a + U * b, _small, _small))
+
+
+@settings(max_examples=65, deadline=None)
+@given(_linear, _linear, _linear, _small)
+def test_equal_values_have_equal_fields(a, b, c, f):
+    assert (a + b) + c == a + (b + c)
+    assert a - a == ml(0) == MuLinear(())
+    if f != ml(0):
+        assert a * f / f == a
+    for v in (a, a + b, a * f, -a):
+        assert parse_expression(format_mulinear(v)) == v
+        # joint content 1, D positive-leading, no common factor of A, B, D
+        assert gcd(*v.A, *v.B, *v.D) == 1 and v.D[-1] > 0
+        g = ref_pgcd([Q(x) for x in v.D], [Q(x) for x in v.A])
+        assert len(ref_pgcd(g, [Q(x) for x in v.B])) <= 1
+
+
+@pytest.mark.parametrize("ledger", [builtin_ledger, mutated_ledger])
+def test_ledger_text_is_unchanged_by_repeated_trips(ledger):
+    claims = ledger()
+    text = format_ledger(claims)
+    parsed = parse_ledger(text)
+    assert [(c.lhs, c.rhs) for c in parsed] == [(c.lhs, c.rhs) for c in claims]
+    for _ in range(5):
+        parsed = parse_ledger(text)
+        assert format_ledger(parsed) == text
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +368,8 @@ def test_parse_ledger_keeps_nesting_and_exponents_in_range():
 _coeffs = st.lists(st.one_of(st.integers(-9, 9).map(Q),
                              st.fractions(min_value=-5, max_value=5, max_denominator=7)),
                    min_size=1, max_size=4)  # degree <= 3
-_ratfns = st.builds(lambda n, d: RatFn.make(n, poly(d) or [Q(1)]), _coeffs, _coeffs)
-_values = st.one_of(st.builds(MuLinear, _ratfns), st.builds(MuLinear, _ratfns, _ratfns))
+_ratfns = st.builds(lambda n, d: frac(n, poly(d) or [Q(1)]), _coeffs, _coeffs)
+_values = st.one_of(_ratfns, st.builds(lambda a, b: a + U * b, _ratfns, _ratfns))
 _unit = st.fractions(min_value=0, max_value=1, max_denominator=16)
 
 

@@ -22,9 +22,10 @@ from gapscope.cli import (
     parse_int_literal,
 )
 from gapscope.claims import format_ledger
-from gapscope.ledger import mutated_ledger
+from gapscope.ledger import builtin_ledger, mutated_ledger
 from gapscope.primes import max_gap_table
 from gapscope.reports import canonical_json, write_manifest, write_table_csv
+from test_claims import _ledger_text
 
 
 DATA = Path(__file__).parent / "data"
@@ -264,6 +265,24 @@ def test_verify_builtin_and_mutated(tmp_path, capsys):
     assert "FAIL" in printed and "sigma=" in printed
 
 
+def test_verify_of_the_builtin_ledger_text_writes_the_builtin_verdicts(tmp_path):
+    ledger = tmp_path / "builtin.txt"
+    ledger.write_text(format_ledger(builtin_ledger()), encoding="utf-8")
+    assert run(["verify", "--out", str(tmp_path / "a")]) == 0
+    assert run(["verify", "--ledger", str(ledger), "--out", str(tmp_path / "b")]) == 0
+    assert read(tmp_path / "a" / "verdicts.json") == read(tmp_path / "b" / "verdicts.json")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ledger_text)
+def test_generated_ledger_files_keep_the_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as d:
+        ledger = Path(d) / "l.txt"
+        ledger.write_bytes(text.encode("utf-8", "surrogatepass"))
+        code, printed = run_quietly(["verify", "--ledger", str(ledger)])
+    assert code in (0, 1, 2, 3) and "Traceback" not in printed
+
+
 def test_mutated_ledger_golden(tmp_path):
     ledger = DATA / "m.txt"
     assert format_ledger(mutated_ledger()).encode("utf-8") == read(ledger)
@@ -399,7 +418,7 @@ GOLDEN_SHA256 = {
     "factorizations.json": "8354c9c5dba2a7b32e9aa49c9e56d5aba22c5ca6829b66d11718bc5407953744",
     "identity_report.json": "cd98887d1b8888c99bde678a841b47c6b6345b66d339fd08a83c65ef3630e21a",
     "k3/identity_report.json": "6eb8911f4327c0e3ac6253140521d07421680afe440e8e65d43e60f749995eee",
-    "verify/verdicts.json": "8da8b61372d3add8991c6302d487c604126b43c0910d64f14480e2f957b5bc96",
+    "verify/verdicts.json": "c406af779a484fecefe3c640cf070fba8f1d3334bc02d75b364c69cd36c736ed",
 }
 
 
@@ -495,8 +514,22 @@ def test_capacity_guards_refuse_before_work(tmp_path, capsys, args, needle):
     assert not (out / "manifest.json").exists()
 
 
+#: A coprime degree-12 over degree-11 quotient with 63-bit coefficients: its
+#: 12th power is refused at once only if the power takes no gcd per step (a
+#: gcd per step takes minutes).
+_QUOTIENT = "({})/({})".format(" + ".join(f"{2**63 - 7 * k - 25}*s^{k}" for k in range(13)),
+                               " + ".join(f"{2**63 - 11 * k - 3}*s^{k}" for k in range(12)))
+
+
 @pytest.mark.parametrize("line,code,needle", [
     ("a | s^40000 | 1 | 1/2, 1 | all", 2, "capacity: exponent 40000 over the cap 12 in 's^40000'"),
+    (f"a | ({_QUOTIENT})^12 | 1 | 1/2, 1 | all", 2,
+     f"capacity: degree 144 over the cap 12 in '({_QUOTIENT})^12'"),
+    # past int()'s 4300-digit limit
+    ("a | " + "9" * 5000 + " | 1 | 1/2, 1 | all", 2,
+     f"capacity: coefficient over 64 bits in '{'9' * 5000}'"),
+    ("a | s^" + "9" * 5000 + " | 1 | 1/2, 1 | all", 2,
+     f"capacity: exponent {'9' * 5000} over the cap 12 in 's^{'9' * 5000}'"),
     ("a | s^99999999 | 1 | 1/2, 1 | all", 2,
      "capacity: exponent 99999999 over the cap 12 in 's^99999999'"),
     ("a | (s^12)^12 | 1 | 1/2, 1 | all", 2, "capacity: degree 144 over the cap 12 in '(s^12)^12'"),
@@ -511,8 +544,8 @@ def test_capacity_guards_refuse_before_work(tmp_path, capsys, args, needle):
      "error: sixth field must be 'strict', got 'maybe': 'a | s | 1 | 1/2, 1 | all | maybe'"),
     ("a | s | 1 | 1/2, 1 | all |", 1,
      "error: sixth field must be 'strict', got '': 'a | s | 1 | 1/2, 1 | all |'"),
-], ids=["s^40000", "s^99999999", "nested-power", "product", "1/0", "s/0", "box-1/0",
-        "sixth=maybe", "sixth=empty"])
+], ids=["s^40000", "big-quotient^12", "5000-digits", "s^5000-digits", "s^99999999",
+        "nested-power", "product", "1/0", "s/0", "box-1/0", "sixth=maybe", "sixth=empty"])
 def test_ledger_inputs_refused_with_contract_code(tmp_path, capsys, line, code, needle):
     ledger = tmp_path / "l.txt"
     ledger.write_text(line + "\n", encoding="utf-8")
