@@ -70,6 +70,9 @@ MAX_DEGREE = 12
 #: at thousands of digits.
 MAX_COEFF_BITS = 64
 MAX_NESTING = 32  # parenthesis depth; the parser takes four frames per level
+#: Digits of a rational literal's numerator or denominator: Python's default
+#: int/str conversion limit.
+MAX_DIGITS = 4300
 
 
 def _capped(v: MuLinear, text: str) -> MuLinear:
@@ -343,10 +346,29 @@ def recheck_verdict(claim: Claim, verdict: Verdict) -> bool:
 _ROOT_RE = re.compile(r"^root\((?P<poly>[^;]+);(?P<lo>[^,]+),(?P<hi>[^)]+)\)$")
 
 
-def _parse_q(text: str) -> Fraction:
-    if re.search(r"[eE][-+]?[\d_]{5}", text):  # Fraction would build 10^exponent
-        raise CapacityError(f"decimal exponent over 4 digits in {text.strip()!r}")
-    return Q(text.strip())
+_RATIONAL = re.compile(r"([+-]?)(?:(\d+)/(\d+)|(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?)", re.ASCII)
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational literal, p/q or a decimal with an exponent (9/5, 0.25, 1e-3).
+
+    The caps are checked on the text before any value is built: an exponent
+    of five or more digits (Fraction would build 10^exponent) or a numerator
+    or denominator over MAX_DIGITS digits as written raises CapacityError.
+    """
+    t = str(text).strip()
+    m = _RATIONAL.fullmatch(t)
+    sign, num, den, whole, frac, exp = m.groups(default="") if m else ("",) * 6
+    if not (num or whole or frac):
+        raise ValueError(f"{t!r} is not a rational literal")
+    if len(exp.lstrip("+-")) >= 5:
+        raise CapacityError(f"decimal exponent over 4 digits in {t!r}")
+    shift = int(exp or 0) - len(frac)
+    num, den = (num or whole + frac).lstrip("0") or "0", (den or "1").lstrip("0") or "0"
+    if max(len(num) + max(shift, 0), len(den) - min(shift, 0)) > MAX_DIGITS:
+        raise CapacityError(f"numerator or denominator over {MAX_DIGITS} digits in {t!r}")
+    value = Q(int(num) * 10 ** max(shift, 0), int(den) * 10 ** max(-shift, 0))
+    return -value if sign == "-" else value
 
 
 def parse_ledger_line(line: str) -> Claim | None:
@@ -363,15 +385,15 @@ def parse_ledger_line(line: str) -> Claim | None:
     m = _ROOT_RE.match(lhs_text)
     if m:
         coeffs = _poly_from_expression(m.group("poly"))
-        value = AlgebraicNumber(coeffs, _parse_q(m.group("lo")), _parse_q(m.group("hi")))
-        return Claim.ordering(cid, value, _parse_q(rhs_text), strict=strict)
+        value = AlgebraicNumber(coeffs, *map(parse_rational, m.group("lo", "hi")))
+        return Claim.ordering(cid, value, parse_rational(rhs_text), strict=strict)
     lhs = [parse_expression(t) for t in lhs_text.split(";")]
     rhs = parse_expression(rhs_text)
     for box in (s_text, mu_text):
         if box != "all" and box.count(",") != 1:
             raise ValueError(f"expected a box 'lo, hi', got {box!r}: {line!r}")
-    s_lo, s_hi = (_parse_q(t) for t in s_text.split(","))
-    mu = "all" if mu_text == "all" else tuple(_parse_q(t) for t in mu_text.split(","))
+    s_lo, s_hi = (parse_rational(t) for t in s_text.split(","))
+    mu = "all" if mu_text == "all" else tuple(parse_rational(t) for t in mu_text.split(","))
     return Claim.box(cid, lhs, rhs, s_lo, s_hi, mu=mu, strict=strict)
 
 

@@ -6,23 +6,23 @@ options; `report --manifest <file>` re-dispatches from a manifest and
 reproduces the outputs byte-for-byte.
 
 Exit codes: 0 success, 1 usage, 2 capacity, 3 verification failure; a
-refused run (exit 2) writes no manifest.  Integer options accept scientific
-notation (1e6); --res also takes a rational (9/5).  A --config file of
-key=value lines supplies defaults that the command line overrides.
+refused run (exit 2) writes no manifest.  Integer options and factor lengths
+accept scientific notation (1e6); --res also takes a rational (9/5).  Both are
+read by claims.parse_rational, whose caps are usage errors here.  A --config
+file of key=value lines supplies defaults that the command line overrides.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .errors import CapacityError, QuadratureError
-from .claims import parse_ledger, verify_claim
+from .claims import parse_ledger, parse_rational, verify_claim
 from .ledger import builtin_ledger
 from .reports import (
     factorization_dump,
@@ -48,45 +48,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_INT_LITERAL = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]{1,9}))?")
-#: Digits allowed in a parsed integer: Python's default int/str conversion limit.
-_MAX_DIGITS = 4300
+def parse_fraction_literal(text: str) -> Fraction:
+    """A rational literal read by claims.parse_rational (9/5, 0.25, 1e-3); its
+    caps and a zero denominator are usage errors here."""
+    try:
+        return parse_rational(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+    except CapacityError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_int_literal(text: str) -> int:
-    """Integer literals, allowing scientific notation (1e6, 2.5e3, 1500e-2).
-
-    Sign, digits, decimals and exponent are read with integer arithmetic, so
-    the value is exact; fractions (1.5, 15e-1), inf and nan are rejected.
-    """
-    m = _INT_LITERAL.fullmatch(str(text).strip())
-    if m is None:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer literal")
-    sign, whole, frac, exp = m.groups()
-    frac = frac or ""
-    digits = (whole + frac).lstrip("0")
-    if not digits:
-        return 0
-    shift = int(exp or 0) - len(frac)
-    if shift < 0:
-        if digits[shift:].strip("0"):
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        digits, shift = digits[:shift], 0
-    if len(digits) + shift > _MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"{text!r} has more than {_MAX_DIGITS} digits")
-    value = int(digits) * 10**shift
-    return -value if sign == "-" else value
-
-
-def parse_fraction_literal(text: str) -> Fraction:
-    t = str(text).strip()
+    """An integer literal, scientific notation allowed (1e6, 2.5e3, 1500e-2):
+    a rational literal without a slash whose value is an integer."""
     try:
-        if "/" in t:
-            num, den = t.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(t)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+        value = None if "/" in str(text) else parse_fraction_literal(text)
+    except ValueError:
+        value = None
+    if value is None or value.denominator != 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return value.numerator
 
 
 def parse_flag(text: str) -> bool:
@@ -203,7 +185,7 @@ def _parse_factors(spec: str):
         kind, _, n = part.partition(":")
         if kind not in FACTOR_KINDS or not n:
             raise ValueError(f"bad factor spec {part!r} (e.g. unit:8, mobius:16, singleton)")
-        out.append(FACTOR_KINDS[kind](int(n)))
+        out.append(FACTOR_KINDS[kind](parse_int_literal(n)))
     return out
 
 
@@ -279,7 +261,10 @@ def _read_manifest(path: str, out: str) -> tuple[str, dict]:
     type.  Keys the command does not take, such as the retired threads, are
     dropped.
     """
-    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("manifest JSON is nested too deeply") from None
     command = manifest.get("command") if isinstance(manifest, dict) else None
     if not isinstance(command, str) or command not in _HANDLERS:
         raise ValueError(f"manifest command {command!r} is not one of {', '.join(_HANDLERS)}")
@@ -295,6 +280,9 @@ def _read_manifest(path: str, out: str) -> tuple[str, dict]:
         if key not in table:
             continue
         parse, default, _ = table[key]
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, (list, dict)) for v in items):
+            raise ValueError(f"manifest option {key} is not a value or a flat list of values")
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         try:
             revived[key] = None if value is None and default is None else parse(text)
@@ -423,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValueError, OSError, QuadratureError) as exc:
+    except (ValueError, OSError, QuadratureError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

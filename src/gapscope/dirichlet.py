@@ -22,17 +22,18 @@ is at most U = sqrt(s^2 + (h A log 2)^2 / 8), s the best sample
 
 Large-value classification (`classify_profile`) bins each unit interval
 [m, m+1] of [T, 2T] by the dyadic band N^(1-c) 2^(-b) of every factor's sup;
-below the 1/x floor it falls into the leftover class S0.  Each active
-factor's sample lattice is built once, bracketed, folded into the product
-lattice and freed.  `_golden` refines the product's bracket for every member,
-since its sup is reported.  A factor of a multi-factor set is refined on its
-own bracket only for members whose best sample s and ceiling U fall in
-different bands; elsewhere s <= refined peak <= sup <= U fixes the band
-from the samples.  Each golden step reuses the carried point's value when it
-is bitwise equal to one of the last step's, and sends the rest to one
-`eval_factor_grid` call per factor.  Bands come from numpy logs, the scalar
-`band_index` redoing any sup within 1e-9 of a band edge, and cells take the
-band rows in order of first appearance.
+below the 1/x floor it falls into the leftover class S0.  One rule bands
+every active factor, alone or in a product: its sample lattice is built
+once and bracketed, and its best sample s and ceiling U fix the band
+wherever they share one, since s <= refined peak <= sup <= U; `_golden`
+refines the factor's own bracket only for the members left in doubt.  The
+lattice is then folded into the product lattice and freed, and `_golden`
+refines the product's bracket for every member, since its sup is reported.
+Each golden step reuses the carried point's value when it is bitwise equal
+to one of the last step's, and sends the rest to one `eval_factor_grid` call
+per factor.  Bands come from numpy logs, the scalar `band_index` redoing any
+sup within 1e-9 of a band edge, and cells take the band rows in order of
+first appearance, each with its sigmas.
 """
 
 from __future__ import annotations
@@ -234,23 +235,16 @@ def _sup_ceiling(f: PolyFactor, c: float, s: np.ndarray, samples: int, t_top: fl
 
 @dataclass(frozen=True)
 class LargeValueProfile:
-    """One magnitude cell: per-factor dyadic band indices b_i >= 0.
+    """One magnitude cell: per-factor dyadic band indices b_i >= 0 and sigmas.
 
-    Band b corresponds to sup in [N^(1-c) 2^(-b-1), N^(1-c) 2^(-b)) shifted
-    so that b = 0 is the top cell sigma_i = 1; sigma_i = 1 - b log2 / log N_i
-    whenever log N_i > 0.  Singleton factors sit in the top cell by
-    convention.
+    Band b holds sups in [N^(1-c) 2^(-b), N^(1-c) 2^(1-b)), b = 0 (the top
+    cell, sigma_i = 1) also holding every larger sup; sigma_i = 1 -
+    b log 2 / log N_i whenever log N_i > 0, and 1 otherwise.  Singleton
+    factors sit in the top cell by convention.
     """
 
     band_indices: tuple[int, ...]
-    c: float
-    lengths: tuple[Fraction, ...]
-
-    @property
-    def sigmas(self) -> tuple[float, ...]:
-        logs = (math.log(float(N)) for N in self.lengths)
-        return tuple(1.0 - b * math.log(2.0) / L if L > 0 else 1.0
-                     for b, L in zip(self.band_indices, logs))
+    sigmas: tuple[float, ...]
 
 
 @dataclass
@@ -269,8 +263,8 @@ class Classification:
 def band_index(sup: float, N: Fraction, c: float, floor_x: float) -> int | None:
     """Dyadic band of a factor sup; None marks the S0 leftover class.
 
-    b is the largest grid step with N^(1-c) 2^(-b) <= sup (clamped at the top
-    cell b = 0); sups below N^(1-c)/floor_x fall into S0.
+    b is the least b >= 0 with N^(1-c) 2^(-b) <= sup; sups below
+    N^(1-c)/floor_x fall into S0.
     """
     top = float(N) ** (1.0 - c)
     if sup <= 0.0:
@@ -315,38 +309,32 @@ def classify_profile(
         floor_x = max(2.0, float(math.prod(f.N for f in fs)))
     actives = [(i, f) for i, f in enumerate(fs) if f.cls is not CoefficientClass.SINGLETON]
     grid, offsets = ms.astype(np.float64), np.linspace(0.0, 1.0, samples + 1)
-    # Each active factor's lattice is bracketed, folded into the product and
-    # freed; singletons are exactly 1, so the product (of 2+ factors) skips them.
-    brackets, prod = [], None
-    for _, f in actives:
-        lattice = eval_factor_lattice(f, c, grid, offsets)
-        brackets.append(_bracket(np.abs(lattice), grid, offsets))
-        prod = lattice if prod is None else np.multiply(prod, lattice, out=prod)
-        del lattice
-    prod_sup = np.ones(len(ms))
-    if len(actives) > 1:
-        prod_sup = _golden([f for _, f in actives], c, *_bracket(np.abs(prod), grid, offsets),
-                           refine_iters)
-    del prod
     bands = np.zeros((len(ms), len(fs)), dtype=np.int64)  # singletons sit in the top cell
-    for (i, f), (lo, hi, s) in zip(actives, brackets):
-        if len(actives) == 1:  # the factor is the product, refined for its sup
-            prod_sup = _golden([f], c, lo, hi, s, refine_iters)
-            bands[:, i] = _bands(prod_sup, f.N, c, floor_x)
-            continue
-        # s <= sup <= U: refine only members whose band [s, U] leaves in doubt
+    prod = None
+    for i, f in actives:
+        # s <= sup <= U: refine only members whose band [s, U] leaves in doubt,
+        # then fold the lattice into the product (singletons are exactly 1)
+        lattice = eval_factor_lattice(f, c, grid, offsets)
+        lo, hi, s = _bracket(np.abs(lattice), grid, offsets)
         ceiling = _sup_ceiling(f, c, s, samples, float(ms[-1] + 1))
         bands[:, i], upper = _bands(np.concatenate((s, ceiling)), f.N, c, floor_x).reshape(2, -1)
         doubt = np.flatnonzero(bands[:, i] != upper)
         if len(doubt):
             peak = _golden([f], c, lo[doubt], hi[doubt], s[doubt], refine_iters)
             bands[doubt, i] = _bands(peak, f.N, c, floor_x)
+        prod = lattice if prod is None else np.multiply(prod, lattice, out=prod)
+        del lattice
+    prod_sup = (_golden([f for _, f in actives], c, *_bracket(np.abs(prod), grid, offsets),
+                        refine_iters) if actives else np.ones(len(ms)))
+    del prod
     dead = (bands < 0).any(axis=1)
     groups = {}  # band row -> members, in order of first appearance
     for m, row in zip(ms[~dead].tolist(), bands[~dead].tolist()):
         groups.setdefault(tuple(row), []).append(m)
-    lengths = tuple(f.N for f in fs)
-    cells = {LargeValueProfile(row, c, lengths): members for row, members in groups.items()}
+    logs = [math.log(float(f.N)) for f in fs]
+    cells = {LargeValueProfile(row, tuple(1.0 - b * math.log(2.0) / L if L > 0 else 1.0
+                                          for b, L in zip(row, logs))): members
+             for row, members in groups.items()}
     return Classification(fs, c, float(T), cells, ms[dead].tolist(),
                           dict(zip(ms.tolist(), prod_sup.tolist())))
 

@@ -23,6 +23,7 @@ from gapscope.claims import (
     ml,
     parse_expression,
     parse_ledger,
+    parse_rational,
     recheck_verdict,
     verify_claim,
 )
@@ -353,6 +354,30 @@ def test_parse_ledger_refuses_malformed_or_oversized_lines(line, error, needle):
     with pytest.raises(error, match=re.escape(needle)):
         parse_ledger(line)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_rational_literals_are_exact_and_capped_before_building():
+    assert parse_rational(" 9/5 ") == Q(9, 5)
+    assert parse_rational("1.5625e-2") == Q(1, 64)
+    assert parse_rational("-.5E1") == -5 and parse_rational("+007/0010") == Q(7, 10)
+    assert parse_rational("1e-4299") == Q(1, 10**4299)  # a 4300-digit denominator
+    assert parse_rational("9" * 4300 + "/7") == Q(int("9" * 4300), 7)
+    t0 = time.perf_counter()
+    for text, needle in (("1e-9999999", "decimal exponent over 4 digits"),
+                         ("1e-999999999", "decimal exponent over 4 digits"),
+                         ("1e00001", "decimal exponent over 4 digits"),
+                         ("1e-4300", "numerator or denominator over 4300 digits"),
+                         ("0." + "0" * 4299 + "1", "numerator or denominator over 4300 digits"),
+                         ("9" * 4301 + "/7", "numerator or denominator over 4300 digits"),
+                         ("7/" + "9" * 4301, "numerator or denominator over 4300 digits")):
+        with pytest.raises(CapacityError, match=needle):
+            parse_rational(text)
+    assert time.perf_counter() - t0 < 1.0
+    for text in ("", ".", "e5", "1/-2", "1_0", "inf", "nan", "1.2.3", "1/2/3", "\u0663"):
+        with pytest.raises(ValueError, match="is not a rational literal"):
+            parse_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
 
 
 def test_parse_ledger_keeps_nesting_and_exponents_in_range():

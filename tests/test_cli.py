@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gapscope
 from gapscope.cli import (
@@ -618,3 +619,170 @@ def test_refusals_exit_2_at_once_and_write_nothing(tmp_path, capsys, args, needl
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err.strip() == needle
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# rational literals, factor lengths and manifests: refused at once, exit 1
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("res,needle", [
+    ("1e-9999999", "decimal exponent over 4 digits in '1e-9999999'"),
+    ("1e-999999999", "decimal exponent over 4 digits in '1e-999999999'"),
+    ("1e-99999", "decimal exponent over 4 digits in '1e-99999'"),
+    ("1e-9999", "numerator or denominator over 4300 digits in '1e-9999'"),
+    ("1/" + "9" * 4301, "numerator or denominator over 4300 digits in '1/" + "9" * 4301 + "'"),
+], ids=["7-digit-exponent", "9-digit-exponent", "5-digit-exponent", "10000-digit-denominator",
+        "4301-digit-denominator"])
+def test_res_literals_over_the_caps_exit_1_at_once(tmp_path, capsys, res, needle):
+    out = tmp_path / "o"
+    cfg = tmp_path / "res.cfg"
+    cfg.write_text(f"res = {res}\n", encoding="utf-8")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "optimize-nu", "options": {"res": res}}),
+                        encoding="utf-8")
+    for argv, prefix in ((["optimize-nu", "--res", res], "error: argument --res: "),
+                         (["optimize-nu", "--config", str(cfg)], "error: "),
+                         (["report", "--manifest", str(manifest)],
+                          f"error: manifest option res={res!r}: ")):
+        t0 = time.perf_counter()
+        assert run(argv + ["--out", str(out)]) == 1, argv
+        assert time.perf_counter() - t0 < 1.0, argv
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == prefix + needle, argv
+        assert "Traceback" not in err and not out.exists()
+
+
+def test_res_literals_in_range_are_read_exactly(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["optimize-nu", "--res", "1/64", "--out", str(a)]) == 0
+    assert run(["optimize-nu", "--res", "1.5625e-2", "--out", str(b)]) == 0
+    assert read(a / "nu_profile.json") == read(b / "nu_profile.json")
+    assert json.loads(read(b / "manifest.json"))["options"]["res"] == "1/64"
+
+
+def test_ledger_bound_over_the_digit_cap_exits_2(tmp_path, capsys):
+    ledger = tmp_path / "l.txt"
+    ledger.write_text("a | s | 1 | 0, 1e-9999 | all\n", encoding="utf-8")
+    t0 = time.perf_counter()
+    assert run(["verify", "--ledger", str(ledger), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.strip() == (
+        "capacity: numerator or denominator over 4300 digits in '1e-9999'")
+
+
+def test_perron_factor_lengths_take_integer_literals(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["perron", "--factors", "unit:128", "--out", str(a)]) == 0
+    assert run(["perron", "--factors", "unit:1.28e2", "--out", str(b)]) == 0
+    assert read(a / "perron_report.json") == read(b / "perron_report.json")
+    capsys.readouterr()
+    for spec, needle in (("unit:1e3", "error: factor length N = 1000 is not a power of two"),
+                         ("log:1.5", "error: '1.5' is not an integer"),
+                         ("mobius:" + "9" * 5000,
+                          f"error: numerator or denominator over 4300 digits in '{'9' * 5000}'")):
+        out = tmp_path / "c"
+        assert run(["perron", "--factors", spec, "--out", str(out)]) == 1, spec
+        err = capsys.readouterr().err
+        assert err.strip() == needle and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_deeply_nested_manifest_exits_1(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    for depth in (100_000, 900):
+        path.write_text('{"command": "gaps", "options": ' + "[" * depth + "]" * depth + "}",
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["report", "--manifest", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest") and "Traceback" not in err
+        assert not out.exists()
+    nested = "[" * 900 + "]" * 900
+    path.write_text('{"command": "gaps", "options": {"limits": ' + nested + ', "allow_large": '
+                    'false, "ceiling": 1e10, "stream_csv": false, "stream_limit": 10}}',
+                    encoding="utf-8")
+    assert run(["report", "--manifest", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: manifest option limits is not a value or a flat list of values")
+
+
+#: --res text: resolutions that run (1/64 to 1/128, at most 0.1 s each), values
+#: optimize_nu refuses, exponents of up to seven digits, and any text.
+RES_TEXT = st.one_of(
+    st.integers(64, 128).map("1/{}".format),
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(0, 70)),
+    st.builds("{}e{}".format, st.sampled_from(["1", "2.5", "0", "-1", ".5", "1."]),
+              st.integers(-10**7 + 1, 10**7 - 1)),
+    st.text(alphabet="0123456789./eE_-+ ", max_size=12),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(RES_TEXT)
+@example("1e-9999999")
+def test_generated_res_text_keeps_the_exit_code_contract(res):
+    t0 = time.perf_counter()
+    code, text = run_quietly(["optimize-nu", "--res", res])
+    assert code in (0, 1, 2, 3) and "Traceback" not in text
+    if code:  # a refusal comes before any work
+        assert time.perf_counter() - t0 < 1.0
+
+
+#: Option values of the cheap commands (each run well under 0.1 s) ...
+_CHEAP_OPTIONS = {
+    "gaps": {"limits": st.lists(st.integers(2, 1000), min_size=1, max_size=3),
+             "allow_large": st.booleans(), "ceiling": st.integers(10, 10**10),
+             "stream_csv": st.booleans(), "stream_limit": st.integers(0, 100)},
+    "identity": {"x": st.integers(1, 60), "k": st.integers(1, 3),
+                 "dump_factorizations": st.booleans()},
+    "largevalues": {"experiments": st.integers(0, 2), "seed": st.integers(0, 10**6),
+                    "slack": st.floats(1, 1000)},
+    "perron": {"y": st.floats(2, 300), "tau": st.floats(1, 20), "T0": st.none(),
+               "factors": st.sampled_from(["unit:8", "singleton", "log:4,mobius:4"])},
+    "verify": {"ledger": st.none()},
+    "optimize-nu": {"res": st.sampled_from(["1/64", "1/80", "0.0125"])},
+}
+#: ... and values of the wrong type or out of range, none of which names a costly
+#: run: no digits in text, numbers within 3 of zero.
+_WRONG_VALUE = st.one_of(
+    st.none(), st.booleans(), st.floats(-3, 3), st.sampled_from([math.nan, math.inf]),
+    st.text(alphabet=st.characters(blacklist_categories=("Nd",)), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+    st.lists(st.lists(st.integers(-3, 3), max_size=2), max_size=2),
+)
+
+
+@st.composite
+def _manifest_text(draw) -> str:
+    kind = draw(st.sampled_from(["manifest", "manifest", "deep", "json"]))
+    if kind == "deep":
+        depth = draw(st.integers(0, 200_000))
+        inner = "[" * depth + "]" * depth
+        return draw(st.sampled_from([inner, '{"command": "gaps", "options": ' + inner + "}",
+                                     '{"command": ' + inner + ', "options": {}}']))
+    if kind == "json":
+        leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3))
+        return json.dumps(draw(st.recursive(leaf, lambda c: st.one_of(
+            st.lists(c, max_size=3), st.dictionaries(st.text(max_size=3), c, max_size=3)),
+            max_leaves=10)))
+    command = draw(st.sampled_from(sorted(_CHEAP_OPTIONS)))
+    options = {}
+    for key, good in _CHEAP_OPTIONS[command].items():
+        pick = draw(st.sampled_from(["good", "good", "good", "wrong", "missing"]))
+        if pick != "missing":
+            options[key] = draw(good if pick == "good" else _WRONG_VALUE)
+    options.update(draw(st.dictionaries(st.sampled_from(["threads", "gauss_order", "out", "x"]),
+                                        _WRONG_VALUE, max_size=2)))
+    return json.dumps({"command": command, "options": options})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_manifest_text())
+@example('{"command": "gaps", "options": ' + "[" * 100_000 + "]" * 100_000 + "}")
+def test_generated_manifests_keep_the_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "manifest.json"
+        path.write_text(text, encoding="utf-8")
+        code, printed = run_quietly(["report", "--manifest", str(path)])
+    assert code in (0, 1, 2, 3) and "Traceback" not in printed

@@ -410,7 +410,6 @@ def _ref_classify_profile(factors, c, T, floor_x=None, samples=32, refine_iters=
     per_factor = [_ref_sup_grid([f], c, grid, samples, refine_iters) for f in actives]
     prod_sup = _ref_sup_grid(fs, c, grid, samples, refine_iters)
     cells, s0, sups = {}, [], {}
-    lengths = tuple(f.N for f in fs)
     for i, m in enumerate(ms.tolist()):
         sups[m] = float(prod_sup[i])
         bands = [band_index(float(sup[i]), f.N, c, floor_x) for f, sup in zip(actives, per_factor)]
@@ -419,7 +418,9 @@ def _ref_classify_profile(factors, c, T, floor_x=None, samples=32, refine_iters=
             continue
         it = iter(bands)
         full = tuple(0 if f.cls is CoefficientClass.SINGLETON else next(it) for f in fs)
-        cells.setdefault(LargeValueProfile(full, c, lengths), []).append(m)
+        sigmas = tuple(1.0 - b * math.log(2.0) / math.log(float(f.N)) if f.N > 1 else 1.0
+                       for b, f in zip(full, fs))
+        cells.setdefault(LargeValueProfile(full, sigmas), []).append(m)
     return cells, s0, sups
 
 
