@@ -73,6 +73,14 @@ MAX_NESTING = 32  # parenthesis depth; the parser takes four frames per level
 #: Digits of a rational literal's numerator or denominator: Python's default
 #: int/str conversion limit.
 MAX_DIGITS = 4300
+#: Digits of a box end's numerator or denominator.  rhs - lhs at a mu end is
+#: a polynomial in s of degree <= 2 MAX_DEGREE over one denominator; with
+#: box ends of L digits its integers stay below 10^L times _VALUE_BOUND
+#: (sums of products of two capped integers, and Mignotte's bound for the
+#: gcd taken out), so its value at a sigma end has at most
+#: (2 MAX_DEGREE + 1) L + digits(_VALUE_BOUND) digits: within MAX_DIGITS.
+_VALUE_BOUND = 4 * (MAX_DEGREE + 1) * (2 * MAX_DEGREE + 1) << 2 * (MAX_COEFF_BITS + MAX_DEGREE)
+MAX_BOX_DIGITS = (MAX_DIGITS - len(str(_VALUE_BOUND))) // (2 * MAX_DEGREE + 1)
 
 
 def _capped(v: MuLinear, text: str) -> MuLinear:
@@ -371,6 +379,14 @@ def parse_rational(text: str) -> Fraction:
     return -value if sign == "-" else value
 
 
+def _box_end(text: str) -> Fraction:
+    """A box end: a rational literal of at most MAX_BOX_DIGITS digits."""
+    x = parse_rational(text)
+    if max(abs(x.numerator), x.denominator) >= 10**MAX_BOX_DIGITS:
+        raise CapacityError(f"box end over {MAX_BOX_DIGITS} digits in {text.strip()!r}")
+    return x
+
+
 def parse_ledger_line(line: str) -> Claim | None:
     body = line.split("#", 1)[0].strip()
     if not body:
@@ -392,8 +408,8 @@ def parse_ledger_line(line: str) -> Claim | None:
     for box in (s_text, mu_text):
         if box != "all" and box.count(",") != 1:
             raise ValueError(f"expected a box 'lo, hi', got {box!r}: {line!r}")
-    s_lo, s_hi = (parse_rational(t) for t in s_text.split(","))
-    mu = "all" if mu_text == "all" else tuple(parse_rational(t) for t in mu_text.split(","))
+    s_lo, s_hi = (_box_end(t) for t in s_text.split(","))
+    mu = "all" if mu_text == "all" else tuple(_box_end(t) for t in mu_text.split(","))
     return Claim.box(cid, lhs, rhs, s_lo, s_hi, mu=mu, strict=strict)
 
 

@@ -27,13 +27,16 @@ every active factor, alone or in a product: its sample lattice is built
 once and bracketed, and its best sample s and ceiling U fix the band
 wherever they share one, since s <= refined peak <= sup <= U; `_golden`
 refines the factor's own bracket only for the members left in doubt.  The
-lattice is then folded into the product lattice and freed, and `_golden`
-refines the product's bracket for every member, since its sup is reported.
-Each golden step reuses the carried point's value when it is bitwise equal
-to one of the last step's, and sends the rest to one `eval_factor_grid` call
-per factor.  Bands come from numpy logs, the scalar `band_index` redoing any
-sup within 1e-9 of a band edge, and cells take the band rows in order of
-first appearance, each with its sigmas.
+lattice is then folded into the product lattice and freed.  The only product
+value reported is each cell's floor V, the least refined product sup over its
+members (`_cell_floors`).  A refined peak is never below its best sample, so
+only members whose best sample is at most the refined sup of their cell's
+lowest-sampled member can hold V, and only those are refined.  Each golden
+step reuses the carried point's value when it is bitwise equal to one of the
+last step's, and sends the rest to one `eval_factor_grid` call per factor.
+Bands come from numpy logs, the scalar `band_index` redoing any sup within
+1e-9 of a band edge, and cells take the band rows in order of first
+appearance, each with its sigmas.
 """
 
 from __future__ import annotations
@@ -254,7 +257,9 @@ class Classification:
     T: float
     cells: dict[LargeValueProfile, list[int]]
     s0: list[int]
-    sups: dict[int, float] = field(default_factory=dict)  # product sup per m
+    #: V per cell: the least refined product sup over its members (1.0 with
+    #: no active factor), in the order of `cells`
+    floors: dict[LargeValueProfile, float] = field(default_factory=dict)
 
     def total(self) -> int:
         return sum(len(v) for v in self.cells.values()) + len(self.s0)
@@ -287,6 +292,29 @@ def _bands(sups: np.ndarray, N: Fraction, c: float, floor_x: float) -> np.ndarra
             b[i] = np.nan if edge is None else edge
         b[~(b <= math.floor(math.log2(float(N) * floor_x) + 1e-12))] = -1
     return b.astype(np.int64)
+
+
+def _cell_floors(fs: Sequence[PolyFactor], c: float, lo: np.ndarray, hi: np.ndarray,
+                 s: np.ndarray, cell: np.ndarray, refine_iters: int) -> np.ndarray:
+    """Least refined product sup of each cell 0, 1, ... over its members.
+
+    A refined peak is never below its best sample s, so a member whose s is
+    above the refined sup g1 of its cell's lowest-sampled member cannot hold
+    the minimum: `_golden` refines those lowest members, then the members
+    with s <= g1.  Its columns are independent and eval_factor_grid does not
+    depend on the batch, so each floor is bitwise the minimum of the full
+    refinement.
+    """
+    order = np.lexsort((s, cell))
+    first = order[np.r_[True, cell[order[1:]] != cell[order[:-1]]]]
+    floors = _golden(fs, c, lo[first], hi[first], s[first], refine_iters)
+    rest = s <= floors[cell]
+    rest[first] = False
+    rest = np.flatnonzero(rest)
+    if len(rest):
+        np.minimum.at(floors, cell[rest],
+                      _golden(fs, c, lo[rest], hi[rest], s[rest], refine_iters))
+    return floors
 
 
 def classify_profile(
@@ -324,19 +352,25 @@ def classify_profile(
             bands[doubt, i] = _bands(peak, f.N, c, floor_x)
         prod = lattice if prod is None else np.multiply(prod, lattice, out=prod)
         del lattice
-    prod_sup = (_golden([f for _, f in actives], c, *_bracket(np.abs(prod), grid, offsets),
-                        refine_iters) if actives else np.ones(len(ms)))
-    del prod
     dead = (bands < 0).any(axis=1)
-    groups = {}  # band row -> members, in order of first appearance
-    for m, row in zip(ms[~dead].tolist(), bands[~dead].tolist()):
-        groups.setdefault(tuple(row), []).append(m)
+    live = np.flatnonzero(~dead)
+    ids = {}  # band row -> cell id, in order of first appearance
+    cell = np.array([ids.setdefault(tuple(row), len(ids)) for row in bands[live].tolist()],
+                    dtype=np.int64)
+    floors = np.ones(len(ids))
+    if actives and len(live):
+        lo, hi, s = _bracket(np.abs(prod), grid, offsets)[:, live]
+        floors = _cell_floors([f for _, f in actives], c, lo, hi, s, cell, refine_iters)
+    del prod
+    members = [[] for _ in ids]
+    for m, k in zip(ms[live].tolist(), cell.tolist()):
+        members[k].append(m)
     logs = [math.log(float(f.N)) for f in fs]
     cells = {LargeValueProfile(row, tuple(1.0 - b * math.log(2.0) / L if L > 0 else 1.0
-                                          for b, L in zip(row, logs))): members
-             for row, members in groups.items()}
+                                          for b, L in zip(row, logs))): group
+             for row, group in zip(ids, members)}
     return Classification(fs, c, float(T), cells, ms[dead].tolist(),
-                          dict(zip(ms.tolist(), prod_sup.tolist())))
+                          dict(zip(cells, floors.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ truncated-window decay suite.
 Large-value experiments classify random factor products over [T, 2T], then
 play each occupied cell against the mean-value / large-values / R*
 comparison formulas.  The mean-value check uses the cell's effective
-magnitude: V = min over members of the measured product sup, sigma_eff with
-N^(sigma_eff - c) = V, and the exact coefficient mean square of the product;
+magnitude: its floor V, the least refined product sup over its members
+(`Classification.floors`), sigma_eff with N^(sigma_eff - c) = V, and the
+exact coefficient mean square of the product;
 R <= slack * rhs is the falsifiable monitored inequality (constants are not
 specified by the underlying estimates, so slack defaults to 100).
 
@@ -107,7 +108,7 @@ def analyze_classification(cls) -> list[CellReport]:
     out = []
     for profile, members in sorted(cls.cells.items(), key=lambda kv: kv[0].band_indices):
         counts = count_R_Rstar(members, cls.T)
-        V = min(cls.sups[m] for m in members)
+        V = cls.floors[profile]
         sigma_eff = cls.c + math.log(max(V, 1e-300)) / math.log(max(N, 2.0))
         sigma_eff = min(max(sigma_eff, -20.0), 2.0)  # keep rhs powers finite
         mont = montgomery_rhs(N, sigma_eff, cls.T, mean_sq)

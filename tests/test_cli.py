@@ -176,6 +176,54 @@ def test_generated_identity_argv_keeps_the_exit_code_contract(x, k, dump):
     assert code in (0, 1, 2, 3) and "Traceback" not in text
 
 
+#: Option texts refused before any work: no number, or digits past every cap.
+NEAR_MISS = st.one_of(st.sampled_from(["", "abc", "1.5", "-0", "nan", "inf", "1e400", "9" * 5000]),
+                      st.text(max_size=4))
+
+
+def maybe_option(name, values):
+    """[] or [name, value] with value drawn from values."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+#: gaps limits of at most 10^5 (a sweep and its successor search take
+#: milliseconds), or past the desk scale and the ceiling, so refused at once;
+#: ceilings stay at most 10^6 for the same reason.
+GAPS_ARGV = st.tuples(
+    maybe_option("--limits", st.lists(st.one_of(st.integers(-3, 10**5).map(str),
+                                                 st.integers(10**10 + 1, 10**400).map(str),
+                                                 NEAR_MISS), min_size=1, max_size=3).map(",".join)),
+    st.sampled_from([[], ["--allow-large"]]),
+    maybe_option("--ceiling", st.one_of(st.integers(-3, 10**6).map(str), NEAR_MISS)),
+    st.sampled_from([[], ["--stream-csv"]]),
+    maybe_option("--stream-limit", st.one_of(st.integers(-3, 10**4).map(str), NEAR_MISS)),
+).map(lambda parts: ["gaps"] + sum(parts, []))
+
+
+@settings(max_examples=150, deadline=None)
+@given(GAPS_ARGV)
+def test_generated_gaps_argv_keeps_the_exit_code_contract(argv):
+    code, text = run_quietly(argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in text
+
+
+#: largevalues runs at most 2 experiments (a few ms each), or a count over the
+#: cap, refused at once.
+LARGEVALUES_ARGV = st.tuples(
+    maybe_option("--experiments", st.one_of(st.integers(-3, 2).map(str),
+                                            st.integers(10**4 + 1, 10**400).map(str), NEAR_MISS)),
+    maybe_option("--seed", st.one_of(st.integers(-10**400, 10**400).map(str), NEAR_MISS)),
+    maybe_option("--slack", st.one_of(st.floats().map(repr), NEAR_MISS)),
+).map(lambda parts: ["largevalues"] + sum(parts, []))
+
+
+@settings(max_examples=100, deadline=None)
+@given(LARGEVALUES_ARGV)
+def test_generated_largevalues_argv_keeps_the_exit_code_contract(argv):
+    code, text = run_quietly(argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in text
+
+
 @pytest.mark.parametrize("mu_box", ["-1, 2", "0, 1"])
 def test_verify_refuses_mu_box_reaching_zero(tmp_path, capsys, mu_box):
     # at mu = 1/2, inside the box, u = 1/mu = 2 > 1: the claim is false
@@ -545,8 +593,14 @@ _QUOTIENT = "({})/({})".format(" + ".join(f"{2**63 - 7 * k - 25}*s^{k}" for k in
      "error: sixth field must be 'strict', got 'maybe': 'a | s | 1 | 1/2, 1 | all | maybe'"),
     ("a | s | 1 | 1/2, 1 | all |", 1,
      "error: sixth field must be 'strict', got '': 'a | s | 1 | 1/2, 1 | all |'"),
+    # the 12th power of a 4300-digit box end passes int()'s limit when written
+    ("a | s^12 | 1 | 0, 1e-4299 | 1e4299, 2e4299", 2,
+     "capacity: box end over 170 digits in '1e-4299'"),
+    ("a | s | 1 | 1/2, 1 | 1, " + "9" * 171, 2,
+     f"capacity: box end over 170 digits in '{'9' * 171}'"),
 ], ids=["s^40000", "big-quotient^12", "5000-digits", "s^5000-digits", "s^99999999",
-        "nested-power", "product", "1/0", "s/0", "box-1/0", "sixth=maybe", "sixth=empty"])
+        "nested-power", "product", "1/0", "s/0", "box-1/0", "sixth=maybe", "sixth=empty",
+        "box-1e-4299", "mu-171-digits"])
 def test_ledger_inputs_refused_with_contract_code(tmp_path, capsys, line, code, needle):
     ledger = tmp_path / "l.txt"
     ledger.write_text(line + "\n", encoding="utf-8")
@@ -561,6 +615,18 @@ def test_ledger_degree_cap_admits_degree_12(tmp_path, capsys):
     ledger.write_text("a | s^12; s^6*s^6 - u | 2 | 1/2, 1 | all | strict\n", encoding="utf-8")
     assert run(["verify", "--ledger", str(ledger), "--out", str(tmp_path / "o")]) == 0
     assert "1/1 claims hold" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line,code", [
+    ("a | u*s^12 | 1/s^12 | 1/{n}, 2/{n} | 1/{n}, 2/{n}", 0),
+    ("a | s^12 | 1 | 0, {n} | all", 3),
+    ("a | 1/s^12 | u*s^12 | 1/{n}, 2/{n} | 1/{n}, {n}", 3),
+], ids=["holds", "fails-at-box-end", "fails-degree-24"])
+def test_ledger_box_ends_at_the_digit_cap_are_decided(tmp_path, capsys, line, code):
+    ledger = tmp_path / "l.txt"
+    ledger.write_text(line.format(n="9" * 170) + "\n", encoding="utf-8")
+    assert run(["verify", "--ledger", str(ledger), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == ""
 
 
 def test_each_subparser_takes_exactly_its_table_row():

@@ -302,10 +302,10 @@ def test_band_index_edges():
 def test_classification_sups_match_unit_interval_sups():
     facs = [unit_factor(16), mobius_factor(8)]
     cls = classify_profile(facs, 1.12, 200)
-    assert sorted(cls.sups) == list(range(200, 401))
-    for m, sup in cls.sups.items():
-        ref = sup_on_unit_interval(facs, 1.12, m).value
-        assert sup == pytest.approx(ref, rel=1e-10), m
+    assert cls.total() == 201 and list(cls.floors) == list(cls.cells)
+    for profile, members in cls.cells.items():
+        ref = min(sup_on_unit_interval(facs, 1.12, m).value for m in members)
+        assert cls.floors[profile] == pytest.approx(ref, rel=1e-10), profile
 
 
 def test_profile_sigma_grid_spacing():
@@ -424,12 +424,17 @@ def _ref_classify_profile(factors, c, T, floor_x=None, samples=32, refine_iters=
     return cells, s0, sups
 
 
+def _ref_floors(cells, sups):
+    """Each cell's V: the least of its members' fully refined product sups."""
+    return [(profile, min(sups[m] for m in members)) for profile, members in cells.items()]
+
+
 def _assert_same_classification(factors, c, T):
     got = classify_profile(factors, c, T)
     cells, s0, sups = _ref_classify_profile(factors, c, T)
     assert list(got.cells.items()) == list(cells.items())  # dict order too
     assert got.s0 == s0
-    assert list(got.sups.items()) == list(sups.items())  # floats compared with ==
+    assert list(got.floors.items()) == _ref_floors(cells, sups)  # floats compared with ==
     assert all(type(b) is int for p in got.cells for b in p.band_indices)
 
 
@@ -477,12 +482,12 @@ def test_bands_in_doubt_refine_the_factor_bracket(monkeypatch, factors, c, T):
     cells, s0, sups = _ref_classify_profile(factors, c, T, samples=4)
     assert list(got.cells.items()) == list(cells.items())
     assert got.s0 == s0
-    assert list(got.sups.items()) == list(sups.items())
+    assert list(got.floors.items()) == _ref_floors(cells, sups)
     assert sum(own) > 0
     # at the default 32 samples the ceilings settle almost every band
     own.clear()
     classify_profile(factors, c, T)
-    assert sum(own) < 0.05 * len(got.sups) * (len(factors) - 1)
+    assert sum(own) < 0.05 * got.total() * (len(factors) - 1)
 
 
 def test_refinement_evaluates_repeated_points_once(monkeypatch):
@@ -504,7 +509,7 @@ def test_refinement_evaluates_repeated_points_once(monkeypatch):
     assert reused < 0.6 * sum(asked)
     assert list(got.cells.items()) == list(cells.items())
     assert got.s0 == s0
-    assert list(got.sups.items()) == list(sups.items())
+    assert list(got.floors.items()) == _ref_floors(cells, sups)
 
 
 def test_golden_steps_reuse_the_carried_point(monkeypatch):
@@ -517,9 +522,41 @@ def test_golden_steps_reuse_the_carried_point(monkeypatch):
         return grid(f, c, ts)
 
     monkeypatch.setattr(dirichlet, "eval_factor_grid", counting_grid)
-    cls = classify_profile([unit_factor(16)], 1.12, 3000.0)
+    f, c = unit_factor(16), 1.12
+    ms, offsets = np.arange(3000, 6001, dtype=np.float64), np.linspace(0.0, 1.0, 33)
+    lo, hi, s = _bracket(np.abs(eval_factor_lattice(f, c, ms, offsets)), ms, offsets)
+    _golden([f], c, lo, hi, s, 3)
     # 3 golden steps x 2 points, less the carried point of steps 2 and 3
-    assert sum(asked) < 5 * len(cls.sups)
+    assert sum(asked) < 5 * len(ms)
+
+
+def test_floor_held_by_a_member_above_the_lowest_sample():
+    # at 2 samples the member with the lowest best sample of some cell does
+    # not hold the cell's least refined sup, so the second refinement stage
+    # decides that floor
+    factors, c, T = [unit_factor(8), log_factor(4), mobius_factor(4)], 1.07, 100.0
+    got = classify_profile(factors, c, T, samples=2)
+    cells, s0, sups = _ref_classify_profile(factors, c, T, samples=2)
+    assert list(got.cells.items()) == list(cells.items())
+    assert list(got.floors.items()) == _ref_floors(cells, sups)
+    grid = np.arange(100, 201, dtype=np.float64)
+    sample = dict(zip(range(100, 201), _ref_sup_grid(factors, c, grid, 2, 0).tolist()))
+    lowest = {p: sups[min(members, key=lambda m: (sample[m], m))] for p, members in cells.items()}
+    assert any(got.floors[p] < lowest[p] for p in cells)
+
+
+def test_long_t_refines_few_products(monkeypatch):
+    golden, product = dirichlet._golden, []
+
+    def recording_golden(fs, c, lo, *args):
+        if len(fs) > 1:
+            product.append(len(lo))
+        return golden(fs, c, lo, *args)
+
+    monkeypatch.setattr(dirichlet, "_golden", recording_golden)
+    cls = classify_profile([unit_factor(16), mobius_factor(8)], 1.12, 3000.0)
+    assert cls.total() == 3001
+    assert 0 < sum(product) < 0.05 * cls.total()
 
 
 def test_factor_lattice_product_equals_product_lattice():
@@ -581,11 +618,11 @@ def test_array_bands_match_scalar_at_band_edges(N, c, floor_x):
 
 
 def test_array_bands_match_scalar_on_long_t_sups():
-    fs, c, T = [unit_factor(16), mobius_factor(8)], 1.12, 3000.0
+    fs, c = [unit_factor(16), mobius_factor(8)], 1.12
     ms = np.arange(3000, 6001, dtype=np.float64)
     floor_x = 128.0
     sup_sets = [_ref_sup_grid([f], c, ms, 32, 3) for f in fs]
-    sup_sets.append(np.array(list(classify_profile(fs, c, T).sups.values())))
+    sup_sets.append(_ref_sup_grid(fs, c, ms, 32, 3))
     for f in fs:
         for sups in sup_sets:
             assert _bands(sups, f.N, c, floor_x).tolist() == _scalar_bands(sups, f.N, c, floor_x)
