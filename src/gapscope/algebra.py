@@ -15,10 +15,12 @@ over Z (Knuth, TAOCP Vol. 2, 4.6.1): each pseudo-remainder is divided by its
 content, so coefficients do not swell as in Euclid over Q.  A Sturm chain
 member is sign-corrected to a positive multiple of Euclid's member, so sign
 variations are unchanged; the sign at p/q (q > 0) is that of
-sum_i c_i p^i q^(d-i).  Each decision (root isolation, sign on an interval,
-nonnegativity on a closed interval, comparison of an algebraic number given
-as (polynomial, isolating interval)) builds one square-free part and one
-chain per polynomial and reuses them at every bisection step.
+sum_i c_i p^i q^(d-i).  Root isolation, the sign on an interval and
+nonnegativity on a closed interval each build one square-free part and one
+chain per polynomial and reuse them at every bisection step.  An algebraic
+number, a polynomial with a closed isolating interval, is compared with a
+rational by one Sturm count and never bisects, so its interval stays as
+given.
 
 Everything here is exact; no floats enter any decision.
 """
@@ -354,10 +356,13 @@ def _isolate(st: _Sturm, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fract
 
 
 def isolate_roots_open(p: Poly, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint intervals, one per distinct root of p in (a, b).
+    """Intervals, one per distinct root of p in (a, b), in increasing order.
 
-    A rational root r is returned as the degenerate pair (r, r); otherwise the
-    open interval (l, r) brackets exactly one root and l, r are not roots.
+    A root met at a bisection midpoint r is returned as the degenerate pair
+    (r, r); otherwise the open interval (l, r) holds exactly one root, and the
+    open intervals are disjoint.  An end l or r may itself be a root: a or b,
+    or a midpoint root returned as its own pair.  On s - 3s^2 - 3s^3 over
+    (-30, 30) the result is (-30, 0), (0, 0), (0, 30).
     """
     return _isolate(_Sturm.of(p), a, b)
 
@@ -451,8 +456,9 @@ def nonneg_on_interval(
 class AlgebraicNumber:
     """A real algebraic number as (polynomial, isolating rational interval).
 
-    The polynomial must change sign across [lo, hi] and contain exactly one
-    root there; `cmp_fraction` decides order against any rational exactly.
+    The polynomial must have exactly one root in the closed interval
+    [lo, hi], which may be either end.  `cmp_fraction` decides order against
+    any rational exactly and leaves the interval as given.
     """
 
     coeffs: Poly
@@ -462,45 +468,23 @@ class AlgebraicNumber:
     def __post_init__(self):
         self.coeffs = poly(self.coeffs)
         self.lo, self.hi = Q(self.lo), Q(self.hi)
-        if not self.coeffs:
+        if not self.coeffs or self.lo > self.hi:
             raise ValueError("interval does not isolate exactly one root")
         st = _Sturm.of(self.coeffs)
-        if st.count_open(self.lo, self.hi) + st.is_root(self.lo) != 1:
+        ends = st.is_root(self.lo) + (self.lo < self.hi and st.is_root(self.hi))
+        if st.count_open(self.lo, self.hi) + ends != 1:
             raise ValueError("interval does not isolate exactly one root")
-
-    def _bisect(self, st: _Sturm) -> None:
-        """Halve the bracket, or close it on a rational root."""
-        if st.is_root(self.lo):
-            self.hi = self.lo
-            return
-        mid = (self.lo + self.hi) / 2
-        if st.is_root(mid):
-            self.lo = self.hi = mid
-        elif st.count_open(self.lo, mid) > 0:
-            self.hi = mid
-        else:
-            self.lo = mid
 
     def cmp_fraction(self, q: Fraction) -> int:
-        """-1, 0, +1 comparing this number with the rational q."""
-        q = Q(q)
-        if self.lo <= q <= self.hi:
-            st = _Sturm.of(self.coeffs)
-            if st.is_root(q):
-                return 0  # q is the isolated root itself
-            while self.lo < q < self.hi:
-                self._bisect(st)
-        if self.lo == self.hi:
-            r = self.lo
-            return (r > q) - (r < q)
-        # the root lies in [lo, hi] and differs from q
-        return 1 if q <= self.lo else -1
+        """-1, 0, +1 comparing this number with the rational q.
 
-    def to_float(self, digits: int = 12) -> float:
-        f = AlgebraicNumber(self.coeffs, self.lo, self.hi)
+        Inside the interval one Sturm count decides: the root is below q
+        exactly when [lo, q) holds a root.
+        """
+        q = Q(q)
+        if not self.lo <= q <= self.hi:
+            return 1 if q < self.lo else -1
         st = _Sturm.of(self.coeffs)
-        for _ in range(8 * digits):
-            if f.hi - f.lo < Fraction(1, 10**digits):
-                break
-            f._bisect(st)
-        return float((f.lo + f.hi) / 2)
+        if st.is_root(q):
+            return 0
+        return -1 if st.is_root(self.lo) or st.count_open(self.lo, q) else 1

@@ -17,7 +17,8 @@ Expressions are written over the symbols `s` (sigma) and `u` (short for
     id | lhs_1; lhs_2; ... | rhs | s_lo, s_hi | mu_lo, mu_hi [| strict]
 
 with rational literals `p/q`, `all` for the default mu range, and a pure
-ordering claim written with an algebraic literal on the left:
+ordering claim written with an algebraic literal on the left, `-` in both
+box fields and `strict` optional:
 
     crossing | root(1176*s^2 - 1897*s + 763; 19/25, 77/100) | 53/68 | - | - | strict
 """
@@ -324,12 +325,7 @@ def verify_claim(claim: Claim) -> Verdict:
 def recheck_verdict(claim: Claim, verdict: Verdict) -> bool:
     """Independent re-check: plug the counterexample, or re-run the counts."""
     if claim.algebraic_lhs is not None:
-        v = AlgebraicNumber(
-            list(claim.algebraic_lhs.coeffs),
-            claim.algebraic_lhs.lo,
-            claim.algebraic_lhs.hi,
-        )
-        cmp = v.cmp_fraction(claim.rhs(Q(0), 1))
+        cmp = claim.algebraic_lhs.cmp_fraction(claim.rhs(Q(0), 1))
         return (cmp < 0 if claim.strict else cmp <= 0) == verdict.holds
     if not verdict.holds:
         ce = verdict.certificate.get("counterexample")
@@ -400,6 +396,9 @@ def parse_ledger_line(line: str) -> Claim | None:
     strict = len(fields) == 6
     m = _ROOT_RE.match(lhs_text)
     if m:
+        for name, box in (("sigma", s_text), ("mu", mu_text)):
+            if box != "-":
+                raise ValueError(f"{name} field of root() must be '-', got {box!r}: {line!r}")
         coeffs = _poly_from_expression(m.group("poly"))
         value = AlgebraicNumber(coeffs, *map(parse_rational, m.group("lo", "hi")))
         return Claim.ordering(cid, value, parse_rational(rhs_text), strict=strict)
@@ -436,16 +435,16 @@ def parse_ledger(text: str) -> list[Claim]:
 
 
 def format_claim(claim: Claim) -> str:
+    tail = " | strict" if claim.strict else ""
     if claim.algebraic_lhs is not None:
         a = claim.algebraic_lhs
         lhs = f"root({_fmt_poly(a.coeffs)}; {_fmt_q(a.lo)}, {_fmt_q(a.hi)})"
-        return f"{claim.id} | {lhs} | {_fmt_q(claim.rhs(Q(0), 1))} | - | - | strict"
+        return f"{claim.id} | {lhs} | {_fmt_q(claim.rhs(Q(0), 1))} | - | -{tail}"
     lhs = "; ".join(format_mulinear(l) for l in claim.lhs)
     rhs = format_mulinear(claim.rhs)
     s_lo, s_hi = claim.sigma_interval
     mu_lo, mu_hi = claim.mu_interval
     mu = "all" if (mu_lo, mu_hi) == MU_RANGE else f"{_fmt_q(mu_lo)}, {_fmt_q(mu_hi)}"
-    tail = " | strict" if claim.strict else ""
     return f"{claim.id} | {lhs} | {rhs} | {_fmt_q(s_lo)}, {_fmt_q(s_hi)} | {mu}{tail}"
 
 

@@ -32,8 +32,8 @@ value reported is each cell's floor V, the least refined product sup over its
 members (`_cell_floors`).  A refined peak is never below its best sample, so
 only members whose best sample is at most the refined sup of their cell's
 lowest-sampled member can hold V, and only those are refined.  Each golden
-step reuses the carried point's value when it is bitwise equal to one of the
-last step's, and sends the rest to one `eval_factor_grid` call per factor.
+step sends both points of every bracket to one `eval_factor_grid` call per
+factor.
 Bands come from numpy logs, the scalar `band_index` redoing any sup within
 1e-9 of a band edge, and cells take the band rows in order of first
 appearance, each with its sigmas.
@@ -192,28 +192,19 @@ def _golden(fs: Sequence[PolyFactor], c: float, lo: np.ndarray, hi: np.ndarray,
     """Golden-section refinement of |prod fs| on every bracket [lo, hi] at once.
 
     Each step keeps the side of the larger point, ties going left, and
-    returns the best of peak and every value met.  A new point bitwise equal
-    to one of the last step's (the carried golden point) keeps its value; the
-    rest go to one eval_factor_grid call per factor, whose values do not
+    returns the best of peak and every value met.  Both points of every
+    bracket go to one eval_factor_grid call per factor, whose values do not
     depend on the batch.
     """
-    pts = vals = np.empty((0, len(lo)))
     for _ in range(refine_iters):
         new = np.array((hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)))
-        v, miss = np.empty(new.shape), np.ones(new.shape, dtype=bool)
-        for p, pv in zip(pts, vals):
-            hit = miss & (new == p)
-            np.copyto(v, pv, where=hit)
-            miss &= ~hit
-        ts = new[miss]
-        z = np.ones(len(ts), dtype=complex)
+        z = np.ones(new.size, dtype=complex)
         for f in fs:
-            z *= eval_factor_grid(f, c, ts)
-        v[miss] = np.abs(z)
+            z *= eval_factor_grid(f, c, new.ravel())
+        v = np.abs(z).reshape(new.shape)
         peak = np.maximum(peak, np.maximum(v[0], v[1]))
         take_left = v[0] >= v[1]
         lo, hi = np.where(take_left, lo, new[0]), np.where(take_left, new[1], hi)
-        pts, vals = new, v
     return peak
 
 

@@ -217,7 +217,10 @@ def test_algebraic_sqrt193():
     s = AlgebraicNumber(poly([-193, 0, 1]), Q(13), Q(14))
     assert s.cmp_fraction(Q(139, 10)) == -1
     assert s.cmp_fraction(Q(138, 10)) == 1
-    assert abs(s.to_float() - 193**0.5) < 1e-9
+    near = Q(193**0.5)
+    assert s.cmp_fraction(near - Q(1, 10**9)) == 1
+    assert s.cmp_fraction(near + Q(1, 10**9)) == -1
+    assert (s.lo, s.hi) == (13, 14)  # comparisons leave the interval as given
 
 
 def test_algebraic_rational_root():
@@ -230,6 +233,20 @@ def test_algebraic_rational_root():
 def test_algebraic_isolation_required():
     with pytest.raises(ValueError):
         AlgebraicNumber(poly([-1, 0, 1]), Q(-2), Q(2))  # two roots inside
+    with pytest.raises(ValueError):
+        AlgebraicNumber(poly([-1, 0, 1]), Q(-1), Q(1))  # a root at each end
+    with pytest.raises(ValueError):
+        AlgebraicNumber(poly([-1, 1]), Q(1), Q(0))  # an empty interval
+
+
+@pytest.mark.parametrize("root", [1, 2])
+def test_algebraic_root_at_either_end(root):
+    a = AlgebraicNumber(poly([-root, 1]), Q(1), Q(2))
+    assert a.cmp_fraction(Q(root)) == 0
+    assert a.cmp_fraction(Q(3, 2)) == (1 if root == 2 else -1)
+    assert a.cmp_fraction(Q(3 - root)) == (1 if root == 2 else -1)
+    b = AlgebraicNumber(poly([-root, 1]), Q(root), Q(root))  # the end counted once
+    assert [b.cmp_fraction(Q(root) + d) for d in (-1, 0, 1)] == [1, 0, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -539,3 +556,45 @@ def test_decisions_match_fraction_reference(case):
         if lo < hi and ref_count_roots_open(shared, lo, hi) == 0:
             assert refine_to_sign(p, hp, lo, hi) == ref_refine_to_sign(p, hp, lo, hi)
             break  # nonneg_on_interval's certificate covers the rest
+
+
+# ---------------------------------------------------------------------------
+# Oracle: comparison by bisection, which halves the bracket until q falls
+# outside it and reads the order off the bracket
+# ---------------------------------------------------------------------------
+
+def ref_cmp_fraction(p, lo, hi, q):
+    if lo <= q <= hi:
+        if ref_peval(p, q) == 0:
+            return 0
+        while lo < q < hi:
+            if ref_peval(p, lo) == 0:
+                hi = lo
+                continue
+            mid = (lo + hi) / 2
+            if ref_peval(p, mid) == 0:
+                lo = hi = mid
+            elif ref_count_roots_open(p, lo, mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+    if lo == hi:
+        return (lo > q) - (lo < q)
+    return 1 if q <= lo else -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases(), _small_q)
+def test_algebraic_comparison_matches_bisection(case, x):
+    p, a, b = case
+    brackets = isolate_roots_open(p, a, b)
+    roots = [lo for lo, hi in brackets if lo == hi]
+    for lo, hi in brackets:
+        try:
+            v = AlgebraicNumber(p, lo, hi)
+        except ValueError:  # an end of the open interval is a root too
+            assert lo < hi and 0 in (ref_peval(p, lo), ref_peval(p, hi))
+            continue
+        for q in (lo, hi, (lo + hi) / 2, lo - 1, hi + 1, a, b, x, *roots):
+            assert v.cmp_fraction(q) == ref_cmp_fraction(p, lo, hi, q)
+        assert (v.lo, v.hi) == (lo, hi)

@@ -3,14 +3,14 @@
 import re
 import time
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gapscope.errors import CapacityError
-from gapscope.algebra import AlgebraicNumber, frac, poly
+from gapscope.algebra import AlgebraicNumber, frac, isolate_roots_open, poly
 from gapscope.claims import (
     Claim,
     IllPosedClaimError,
@@ -177,10 +177,37 @@ def test_crossing_claim_algebraic():
     v = verify_claim(c)
     assert v.holds and recheck_verdict(c, v)
     # and the quadratic really encodes (271 - sqrt(193))/336
-    approx = (271 - 193**0.5) / 336
-    assert abs(value.to_float() - approx) < 1e-9
+    approx = Q((271 - 193**0.5) / 336)
+    assert value.cmp_fraction(approx - Q(1, 10**9)) == 1
+    assert value.cmp_fraction(approx + Q(1, 10**9)) == -1
     tight = Claim.ordering("crossing-tight", value, Q(76, 100), strict=True)
     assert not verify_claim(tight).holds
+
+
+#: sqrt(2) cut to 4299 digits: the bound passes every literal cap and lies
+#: within 10^-4298 below the root, so the claim fails.
+SQRT2_DIGITS = str(isqrt(2 * 10**(2 * 4298)))
+SQRT2_CLAIM = f"a | root(s^2 - 2; 1, 2) | 1.{SQRT2_DIGITS[1:]} | - | - | strict"
+
+
+def test_verification_leaves_every_claim_as_parsed():
+    near = parse_ledger(SQRT2_CLAIM + "\nb | root(s^2 - 2; 1, 2) | 141/100 | - | - | strict\n")
+    for claims in (builtin_ledger(), mutated_ledger(), near):
+        text = format_ledger(claims)
+        for c in claims:
+            assert recheck_verdict(c, verify_claim(c))
+        assert format_ledger(claims) == text
+    assert [verify_claim(c).holds for c in near] == [False, False]
+
+
+def test_claims_sharing_a_value_verify_alike_twice():
+    value = AlgebraicNumber(poly([-2, 0, 1]), Q(1), Q(2))
+    a = Claim.ordering("a", value, Q(141, 100))
+    b = Claim.ordering("b", value, Q(1415, 1000))
+    first = verify_claim(a).certificate
+    assert first["bracket"] == ["1", "2"] and not verify_claim(a).holds
+    assert verify_claim(b).holds
+    assert verify_claim(a).certificate == first
 
 
 def test_specified_mutations_fail_with_rational_counterexamples():
@@ -387,7 +414,8 @@ def test_parse_ledger_keeps_nesting_and_exponents_in_range():
 
 
 # ---------------------------------------------------------------------------
-# ledger text round trip: generated box claims survive format -> parse
+# ledger text round trip: generated box and ordering claims survive
+# format -> parse with their verdicts
 # ---------------------------------------------------------------------------
 
 _coeffs = st.lists(st.one_of(st.integers(-9, 9).map(Q),
@@ -435,3 +463,32 @@ def test_generated_box_claims_survive_the_ledger_text(claim, points):
         for v, w in zip(claim.lhs + [claim.rhs], back.lhs + [back.rhs]):
             assert _value_or_pole(v, s, mu) == _value_or_pole(w, s, mu)
     assert _outcome(back) == _outcome(claim)
+
+
+# ordering claims: strict or not, bounds inside and outside the bracket
+@st.composite
+def _ordering_claims(draw):
+    p = poly(draw(_coeffs))
+    brackets = isolate_roots_open(p, Q(-10), Q(10))
+    assume(brackets)
+    lo, hi = draw(st.sampled_from(brackets))
+    try:
+        value = AlgebraicNumber(p, lo, hi)
+    except ValueError:  # an end of the open interval is another root
+        assume(False)
+    t = draw(st.fractions(-1, 2, max_denominator=16))
+    return Claim.ordering("g", value, lo + max(hi - lo, Q(1, 4)) * t, strict=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ordering_claims())
+def test_generated_ordering_claims_survive_the_ledger_text(claim):
+    text = format_ledger([claim])
+    verdict = verify_claim(claim)
+    for _ in range(3):
+        (back,) = parse_ledger(text)
+        assert (back.algebraic_lhs, back.rhs, back.strict) == (
+            claim.algebraic_lhs, claim.rhs, claim.strict)
+        assert verify_claim(back) == verdict
+        text = format_ledger([back])
+    assert text == format_ledger([claim])

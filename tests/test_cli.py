@@ -26,7 +26,7 @@ from gapscope.claims import format_ledger
 from gapscope.ledger import builtin_ledger, mutated_ledger
 from gapscope.primes import max_gap_table
 from gapscope.reports import canonical_json, write_manifest, write_table_csv
-from test_claims import _ledger_text
+from test_claims import SQRT2_CLAIM, _ledger_text
 
 
 DATA = Path(__file__).parent / "data"
@@ -598,9 +598,16 @@ _QUOTIENT = "({})/({})".format(" + ".join(f"{2**63 - 7 * k - 25}*s^{k}" for k in
      "capacity: box end over 170 digits in '1e-4299'"),
     ("a | s | 1 | 1/2, 1 | 1, " + "9" * 171, 2,
      f"capacity: box end over 170 digits in '{'9' * 171}'"),
+    # an ordering line takes '-' in both box fields
+    ("b | root(s - 1; 0, 2) | 5 | nonsense | 1,2,3,4", 1,
+     "error: sigma field of root() must be '-', got 'nonsense': "
+     "'b | root(s - 1; 0, 2) | 5 | nonsense | 1,2,3,4'"),
+    ("b | root(s - 1; 0, 2) | 5 | - | all | strict", 1,
+     "error: mu field of root() must be '-', got 'all': "
+     "'b | root(s - 1; 0, 2) | 5 | - | all | strict'"),
 ], ids=["s^40000", "big-quotient^12", "5000-digits", "s^5000-digits", "s^99999999",
         "nested-power", "product", "1/0", "s/0", "box-1/0", "sixth=maybe", "sixth=empty",
-        "box-1e-4299", "mu-171-digits"])
+        "box-1e-4299", "mu-171-digits", "root-sigma-box", "root-mu-box"])
 def test_ledger_inputs_refused_with_contract_code(tmp_path, capsys, line, code, needle):
     ledger = tmp_path / "l.txt"
     ledger.write_text(line + "\n", encoding="utf-8")
@@ -608,6 +615,15 @@ def test_ledger_inputs_refused_with_contract_code(tmp_path, capsys, line, code, 
     assert run(["verify", "--ledger", str(ledger), "--out", str(tmp_path / "o")]) == code
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err.strip() == needle
+
+
+def test_ordering_bound_next_to_its_root_is_decided_at_once(tmp_path, capsys):
+    ledger = tmp_path / "l.txt"
+    ledger.write_text(SQRT2_CLAIM + "\n", encoding="utf-8")
+    t0 = time.perf_counter()
+    assert run(["verify", "--ledger", str(ledger), "--out", str(tmp_path / "o")]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "0/1 claims hold" in capsys.readouterr().out
 
 
 def test_ledger_degree_cap_admits_degree_12(tmp_path, capsys):

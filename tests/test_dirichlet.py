@@ -512,24 +512,6 @@ def test_refinement_evaluates_repeated_points_once(monkeypatch):
     assert list(got.floors.items()) == _ref_floors(cells, sups)
 
 
-def test_golden_steps_reuse_the_carried_point(monkeypatch):
-    import gapscope.dirichlet as dirichlet
-
-    grid, asked = dirichlet.eval_factor_grid, []
-
-    def counting_grid(f, c, ts):
-        asked.append(len(ts))
-        return grid(f, c, ts)
-
-    monkeypatch.setattr(dirichlet, "eval_factor_grid", counting_grid)
-    f, c = unit_factor(16), 1.12
-    ms, offsets = np.arange(3000, 6001, dtype=np.float64), np.linspace(0.0, 1.0, 33)
-    lo, hi, s = _bracket(np.abs(eval_factor_lattice(f, c, ms, offsets)), ms, offsets)
-    _golden([f], c, lo, hi, s, 3)
-    # 3 golden steps x 2 points, less the carried point of steps 2 and 3
-    assert sum(asked) < 5 * len(ms)
-
-
 def test_floor_held_by_a_member_above_the_lowest_sample():
     # at 2 samples the member with the lowest best sample of some cell does
     # not hold the cell's least refined sup, so the second refinement stage
