@@ -12,42 +12,10 @@ sum_{p_n <= x} (p_{n+1} - p_n)^2 << x^(5/4 + eps):
   supporting inequality ledger and mechanical recovery of the critical
   exponent nu* = 1/4;
 * `cli` — the `gapscope` batch entry point.
+
+Names are imported from their modules (`from gapscope.nu import optimize_nu`);
+importing the package loads none of them, so `verify` and `optimize-nu`
+never import numpy.
 """
 
 __version__ = "0.1.0"
-
-from .algebra import AlgebraicNumber
-from .claims import Claim, MU_RANGE, Verdict, parse_ledger, verify_claim
-from .dirichlet import (
-    LargeValueCounts,
-    LargeValueProfile,
-    PolyFactor,
-    classify_profile,
-    count_R_Rstar,
-)
-from .errors import CapacityError, QuadratureError
-from .identity import (
-    CoefficientClass,
-    FactorizationRows,
-    IdentityConfig,
-    enumerate_factorizations,
-    make_config,
-)
-from .ledger import builtin_ledger, specified_mutations
-from .nu import BoundCatalog, builtin_catalog, coverage_check, optimize_nu, required_nu
-from .perron import PerronParams, make_perron_params, perron_window
-from .primes import (
-    BandSum,
-    GapSummary,
-    PrimeGap,
-    composite_run_demo,
-    dyadic_band_sum,
-    gap_moment_sum,
-    gap_sweep,
-    iter_gaps,
-    max_gap_table,
-    sieve_primes,
-    von_mangoldt,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

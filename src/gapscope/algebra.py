@@ -292,11 +292,13 @@ class MuLinear:
         return MuLinear._of(_add([q * c for c in self.A], [p * c for c in self.B]), [],
                             [q * c for c in self.D])
 
-    def __call__(self, s: Fraction, mu: Fraction) -> Fraction:
+    def __call__(self, s: Fraction, mu: Fraction | None = None) -> Fraction:
+        """The value at (s, mu); a value with B = () needs no mu."""
         dv = _value(self.D, 1, s)
         if dv == 0:
             raise ZeroDivisionError(f"denominator vanishes at s={s}")
-        return (_value(self.A, 1, s) + _value(self.B, 1, s) / Q(mu)) / dv
+        a = _value(self.A, 1, s)
+        return (a + _value(self.B, 1, s) / Q(mu) if self.B else a) / dv
 
 
 U = MuLinear((), (1,))

@@ -22,8 +22,12 @@ from fractions import Fraction
 
 from .algebra import AlgebraicNumber, MuLinear, S, U, frac, ml, poly
 from .claims import Claim
+from .nu import RAISED_RSTAR, builtin_catalog
 
 Q = Fraction
+
+#: the published exponents, read from the optimizer's catalog
+_PUBLISHED = {e.name: e.exponent for e in builtin_catalog().entries}
 
 
 def _L(c0, c1=0) -> MuLinear:
@@ -78,22 +82,15 @@ def builtin_ledger() -> list[Claim]:
                   "53/68", "13/16",
                   source="large-values estimate swallows the residual mu window "
                          "8(3s-2)/((8s-5)(3s-1)) above 9/(4+2s)"))
-    add(Claim.box("hb4-boundary-identity",
-                  _frac(12, -12, -1, 4),
-                  ml(1) + frac([13, -16], [-1, 4]),
-                  "3/4", "1",
+    add(Claim.box("hb4-boundary-identity", _PUBLISHED["rstar-high"],
+                  ml(1) + frac([13, -16], [-1, 4]), "3/4", "1",
                   source="R* bound matches the target exactly along mu = 4/(4s-1)"))
 
     # --- the two max-comparisons of the large-mu combination --------------
     rhs_1bc = _L(1) + frac([39, -48], [-28, 40])  # 1 + (3/(10s-7))(13-16s)/4
-    add(Claim.box("mu-case1b-max",
-                  [_frac(7, -7, -1, 3), _frac(18, -19, -2, 6), _frac(34, -34, -5, 15)],
-                  rhs_1bc, "13/16", "25/28",
+    add(Claim.box("mu-case1b-max", RAISED_RSTAR[:3], rhs_1bc, "13/16", "25/28",
                   source="three-term R* max in the raised-polynomial middle range"))
-    add(Claim.box("mu-case1c-max",
-                  [_frac(7, -7, -1, 3), _frac(18, -19, -2, 6), _frac(34, -34, -5, 15),
-                   _frac(69, -73, -8, 24), _frac(31, -31, -5, 15), _frac(128, -124, -15, 60)],
-                  rhs_1bc, "13/16", "25/28",
+    add(Claim.box("mu-case1c-max", RAISED_RSTAR, rhs_1bc, "13/16", "25/28",
                   source="six-term R* max in the raised-polynomial short range"))
 
     # --- combination feasibility, s <= 3/4 (box mu in [5/3, 2]) -----------
@@ -157,16 +154,16 @@ def builtin_ledger() -> list[Claim]:
                   source="very long factor, second tail term against the R target"))
 
     # --- published-bound internal extensions -------------------------------
-    add(Claim.box("pub-ext-mean-value", _frac(7, -8, 4, -2), _frac(3, -3, 2, -1),
+    add(Claim.box("pub-ext-mean-value", _frac(7, -8, 4, -2), _PUBLISHED["mean-value"],
                   "2/3", "3/4",
                   source="long-polynomial fallback stays below the mean-value exponent"))
-    add(Claim.box("pub-ext-large-values", _frac(5, -6, -2, 6), _frac(3, -3, -1, 3),
+    add(Claim.box("pub-ext-large-values", _frac(5, -6, -2, 6), _PUBLISHED["large-values"],
                   "3/4", "1",
                   source="long-polynomial fallback stays below the large-values exponent"))
-    add(Claim.box("pub-ext-tenth", _frac(-19, 22, -14, 20), _frac(3, -3, -7, 10),
+    add(Claim.box("pub-ext-tenth", _frac(-19, 22, -14, 20), _PUBLISHED["r-short-range"],
                   "3/4", "25/28",
                   source="twelfth-moment fallback stays below the short-range R exponent"))
-    add(Claim.box("pub-ext-rstar-low", _L(6, -6), _L("15/2", -8),
+    add(Claim.box("pub-ext-rstar-low", _L(6, -6), _PUBLISHED["rstar-low"],
                   "1/2", "3/4",
                   source="cubed fallback stays below the low-range R* exponent"))
 
@@ -190,7 +187,7 @@ def builtin_ledger() -> list[Claim]:
                                             _L("-71/8", "79/8")],
                   _L(0), "13/16", "25/28",
                   source="first four six-term exponents are nonnegative in the middle range"))
-    add(Claim.box("plugin-mean-value-at-34", _frac(3, -3, 2, -1), _L(1),
+    add(Claim.box("plugin-mean-value-at-34", _PUBLISHED["mean-value"], _L(1),
                   "3/4", "3/4",
                   source="mean-value exponent at s = 3/4 is 3/5 <= 1"))
     add(Claim.box("nu-floor-arithmetic", _L("43/60") - U, _L("29/120"),

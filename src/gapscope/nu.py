@@ -15,19 +15,21 @@ whose exponent is at most mu(1-s) instead lands in the negligible regime
 Routes:
   * the published large-value estimates (the `BoundCatalog`), each a single
     exponent valid on a sigma range;
-  * the combination derivations, which split the product polynomial into two
-    halves M <= N with a guaranteed floor on M and case-split on which term
-    of the governing mean-value estimate dominates.  A combination route is
-    adversarial over its internal cases, so it contributes the max of its
-    case demands; the overall demand at (s, mu) is the min over routes.
+  * the combination derivations (`ROUTES`), which split the product
+    polynomial into two halves M <= N with a guaranteed floor on M and
+    case-split on which term of the governing mean-value estimate dominates.
+    A combination route is adversarial over its internal cases, so it
+    contributes the max of its case demands; the overall demand at (s, mu)
+    is the min over routes.
 
-Every demand is affine in 1/mu at fixed s: a/mu + b, with exact a and b
-that depend on s alone (and, for a combination route, on which mu-piece of
-the route applies).  `_demand_terms` builds them once per sigma, together
-with the negligible-regime thresholds e <= mu(1-s) of the R-bounds, over
-one common denominator; a cell is then integer multiply-adds and one
-Fraction.  `required_nu` is that kernel at a single mu, and `optimize_nu`
-builds it once per sigma row and evaluates it across the mu grid.
+Each exponent, route piece end and case exponent is one `MuLinear` value
+in s, written once here and read also by the builtin ledger.  At fixed s
+every demand is a/mu + b with exact a and b: `_demand_terms` evaluates the
+table at one sigma, together with the negligible-regime thresholds
+e <= mu(1-s) of the R-bounds, over one common denominator, and a cell is
+then integer multiply-adds and one Fraction.  `required_nu` is that kernel
+at a single mu, and `optimize_nu` builds it once per sigma row and
+evaluates it across the mu grid.
 
 All arithmetic is exact (Fractions); epsilon refinements are dropped and the
 log-power savings of the negligible regime are treated as free, so boundary
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
+from .algebra import MuLinear, frac, ml, sign_on_interval
 from .claims import MU_RANGE
 from .errors import CapacityError
 
@@ -61,33 +64,17 @@ NU_FLOOR = Q(29, 120)  # configured floor; flagged if the optimum dips below
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """R or R* bounded by T0^(num(s)/den(s)) on [s_lo, s_hi] (den > 0 there)."""
+    """R or R* bounded by T0^exponent(s) on [s_lo, s_hi], where the
+    exponent's denominator does not vanish."""
 
     name: str
     kind: str  # "R" or "Rstar"
-    num: tuple[Fraction, Fraction]  # a + b s
-    den: tuple[Fraction, Fraction]
+    exponent: MuLinear  # a function of s alone
     s_lo: Fraction
     s_hi: Fraction
 
     def applies(self, s: Fraction) -> bool:
-        if not (self.s_lo <= s <= self.s_hi):
-            return False
-        return self._den(s) > 0
-
-    def _den(self, s: Fraction) -> Fraction:
-        return self.den[0] + self.den[1] * s
-
-    def exponent(self, s: Fraction) -> Fraction:
-        return (self.num[0] + self.num[1] * s) / self._den(s)
-
-
-def _entry(name, kind, num, den, s_lo, s_hi) -> CatalogEntry:
-    return CatalogEntry(
-        name, kind,
-        (Q(num[0]), Q(num[1])), (Q(den[0]), Q(den[1])),
-        Q(s_lo), Q(s_hi),
-    )
+        return self.s_lo <= s <= self.s_hi and sign_on_interval(self.exponent.D, s, s) != 0
 
 
 @dataclass(frozen=True)
@@ -101,24 +88,24 @@ class BoundCatalog:
         ]
 
 
+_BUILTIN_CATALOG = BoundCatalog((
+    CatalogEntry("mean-value", "R", frac([3, -3], [2, -1]), Q(1, 2), Q(3, 4)),
+    CatalogEntry("large-values", "R", frac([3, -3], [-1, 3]), Q(3, 4), Q(1)),
+    CatalogEntry("r-short-range", "R", frac([3, -3], [-7, 10]), Q(7, 10), Q(25, 28)),
+    CatalogEntry("r-near-one", "R", frac([4, -4], [-1, 4]), Q(25, 28), Q(1)),
+    CatalogEntry("trivial", "R", ml(1), Q(1, 2), Q(1)),
+    CatalogEntry("rstar-low", "Rstar", frac(["15/2", -8]), Q(1, 2), Q(3, 4)),
+    CatalogEntry("rstar-high", "Rstar", frac([12, -12], [-1, 4]), Q(3, 4), Q(1)),
+))
+
+
 def builtin_catalog() -> BoundCatalog:
-    return BoundCatalog((
-        _entry("mean-value", "R", (3, -3), (2, -1), "1/2", "3/4"),
-        _entry("large-values", "R", (3, -3), (-1, 3), "3/4", 1),
-        _entry("r-short-range", "R", (3, -3), (-7, 10), "7/10", "25/28"),
-        _entry("r-near-one", "R", (4, -4), (-1, 4), "25/28", 1),
-        _entry("trivial", "R", (1, 0), (1, 0), "1/2", 1),
-        _entry("rstar-low", "Rstar", ("15/2", -8), (1, 0), "1/2", "3/4"),
-        _entry("rstar-high", "Rstar", (12, -12), (-1, 4), "3/4", 1),
-    ))
+    return _BUILTIN_CATALOG
 
 
 # ---------------------------------------------------------------------------
 # Demand of a single bound against the targets
 # ---------------------------------------------------------------------------
-
-Case = tuple[str, Fraction, Fraction]  # (kind, p, q): bound T0^(p + mu q)
-
 
 def _demand_coeffs(kind: str, p: Fraction, q: Fraction, s: Fraction):
     """(a, b, negligible) for a bound T0^(p + mu q) on `kind` at sigma s.
@@ -140,77 +127,80 @@ def _demand_coeffs(kind: str, p: Fraction, q: Fraction, s: Fraction):
 # Combination routes
 # ---------------------------------------------------------------------------
 
-# At fixed s a route is a list of pieces (lo, hi, cases): the cases govern
-# mu in [lo, hi], the first piece containing mu wins, and a mu outside every
-# piece leaves the route unavailable.
-Piece = tuple[Fraction, Fraction, list[Case]]
+Case = tuple[str, MuLinear, MuLinear]  # (kind, p(s), q(s)): bound T0^(p + mu q)
 
 
-def _comb_low_pieces(s: Fraction) -> list[Piece]:
-    """Split routes for s <= 3/4 (mean-value estimate on both halves)."""
-    if s > Q(3, 4):
-        return []
-    short: list[Case] = [("R", Q(1), Q(1, 2) - s)]  # both halves short
-    # up to mu = 5/3 the split can always keep both halves below T0
-    pieces = [(MU_RANGE[0], Q(5, 3), short)]
-    if s >= Q(7, 10):  # the floor M >= x1^(2/5) is only certified from 7/10 on
-        g = Q(2, 5)  # M >= x1^g
-        pieces.append((Q(5, 3), Q(2), short + [
-            ("RRstar", Q(0), 4 - 4 * s),
-            ("Rstar", Q(3, 4), Q(7, 2) * (1 - s) - Q(5, 4) * g),
-            ("Rstar", Q(2, 5), Q(16, 5) * (1 - s) - Q(4, 5) * g),
-        ]))
-    return pieces
+class Piece(NamedTuple):
+    """A route's cases, which govern mu in [mu_lo(s), mu_hi(s)] for s in
+    [s_lo, s_hi]."""
+
+    s_lo: Fraction
+    s_hi: Fraction
+    mu_lo: MuLinear
+    mu_hi: MuLinear
+    cases: tuple[Case, ...]
 
 
-def _comb_high_pieces(s: Fraction) -> list[Piece]:
-    """Split routes for 3/4 <= s <= 13/16 (large-values estimate)."""
-    if not (Q(3, 4) <= s <= Q(13, 16)):
-        return []
+#: mu = 4/(4s - 1): the large-values split ends and the raised polynomials start
+MU_RAISED = frac([4], [-1, 4])
 
-    def cases(g: Fraction, h: Fraction) -> list[Case]:  # M >= x1^g T0^h
-        return [
-            ("R", Q(1), 2 - 3 * s),
-            ("R", Q(1, 2), Q(3, 2) - 2 * s),
-            ("R", Q(0), 1 - s),
-            ("RRstar", Q(0), 4 - 4 * s),
-            ("Rstar", Q(3, 8) - Q(5, 4) * h, Q(17, 4) * (1 - s) - Q(5, 4) * g),
-            ("Rstar", Q(2, 5) - Q(4, 5) * h, Q(16, 5) * (1 - s) - Q(4, 5) * g),
-        ]
-
-    top = 4 / (4 * s - 1)
-    return [
-        (Q(5, 3), top, cases(Q(2, 5), Q(0))),  # M >= x1^(2/5)
-        (Q(8, 5), top, cases(Q(1), Q(-1))),  # below 5/3: M >= x1 / T0
-    ]
-
-
-def _comb_mid_pieces(s: Fraction) -> list[Piece]:
-    """Raised-polynomial routes for 13/16 <= s <= 25/28 at large mu."""
-    if not (Q(13, 16) <= s <= Q(25, 28)):
-        return []
-    short = [
-        (7 - 7 * s) / (3 * s - 1),
-        (18 - 19 * s) / (6 * s - 2),
-        (34 - 34 * s) / (15 * s - 5),
-    ]
-    long = short + [
-        (69 - 73 * s) / (24 * s - 8),
-        (31 - 31 * s) / (15 * s - 5),
-        (128 - 124 * s) / (60 * s - 15),
-    ]
-    return [(4 / (4 * s - 1), 3 / (10 * s - 7), [
-        ("R", (4 - 4 * s) / (4 * s - 1), Q(0)),  # lands in the negligible regime
-        ("Rstar", max(short), Q(0)),
-        ("Rstar", max(long), Q(0)),
-    ])]
-
-
-_COMBINATION_ROUTES: tuple[tuple[str, Callable[[Fraction], list[Piece]]], ...] = (
-    ("split-low", _comb_low_pieces),
-    ("split-high", _comb_high_pieces),
-    ("split-mid", _comb_mid_pieces),
+#: Exponents of the raised-polynomial R* bounds on 13/16 <= s <= 25/28: the
+#: first three in the middle range, all six in the short range.
+RAISED_RSTAR = (
+    frac([7, -7], [-1, 3]),
+    frac([18, -19], [-2, 6]),
+    frac([34, -34], [-5, 15]),
+    frac([69, -73], [-8, 24]),
+    frac([31, -31], [-5, 15]),
+    frac([128, -124], [-15, 60]),
 )
+
+_ZERO = ml(0)
+_RRSTAR: Case = ("RRstar", _ZERO, frac([4, -4]))
+_SHORT: tuple[Case, ...] = (("R", ml(1), frac(["1/2", -1])),)  # both halves short
+
+
+def _high_cases(g: Fraction, h: Fraction) -> tuple[Case, ...]:
+    """Large-values split cases when M >= x1^g T0^h."""
+    return (
+        ("R", ml(1), frac([2, -3])),
+        ("R", ml(Q(1, 2)), frac([Q(3, 2), -2])),
+        ("R", _ZERO, frac([1, -1])),
+        _RRSTAR,
+        ("Rstar", ml(Q(3, 8) - Q(5, 4) * h), frac([Q(17, 4) - Q(5, 4) * g, Q(-17, 4)])),
+        ("Rstar", ml(Q(2, 5) - Q(4, 5) * h), frac([Q(16, 5) - Q(4, 5) * g, Q(-16, 5)])),
+    )
+
+
+#: The combination routes.  At fixed s a route's pieces are those whose
+#: sigma range holds s, in order: the first whose mu range holds mu governs,
+#: and a mu outside every piece leaves the route unavailable.
+ROUTES: dict[str, tuple[Piece, ...]] = {
+    # the mean-value estimate on both halves
+    "split-low": (
+        # up to mu = 5/3 the split can always keep both halves below T0
+        Piece(SIGMA_RANGE[0], Q(3, 4), ml(MU_RANGE[0]), ml(Q(5, 3)), _SHORT),
+        # the floor M >= x1^(2/5) is only certified from 7/10 on
+        Piece(Q(7, 10), Q(3, 4), ml(Q(5, 3)), ml(2), _SHORT + (
+            _RRSTAR,
+            ("Rstar", ml(Q(3, 4)), frac([3, Q(-7, 2)])),  # 7/2 (1-s) - 5/4 * 2/5
+            ("Rstar", ml(Q(2, 5)), frac([Q(72, 25), Q(-16, 5)])),  # 16/5 (1-s) - 4/5 * 2/5
+        )),
+    ),
+    # the large-values estimate
+    "split-high": (
+        Piece(Q(3, 4), Q(13, 16), ml(Q(5, 3)), MU_RAISED, _high_cases(Q(2, 5), Q(0))),
+        # below 5/3: M >= x1 / T0
+        Piece(Q(3, 4), Q(13, 16), ml(Q(8, 5)), MU_RAISED, _high_cases(Q(1), Q(-1))),
+    ),
+    # raised polynomials at large mu
+    "split-mid": (
+        Piece(Q(13, 16), Q(25, 28), MU_RAISED, frac([3], [-7, 10]), (
+            ("R", frac([4, -4], [-1, 4]), _ZERO),  # lands in the negligible regime
+            *(("Rstar", p, _ZERO) for p in RAISED_RSTAR),
+        )),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +222,23 @@ def _demand_terms(s: Fraction, cat: BoundCatalog) -> _Row:
     With every a, b, p, c of the row scaled by their common denominator D, a
     demand a/mu + b at mu = n/d has the value (A d + B n) / (D n), so all
     demands at one mu compare by their numerators alone, and a threshold
-    p <= mu c reads P d <= C n.
+    p <= mu c reads P d <= C n.  A case shared by pieces is evaluated once.
     """
+    demand: dict[Case, tuple] = {}
+
+    def of(case: Case) -> tuple:
+        if case not in demand:
+            kind, p, q = case
+            demand[case] = _demand_coeffs(kind, p(s), q(s), s)
+        return demand[case]
+
     catalog = [_demand_coeffs(e.kind, e.exponent(s), Q(0), s) for e in cat.applicable(s)]
     routes = [
-        [(lo, hi, [_demand_coeffs(*case, s) for case in cases]) for lo, hi, cases in pieces(s)]
-        for _name, pieces in _COMBINATION_ROUTES
+        [(p.mu_lo(s), p.mu_hi(s), [of(case) for case in p.cases])
+         for p in pieces if p.s_lo <= s <= p.s_hi]
+        for pieces in ROUTES.values()
     ]
-    coeffs = catalog + [t for route in routes for _, _, terms in route for t in terms]
+    coeffs = catalog + list(demand.values())
     den = math.lcm(*(f.denominator for a, b, neg in coeffs for f in (a, b, *(neg or ()))))
 
     def scaled(a: Fraction, b: Fraction, neg) -> Term:
@@ -422,9 +421,8 @@ SIGMA_NEAR_ONE = 1 - Q(1, 10**22)
 
 REGIONS: tuple[tuple[str, Callable[[Fraction, Fraction], bool]], ...] = (
     ("low-sigma", lambda s, m: s <= Q(3, 4)),
-    ("high-sigma-small-mu", lambda s, m: s >= Q(3, 4) and m <= 4 / (4 * s - 1)),
-    ("high-sigma-large-mu",
-     lambda s, m: Q(3, 4) <= s <= SIGMA_NEAR_ONE and m >= 4 / (4 * s - 1)),
+    ("high-sigma-small-mu", lambda s, m: s >= Q(3, 4) and m <= MU_RAISED(s)),
+    ("high-sigma-large-mu", lambda s, m: Q(3, 4) <= s <= SIGMA_NEAR_ONE and m >= MU_RAISED(s)),
     ("sigma-near-one", lambda s, m: s >= SIGMA_NEAR_ONE),
 )
 

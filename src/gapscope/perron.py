@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dirichlet import EVAL_BUDGET, PolyFactor
+from .dirichlet import PolyFactor
 from .errors import CapacityError, QuadratureError
 from .identity import product_terms
 
@@ -38,6 +38,10 @@ from .identity import product_terms
 #: iteration cap of both E1 loops; the domain split needs at most ~250.
 _E1_TOL = 1e-15
 _E1_MAX_ITER = 1000
+#: Elements (heights x terms) of one `_perron_j` call.  E1 holds about 150
+#: bytes per element, so its working set stays near 5 MB whatever the
+#: product support; 2^14 and 2^15 ran fastest on an 8.4M-term product.
+_J_BUDGET = 2**15
 
 
 @dataclass(frozen=True)
@@ -145,11 +149,21 @@ def _window_logs(factors: Sequence[PolyFactor], y: float, tau: float):
 def _estimates(
     factors: Sequence[PolyFactor], y: float, tau: float, c: float, heights: np.ndarray,
 ) -> np.ndarray:
-    """Closed-form truncated estimates at each height, EVAL_BUDGET terms at a time."""
+    """Closed-form truncated estimates at each height, _J_BUDGET elements at a time.
+
+    A support of more than _J_BUDGET terms is cut into chunks of that many,
+    one height per call, and their sums are added in term order.
+    """
     top, bottom, an = _window_logs(factors, y, tau)
-    step = max(1, EVAL_BUDGET // max(1, len(an)))
-    chunks = [heights[a : a + step] for a in range(0, len(heights), step)]
-    out = np.concatenate([(_perron_j(top, c, h) - _perron_j(bottom, c, h)) @ an for h in chunks])
+    width = max(1, min(len(an), _J_BUDGET))
+    terms = [slice(a, a + width) for a in range(0, len(an), width)]
+    step = _J_BUDGET // width
+
+    def estimate(h: np.ndarray) -> np.ndarray:
+        parts = [(_perron_j(top[t], c, h) - _perron_j(bottom[t], c, h)) @ an[t] for t in terms]
+        return sum(parts[1:], parts[0])
+
+    out = np.concatenate([estimate(heights[a : a + step]) for a in range(0, len(heights), step)])
     if not np.all(np.isfinite(out)):
         raise QuadratureError("non-finite estimate", {"top_height": float(heights.max())})
     return out

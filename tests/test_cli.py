@@ -250,6 +250,19 @@ def test_non_finite_perron_estimate_exits_1_without_traceback(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
     assert not (out / "manifest.json").exists()
 
+
+def test_exact_commands_import_no_numpy():
+    # verify, optimize-nu and report on them need only the pure-Python layers
+    code = ("import sys, gapscope.cli, gapscope.nu, gapscope.ledger; "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(gapscope.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_parse_int_literal_exact():
     assert parse_int_literal("123456789012345678e2") == 12345678901234567800
     assert parse_int_literal("1e400") == 10**400

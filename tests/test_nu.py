@@ -1,11 +1,15 @@
 """Exponent calculus: pointwise demands, the optimizer, region coverage."""
 
+import math
+import random
 from fractions import Fraction as Q
 
 import pytest
 
+from gapscope.ledger import builtin_ledger
 from gapscope.nu import (
     REGIONS,
+    ROUTES,
     SIGMA_RANGE,
     BoundCatalog,
     _grid,
@@ -268,3 +272,48 @@ def test_row_kernel_matches_reference_on_reduced_catalog(drop):
     cat = BoundCatalog(tuple(e for e in builtin_catalog().entries if e.name not in drop))
     for s, m in CELLS:
         assert _outcome(required_nu, s, m, cat) == _outcome(reference_required_nu, s, m, cat), (s, m)
+
+
+def _rational_in(rng, lo, hi, max_den=1024):
+    """A random rational in [lo, hi] with denominator at most max_den."""
+    while True:
+        d = rng.randint(1, max_den)
+        a, b = math.ceil(lo * d), math.floor(hi * d)
+        if a <= b:
+            return Q(rng.randint(a, b), d)
+
+
+def _piece_mus(s):
+    """Every mu-piece end of the routes at s that lies in the mu range."""
+    ends = [Q(8, 5), Q(5, 3), Q(2), 4 / (4 * s - 1)]
+    if 10 * s > 7:
+        ends.append(3 / (10 * s - 7))
+    return [m for m in ends if MU_RANGE[0] <= m <= MU_RANGE[1]]
+
+
+def test_row_kernel_matches_reference_off_the_grid():
+    # the table evaluated at random rationals and on every piece boundary
+    rng = random.Random(20120116)
+    cat = builtin_catalog()
+    sigmas = [Q(7, 10), Q(3, 4), Q(13, 16), Q(25, 28)]
+    sigmas += [_rational_in(rng, *SIGMA_RANGE) for _ in range(500)]
+    for s in sigmas:
+        mus = _piece_mus(s) + [_rational_in(rng, *MU_RANGE) for _ in range(3)]
+        for m in mus:
+            assert required_nu(s, m) == reference_required_nu(s, m, cat), (s, m)
+
+
+def test_ledger_sides_are_the_table_values():
+    # the builtin ledger certifies the exponents the optimizer evaluates
+    by_id = {c.id: c for c in builtin_ledger()}
+    published = {e.name: e.exponent for e in builtin_catalog().entries}
+    (mid,) = ROUTES["split-mid"]
+    raised = [p for kind, p, _ in mid.cases if kind == "Rstar"]
+    assert by_id["pub-ext-mean-value"].rhs == published["mean-value"]
+    assert by_id["pub-ext-large-values"].rhs == published["large-values"]
+    assert by_id["pub-ext-tenth"].rhs == published["r-short-range"]
+    assert by_id["pub-ext-rstar-low"].rhs == published["rstar-low"]
+    assert by_id["hb4-boundary-identity"].lhs == [published["rstar-high"]]
+    assert by_id["plugin-mean-value-at-34"].lhs == [published["mean-value"]]
+    assert by_id["mu-case1b-max"].lhs == raised[:3]
+    assert by_id["mu-case1c-max"].lhs == raised

@@ -2,6 +2,7 @@
 E1 against scipy and mpmath, direct sums, residual envelopes, C1/C2 bounds."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -327,7 +328,27 @@ def test_estimate_blocks_stay_within_eval_budget(monkeypatch):
         return kernel(logs, c, heights)
 
     monkeypatch.setattr(perron, "_perron_j", spy)
-    monkeypatch.setattr(perron, "EVAL_BUDGET", 40)
+    monkeypatch.setattr(perron, "_J_BUDGET", 40)
     chunked = [r.estimate for r in perron_window_scan(y, tau, factors, cps)]
     assert len(blocks) == 10 and max(blocks) <= 40
     assert chunked == pytest.approx(whole, rel=1e-14)
+
+
+def test_estimate_memory_stays_within_the_chunk_budget(monkeypatch):
+    # 64^3 = 262,144 product terms, all above the window, in chunks of
+    # _J_BUDGET: E1 holds about 150 bytes an element of one chunk, beside
+    # the support's arrays and their build (about 24 bytes a term)
+    p = make_perron_params(201.5, 10)
+    factors = [unit_factor(64), log_factor(64), mobius_factor(64)]
+    terms = 64**3
+    tracemalloc.start()
+    try:
+        chunked = perron_window(p, factors).estimate
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * terms + 256 * perron._J_BUDGET, peak
+    monkeypatch.setattr(perron, "_J_BUDGET", terms)  # one chunk: the unchunked sum
+    whole = perron_window(p, factors).estimate
+    # chunks only reassociate the sum over terms, far inside 1e-12
+    assert chunked == pytest.approx(whole, rel=1e-12)
