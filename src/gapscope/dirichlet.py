@@ -5,10 +5,10 @@ A factor is one short polynomial S(s) = sum_{N < n <= 2N} a_n n^{-s} with
 unit, log, or Moebius coefficients (or the singleton constant 1).
 
 Every factor value is built from the phase rows a_n n^(-c) e^(-it log n) of
-`_phase_rows`.  `eval_factor_lattice` evaluates on a lattice t = base +
-offset as one matrix product per chunk of bases; `eval_factor_grid` sums
-each row on its own, so a point's value does not depend on the batch it is
-evaluated in.
+`_phase_rows`; c is a scalar or one value per point.  `eval_factor_lattice`
+evaluates on a lattice t = base + offset as one matrix product per chunk of
+bases; `eval_factor_grid` sums each row on its own, so a point's value does
+not depend on the batch it is evaluated in.
 
 The sup over a unit interval is approximated by G + 1 equally spaced
 samples (both ends included) plus golden-section refinement around the best
@@ -20,23 +20,28 @@ interior maximum and some sample lies within h/2 = 1/(2G) of it, so the sup
 is at most U = sqrt(s^2 + (h A log 2)^2 / 8), s the best sample
 (`_sup_ceiling`, padded for float error).
 
-Large-value classification (`classify_profile`) bins each unit interval
-[m, m+1] of [T, 2T] by the dyadic band N^(1-c) 2^(-b) of every factor's sup;
-below the 1/x floor it falls into the leftover class S0.  One rule bands
-every active factor, alone or in a product: its sample lattice is built
-once and bracketed, and its best sample s and ceiling U fix the band
-wherever they share one, since s <= refined peak <= sup <= U; `_golden`
-refines the factor's own bracket only for the members left in doubt.  The
-lattice is then folded into the product lattice and freed.  The only product
+Large-value classification bins each unit interval [m, m+1] of [T, 2T] by
+the dyadic band N^(1-c) 2^(-b) of every factor's sup; below the 1/x floor it
+falls into the leftover class S0.  `classify_profiles` classifies a batch of
+(factors, c, T) problems as one array program, and `classify_profile` is its
+one-problem call; each problem's result is bitwise the same either way,
+since every element comes from the same IEEE operations on the same inputs
+and per-problem scalars are computed as for the problem alone.  Each
+distinct active factor's sample lattice is built over the unit intervals of
+every problem holding it, with c per row, ROW_CHUNK rows at a time in
+product order; each chunk is bracketed and folded into its problems'
+products at once, so only the products are held whole.  One rule bands
+every factor: its best sample s and ceiling U fix the band wherever they
+share one, since s <= refined peak <= sup <= U, and `_golden` refines the
+factor's own bracket only for the members left in doubt.  The only product
 value reported is each cell's floor V, the least refined product sup over its
 members (`_cell_floors`).  A refined peak is never below its best sample, so
 only members whose best sample is at most the refined sup of their cell's
 lowest-sampled member can hold V, and only those are refined.  Each golden
 step sends both points of every bracket to one `eval_factor_grid` call per
-factor.
-Bands come from numpy logs, the scalar `band_index` redoing any sup within
-1e-9 of a band edge, and cells take the band rows in order of first
-appearance, each with its sigmas.
+distinct factor.  Bands come from numpy logs, the scalar `band_index`
+redoing any sup within 1e-9 of a band edge, and cells take the band rows in
+order of first appearance, each with its sigmas.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,6 +58,10 @@ from .identity import CoefficientClass, block_support
 
 EVAL_BUDGET = 10**7
 GOLDEN = (math.sqrt(5) - 1) / 2
+#: Unit intervals whose factor lattice a classification builds at once.
+ROW_CHUNK = 1024
+#: Pair sums that count_R_Rstar builds at once (512 KB of int64).
+PAIR_BLOCK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +119,30 @@ def _phase_rows(ts: np.ndarray, logs: np.ndarray, mags: np.ndarray) -> np.ndarra
     return rows
 
 
-def eval_factor_lattice(
-    f: PolyFactor, c: float, bases: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
+def _magnitudes(an: np.ndarray, logs: np.ndarray, c, points: int) -> np.ndarray:
+    """Rows a_n n^(-c), one per point: c is a scalar or one value per point.
+    A run of equal c is computed once."""
+    if np.ndim(c) == 0:
+        return np.broadcast_to(an * np.exp(-c * logs), (points, len(logs)))
+    c = np.asarray(c, dtype=np.float64)
+    if c.shape != (points,):
+        raise ValueError(f"c must be a scalar or one value per point, got shape {c.shape}")
+    runs = np.flatnonzero(c[1:] != c[:-1]) + 1
+    if not len(runs):
+        return np.broadcast_to(an * np.exp(-c[:1, None] * logs), (points, len(logs)))
+    runs = np.concatenate(([0], runs))
+    return np.repeat(an * np.exp(-c[runs, None] * logs), np.diff(runs, append=points), axis=0)
+
+
+def eval_factor_lattice(f: PolyFactor, c, bases: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Factor values at t = bases[k] + offsets[j], shape (len(bases), len(offsets)).
 
-    The phase factors as n^(-it) = n^(-i base) n^(-i offset): the offset
-    phases are built once, and each chunk of bases costs N exponentials per
-    base plus one matrix product.  A chunk of bases holds at most
-    EVAL_BUDGET // max(N, len(offsets)) rows, and the offset phases are
-    built EVAL_BUDGET // N offsets at a time.
+    c is a scalar or one value per base.  The phase factors as n^(-it) =
+    n^(-i base) n^(-i offset): the offset phases are built once, and each
+    chunk of bases costs N exponentials per base plus one matrix product,
+    written in place.  A chunk of bases holds at most
+    EVAL_BUDGET // max(N, len(offsets)) rows, and the offset phases are built
+    EVAL_BUDGET // N offsets at a time.
     """
     bases = np.asarray(bases, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -127,34 +150,36 @@ def eval_factor_lattice(
     if len(ns) == 0:
         return np.zeros((len(bases), len(offsets)), dtype=complex)
     logs = np.log(ns.astype(np.float64))
-    mags = an * np.exp(-c * logs)
+    mags = _magnitudes(an, logs, c, len(bases))
     out = np.empty((len(bases), len(offsets)), dtype=complex)
     step = max(1, EVAL_BUDGET // max(len(ns), len(offsets)))
     width = max(1, EVAL_BUDGET // len(ns))
     for b in range(0, len(offsets), width):
         shifts = np.exp(-1j * np.outer(logs, offsets[b : b + width]))
         for a in range(0, len(bases), step):
-            out[a : a + step, b : b + width] = _phase_rows(bases[a : a + step], logs, mags) @ shifts
+            rows = _phase_rows(bases[a : a + step], logs, mags[a : a + step])
+            np.matmul(rows, shifts, out=out[a : a + step, b : b + width])
     return out
 
 
-def eval_factor_grid(f: PolyFactor, c: float, ts: np.ndarray) -> np.ndarray:
+def eval_factor_grid(f: PolyFactor, c, ts: np.ndarray) -> np.ndarray:
     """Factor values on an array of t, each the row sum of its own phase row.
 
-    A value depends only on its t, never on the batch: numpy sums each row
-    alone (pairwise), where a matrix-vector product takes a different path
-    for a single row.  Rows are built EVAL_BUDGET // N at a time.
+    c is a scalar or one value per t.  A value depends only on its t and c,
+    never on the batch: numpy sums each row alone (pairwise), where a
+    matrix-vector product takes a different path for a single row.  Rows
+    are built EVAL_BUDGET // N at a time.
     """
     ts = np.asarray(ts, dtype=np.float64)
     ns, an = f.support()
     if len(ns) == 0:
         return np.zeros(len(ts), dtype=complex)
     logs = np.log(ns.astype(np.float64))
-    mags = an * np.exp(-c * logs)
+    mags = _magnitudes(an, logs, c, len(ts))
     out = np.empty(len(ts), dtype=complex)
     step = max(1, EVAL_BUDGET // len(ns))
     for a in range(0, len(ts), step):
-        out[a : a + step] = _phase_rows(ts[a : a + step], logs, mags).sum(axis=1)
+        out[a : a + step] = _phase_rows(ts[a : a + step], logs, mags[a : a + step]).sum(axis=1)
     return out
 
 
@@ -164,6 +189,10 @@ def eval_factor_grid(f: PolyFactor, c: float, ts: np.ndarray) -> np.ndarray:
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 def _check_sampling(c: float, samples: int, refine_iters: int, intervals: int) -> None:
@@ -183,44 +212,72 @@ def _check_sampling(c: float, samples: int, refine_iters: int, intervals: int) -
 def _bracket(vals: np.ndarray, ms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Rows lo, hi, peak of sampled |values|: the best sample and its neighbours."""
     best = np.argmax(vals, axis=1)
-    nearby = offsets[np.clip([best - 1, best + 1], 0, len(offsets) - 1)]
-    return np.vstack((ms + nearby, vals[np.arange(len(ms)), best]))
+    out = np.empty((3, len(ms)))
+    np.add(ms, offsets[np.maximum(best - 1, 0)], out=out[0])
+    np.add(ms, offsets[np.minimum(best + 1, len(offsets) - 1)], out=out[1])
+    out[2] = vals[np.arange(len(ms)), best]
+    return out
 
 
-def _golden(fs: Sequence[PolyFactor], c: float, lo: np.ndarray, hi: np.ndarray,
-            peak: np.ndarray, refine_iters: int) -> np.ndarray:
-    """Golden-section refinement of |prod fs| on every bracket [lo, hi] at once.
+def _golden(table: Sequence[PolyFactor], fids: np.ndarray, c: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray, peak: np.ndarray, refine_iters: int) -> np.ndarray:
+    """Golden-section refinement of every bracket [lo, hi] at once.
 
-    Each step keeps the side of the larger point, ties going left, and
-    returns the best of peak and every value met.  Both points of every
-    bracket go to one eval_factor_grid call per factor, whose values do not
-    depend on the batch.
+    Bracket r refines |prod_j table[fids[r, j]]| at c[r]; a row of fids lists
+    its product's factors in order, then -1s.  Each step keeps the side of
+    the larger point, ties going left, and returns the best of peak and every
+    value met.  A step evaluates each factor in one eval_factor_grid call, at
+    both points of every bracket whose product holds it (values do not depend
+    on the batch), and multiplies the values in product order; a row with
+    fewer factors is multiplied by an exact 1, which leaves |z| as it is.
     """
+    depth, n = fids.shape[1], len(fids)
+    plan = []  # per factor: the brackets whose product holds it, and their c twice
+    pick = np.full((depth, 2, n), -1)  # where a step's values hold each factor value; -1 is 1
+    size = 0
+    for g in np.unique(fids[fids >= 0]).tolist():
+        held = fids == g
+        holds = held.any(axis=1)
+        rows = np.flatnonzero(holds)
+        spot = np.cumsum(holds) + (size - 1)  # row r's first point among the values
+        at, r = np.nonzero(held.T)
+        pick[at, 0, r] = spot[r]
+        pick[at, 1, r] = spot[r] + len(rows)
+        plan.append((table[g], rows, np.concatenate((c[rows], c[rows]))))
+        size += 2 * len(rows)
     for _ in range(refine_iters):
         new = np.array((hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)))
-        z = np.ones(new.size, dtype=complex)
-        for f in fs:
-            z *= eval_factor_grid(f, c, new.ravel())
-        v = np.abs(z).reshape(new.shape)
+        values = np.concatenate([eval_factor_grid(f, cs, new[:, rows].ravel())
+                                 for f, rows, cs in plan] + [np.ones(1, dtype=complex)])
+        z = np.ones(new.shape, dtype=complex)
+        for j in range(depth):
+            z *= values[pick[j]]
+        v = np.abs(z)
         peak = np.maximum(peak, np.maximum(v[0], v[1]))
         take_left = v[0] >= v[1]
         lo, hi = np.where(take_left, lo, new[0]), np.where(take_left, new[1], hi)
     return peak
 
 
-def _sup_ceiling(f: PolyFactor, c: float, s: np.ndarray, samples: int, t_top: float) -> np.ndarray:
+def _sup_ceiling(f: PolyFactor, c, s: np.ndarray, samples: int, t_top, owner=None) -> np.ndarray:
     """Bernstein ceiling U >= sup |f| over unit intervals whose best sample is s.
 
     Padded for float error by a relative 1e-12 (the square root) and
     8 A eps (len(support) + t_top log 2N): half of that bounds the rounding
     of one computed value at t <= t_top (its sum of len(support) terms and
-    its phases t log n), and both s and a refined peak carry it.
+    its phases t log n), and both s and a refined peak carry it.  With
+    `owner`, c and t_top list one value per problem and s[i] belongs to
+    problem owner[i]; each problem's terms are computed as for it alone.
     """
     ns, an = f.support()
-    nf = ns.astype(np.float64)
-    A = float(np.sum(np.abs(an) * nf ** -c))
-    slack = 8 * A * np.finfo(np.float64).eps * (len(ns) + t_top * math.log(2 * float(f.N)))
-    return np.sqrt(s * s + (A * math.log(2) / samples) ** 2 / 8) * (1 + 1e-12) + slack
+    nf, size, log_2N = ns.astype(np.float64), np.abs(an), math.log(2 * float(f.N))
+    terms = []
+    for ck, tk in zip(*(([c], [t_top]) if owner is None else (c, t_top))):
+        A = float(np.sum(size * nf ** -ck))
+        terms.append(((A * math.log(2) / samples) ** 2 / 8,
+                      8 * A * np.finfo(np.float64).eps * (len(ns) + tk * log_2N)))
+    width, slack = np.array(terms).T[:, 0 if owner is None else owner]
+    return np.sqrt(s * s + width) * (1 + 1e-12) + slack
 
 
 # ---------------------------------------------------------------------------
@@ -272,21 +329,30 @@ def band_index(sup: float, N: Fraction, c: float, floor_x: float) -> int | None:
     return b
 
 
-def _bands(sups: np.ndarray, N: Fraction, c: float, floor_x: float) -> np.ndarray:
+def _bands(sups: np.ndarray, N: Fraction, c, floor_x, owner=None) -> np.ndarray:
     """band_index of every sup as int64, -1 for S0; np.log2 may differ from math.log2
-    in the last ulp, so sups within 1e-9 of a band edge take the scalar band_index."""
+    in the last ulp, so sups within 1e-9 of a band edge take the scalar band_index.
+
+    With `owner`, c and floor_x list one value per problem and sups[i] belongs
+    to problem owner[i]; each problem's edges are computed as band_index does.
+    """
+    cs, xs = ([c], [floor_x]) if owner is None else (c, floor_x)
+    at, n = 0 if owner is None else owner, float(N)
+    top = np.array([n ** (1.0 - ck) for ck in cs])[at]
+    b_max = np.array([math.floor(math.log2(n * xk) + 1e-12) for xk in xs])[at]
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.log2(float(N) ** (1.0 - c) / sups) - 1e-12
+        x = np.log2(top / sups) - 1e-12
         b = np.maximum(np.ceil(x), 0.0)
-        for i in np.flatnonzero(np.abs(x - np.rint(x)) < 1e-9):
-            edge = band_index(float(sups[i]), N, c, floor_x)
+        for i in np.flatnonzero(np.abs(x - np.rint(x)) < 1e-9).tolist():
+            k = 0 if owner is None else owner[i]
+            edge = band_index(float(sups[i]), N, cs[k], xs[k])
             b[i] = np.nan if edge is None else edge
-        b[~(b <= math.floor(math.log2(float(N) * floor_x) + 1e-12))] = -1
+        b[~(b <= b_max)] = -1
     return b.astype(np.int64)
 
 
-def _cell_floors(fs: Sequence[PolyFactor], c: float, lo: np.ndarray, hi: np.ndarray,
-                 s: np.ndarray, cell: np.ndarray, refine_iters: int) -> np.ndarray:
+def _cell_floors(table: Sequence[PolyFactor], fids: np.ndarray, c: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, s: np.ndarray, cell: np.ndarray, refine_iters: int) -> np.ndarray:
     """Least refined product sup of each cell 0, 1, ... over its members.
 
     A refined peak is never below its best sample s, so a member whose s is
@@ -297,15 +363,202 @@ def _cell_floors(fs: Sequence[PolyFactor], c: float, lo: np.ndarray, hi: np.ndar
     refinement.
     """
     order = np.lexsort((s, cell))
-    first = order[np.r_[True, cell[order[1:]] != cell[order[:-1]]]]
-    floors = _golden(fs, c, lo[first], hi[first], s[first], refine_iters)
+    first = order[np.concatenate(([True], cell[order[1:]] != cell[order[:-1]]))]
+    floors = _golden(table, fids[first], c[first], lo[first], hi[first], s[first], refine_iters)
     rest = s <= floors[cell]
     rest[first] = False
     rest = np.flatnonzero(rest)
     if len(rest):
-        np.minimum.at(floors, cell[rest],
-                      _golden(fs, c, lo[rest], hi[rest], s[rest], refine_iters))
+        np.minimum.at(floors, cell[rest], _golden(table, fids[rest], c[rest], lo[rest],
+                                                  hi[rest], s[rest], refine_iters))
     return floors
+
+
+class _Problem(NamedTuple):
+    fs: tuple[PolyFactor, ...]
+    c: float
+    T: float
+    floor_x: float
+    ms: np.ndarray  # the integers of [T, 2T]
+
+
+def _read_problem(problem, samples: int, refine_iters: int) -> _Problem:
+    """One (factors, c, T[, floor_x]) problem, checked."""
+    if not (isinstance(problem, (tuple, list)) and len(problem) in (3, 4)):
+        raise ValueError("a problem is (factors, c, T) or (factors, c, T, floor_x)")
+    factors, c, T, floor_x = (*problem, None)[:4]
+    fs = tuple(factors) if isinstance(factors, Iterable) else None
+    if fs is None or not all(isinstance(f, PolyFactor) for f in fs):
+        raise ValueError(f"factors must be PolyFactor values, got {factors!r}")
+    for name, value in (("c", c), ("T", T), ("floor_x", floor_x)):
+        if value is not None and not _is_real(value):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(T) and T >= 1):
+        raise ValueError(f"T must be finite and >= 1, got {T}")
+    if floor_x is not None and not (math.isfinite(floor_x) and floor_x > 0):
+        raise ValueError(f"floor_x must be finite and > 0, got {floor_x}")
+    _check_sampling(c, samples, refine_iters, math.floor(2 * T) - math.ceil(T) + 1)
+    if floor_x is None:
+        floor_x = max(2.0, float(math.prod(f.N for f in fs)))
+    ms = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=np.int64)
+    return _Problem(fs, float(c), float(T), float(floor_x), ms)
+
+
+@dataclass
+class _Sheet:
+    """The unit intervals of one distinct active factor: a slot of rows for
+    each problem column holding it, ordered by position in the product."""
+
+    f: PolyFactor
+    rows: np.ndarray  # batch row of each sheet row
+    cols: np.ndarray  # band column of each sheet row
+    own: np.ndarray   # slot of each sheet row
+    cs: list          # c of each slot
+    xs: list          # floor_x of each slot
+    tops: list        # the top of each slot's [T, 2T] grid, plus 1
+    spans: dict       # position in the product -> (first, end) sheet rows
+
+
+def classify_profiles(problems: Iterable, samples: int = 32,
+                      refine_iters: int = 3) -> list[Classification]:
+    """Classify each (factors, c, T[, floor_x]) problem, all in one array program.
+
+    Each problem's classification is bitwise the one it gets alone.  Each
+    distinct active factor is evaluated over the unit intervals of every
+    problem holding it, with c given per row, position by position in the
+    products and ROW_CHUNK rows at a time; each chunk is bracketed and folded
+    into its problems' products at once, so only the products are held
+    whole.  Golden steps evaluate each distinct factor once.  Every problem
+    is checked before any work, and a bad one is named by its index.
+    """
+    read = []
+    for k, problem in enumerate(problems):
+        try:
+            read.append(_read_problem(problem, samples, refine_iters))
+        except (ValueError, CapacityError) as e:
+            raise type(e)(f"problem {k}: {e}") from None
+    intervals = sum(len(p.ms) for p in read)
+    if intervals * (samples + 1) > EVAL_BUDGET:
+        raise CapacityError(f"{intervals} unit intervals of {samples + 1} samples "
+                            "are over the evaluation budget")
+    if not read:
+        return []
+    sizes = [len(p.ms) for p in read]
+    start = np.cumsum([0] + sizes).tolist()
+    owner = np.repeat(np.arange(len(read)), sizes)
+    ms = np.concatenate([p.ms for p in read])
+    grid, offsets = ms.astype(np.float64), np.linspace(0.0, 1.0, samples + 1)
+    c_row = np.array([p.c for p in read])[owner]
+    ids: dict[PolyFactor, int] = {}
+    slots = []  # (factor id, position in the product, problem, column)
+    for k, p in enumerate(read):
+        active = [(i, f) for i, f in enumerate(p.fs) if f.cls is not CoefficientClass.SINGLETON]
+        slots += [(ids.setdefault(f, len(ids)), pos, k, i) for pos, (i, f) in enumerate(active)]
+    fids = np.full((len(read), max((pos + 1 for _, pos, _, _ in slots), default=1)), -1)
+    sheets = []
+    for j, f in enumerate(ids):
+        mine = sorted((slot for slot in slots if slot[0] == j), key=lambda slot: slot[1])
+        ends = np.cumsum([0] + [sizes[k] for _, _, k, _ in mine]).tolist()
+        spans = {}  # the slots at one position are consecutive
+        for n, (_, pos, k, _) in enumerate(mine):
+            fids[k, pos] = j
+            spans[pos] = (spans[pos][0] if pos in spans else ends[n], ends[n + 1])
+        sheets.append(_Sheet(
+            f, np.concatenate([np.arange(start[k], start[k + 1]) for _, _, k, _ in mine]),
+            np.repeat([i for *_, i in mine], np.diff(ends)),
+            np.repeat(np.arange(len(mine)), np.diff(ends)),
+            [read[k].c for _, _, k, _ in mine], [read[k].floor_x for _, _, k, _ in mine],
+            [float(ms[start[k + 1] - 1] + 1) for _, _, k, _ in mine], spans))
+    # each product, in factor order (1 with no active factor); whole chunks of
+    # rows, so that successive classifications ask for few sizes and reuse
+    # each other's freed memory
+    prod = np.empty((-(-len(ms) // ROW_CHUNK) * ROW_CHUNK, samples + 1), dtype=complex)[: len(ms)]
+    prod[fids[owner, 0] < 0] = 1
+    brackets = [np.empty((3, len(sheet.rows))) for sheet in sheets]
+    for pos in range(fids.shape[1]):
+        for sheet, bracket in zip(sheets, brackets):
+            if pos not in sheet.spans:
+                continue
+            first, end = sheet.spans[pos]
+            # near-equal chunks, none of one row (numpy multiplies a single
+            # row by another path, which changes its last bits)
+            chunks = -(-(end - first) // ROW_CHUNK)
+            bounds = [first + (end - first) * i // chunks for i in range(chunks + 1)]
+            for at, stop in zip(bounds, bounds[1:]):
+                rows = sheet.rows[at:stop]
+                values = eval_factor_lattice(sheet.f, c_row[rows], grid[rows], offsets)
+                bracket[:, at:stop] = _bracket(np.abs(values), grid[rows], offsets)
+                # rows run in slots of consecutive batch rows
+                cuts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), len(rows)]
+                for i0, i1 in zip(cuts, cuts[1:]):
+                    head = prod[rows[i0] : rows[i0] + i1 - i0]
+                    if pos:
+                        np.multiply(head, values[i0:i1], out=head)
+                    else:
+                        head[:] = values[i0:i1]
+    bands = np.zeros((len(ms), max(len(p.fs) for p in read)), dtype=np.int64)
+    doubts = []
+    for sheet, (lo, hi, s) in zip(sheets, brackets):
+        # s <= sup <= U: refine only members whose band [s, U] leaves in doubt
+        ceiling = _sup_ceiling(sheet.f, sheet.cs, s, samples, sheet.tops, sheet.own)
+        band, upper = _bands(np.concatenate((s, ceiling)), sheet.f.N, sheet.cs, sheet.xs,
+                             np.concatenate((sheet.own, sheet.own))).reshape(2, -1)
+        doubt = np.flatnonzero(band != upper)
+        bands[sheet.rows, sheet.cols] = band  # singletons sit in the top cell
+        doubts.append((doubt, lo[doubt], hi[doubt], s[doubt]))
+    count = [len(doubt) for doubt, *_ in doubts]
+    if sum(count):
+        peaks = _golden(tuple(ids), np.repeat(np.arange(len(ids)), count)[:, None],
+                        np.concatenate([c_row[sh.rows[d[0]]] for sh, d in zip(sheets, doubts)]),
+                        *(np.concatenate(part) for part in list(zip(*doubts))[1:]), refine_iters)
+        for sheet, (doubt, *_), peak in zip(sheets, doubts, np.split(peaks, np.cumsum(count))):
+            rows = sheet.rows[doubt]
+            bands[rows, sheet.cols[doubt]] = _bands(peak, sheet.f.N, sheet.cs, sheet.xs,
+                                                    sheet.own[doubt])
+    # cells: (problem, band row) groups, numbered in order of first appearance
+    live = np.flatnonzero((bands >= 0).all(axis=1))
+    keys = np.column_stack((owner[live], bands[live]))
+    order = np.lexsort(keys.T[::-1])  # stable: each group's first row leads it
+    opens = np.ones(len(live), dtype=bool)
+    opens[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    first = order[opens]
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    cell = np.full(len(ms), -1)  # -1 for S0
+    cell[live[order]] = rank[np.cumsum(opens) - 1]
+    bracket = np.hstack([_bracket(np.abs(prod[at : at + ROW_CHUNK]), grid[at : at + ROW_CHUNK],
+                                  offsets) for at in range(0, len(ms), ROW_CHUNK)])
+    del prod
+    floors = _cell_floors(tuple(ids), fids[owner[live]], c_row[live], *bracket[:, live],
+                          cell[live], refine_iters) if len(live) else np.ones(0)
+    return _assemble(read, owner, ms, cell, live[np.sort(first)], bands, floors)
+
+
+def _assemble(read, owner, ms, cell, firsts, bands, floors) -> list[Classification]:
+    """Per-problem Classifications from the batch's cell ids, in order of first appearance."""
+    live = np.flatnonzero(cell >= 0)
+    members = ms[live][np.argsort(cell[live], kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(cell[live], minlength=len(floors))).tolist()
+    rows = bands[firsts]
+    logs = np.ones((len(read), rows.shape[1]))
+    for k, p in enumerate(read):
+        logs[k, : len(p.fs)] = [math.log(float(f.N)) for f in p.fs]
+    logs = logs[owner[firsts]]
+    with np.errstate(divide="ignore", invalid="ignore"):  # the IEEE steps of 1 - b log 2 / L
+        sigmas = np.where(logs > 0, 1.0 - rows * math.log(2.0) / logs, 1.0)
+    cells = [{} for _ in read]
+    cell_floors = [{} for _ in read]
+    a = 0
+    for k, row, sigma, end, floor in zip(owner[firsts].tolist(), rows.tolist(), sigmas.tolist(),
+                                         ends, floors.tolist()):
+        width = len(read[k].fs)
+        profile = LargeValueProfile(tuple(row[:width]), tuple(sigma[:width]))
+        cells[k][profile], cell_floors[k][profile], a = members[a:end], floor, end
+    dead = np.flatnonzero(cell < 0)
+    cut = np.searchsorted(owner[dead], np.arange(len(read) + 1)).tolist()
+    s0 = ms[dead].tolist()
+    return [Classification(p.fs, p.c, p.T, cells[k], s0[cut[k] : cut[k + 1]], cell_floors[k])
+            for k, p in enumerate(read)]
 
 
 def classify_profile(
@@ -317,51 +570,7 @@ def classify_profile(
     refine_iters: int = 3,
 ) -> Classification:
     """Assign every integer m in [T, 2T] to one profile cell or S0."""
-    if not (math.isfinite(T) and T >= 1):
-        raise ValueError(f"T must be finite and >= 1, got {T}")
-    if floor_x is not None and not (math.isfinite(floor_x) and floor_x > 0):
-        raise ValueError(f"floor_x must be finite and > 0, got {floor_x}")
-    _check_sampling(c, samples, refine_iters, math.floor(2 * T) - math.ceil(T) + 1)
-    fs = tuple(factors)
-    ms = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=np.int64)
-    if floor_x is None:
-        floor_x = max(2.0, float(math.prod(f.N for f in fs)))
-    actives = [(i, f) for i, f in enumerate(fs) if f.cls is not CoefficientClass.SINGLETON]
-    grid, offsets = ms.astype(np.float64), np.linspace(0.0, 1.0, samples + 1)
-    bands = np.zeros((len(ms), len(fs)), dtype=np.int64)  # singletons sit in the top cell
-    prod = None
-    for i, f in actives:
-        # s <= sup <= U: refine only members whose band [s, U] leaves in doubt,
-        # then fold the lattice into the product (singletons are exactly 1)
-        lattice = eval_factor_lattice(f, c, grid, offsets)
-        lo, hi, s = _bracket(np.abs(lattice), grid, offsets)
-        ceiling = _sup_ceiling(f, c, s, samples, float(ms[-1] + 1))
-        bands[:, i], upper = _bands(np.concatenate((s, ceiling)), f.N, c, floor_x).reshape(2, -1)
-        doubt = np.flatnonzero(bands[:, i] != upper)
-        if len(doubt):
-            peak = _golden([f], c, lo[doubt], hi[doubt], s[doubt], refine_iters)
-            bands[doubt, i] = _bands(peak, f.N, c, floor_x)
-        prod = lattice if prod is None else np.multiply(prod, lattice, out=prod)
-        del lattice
-    dead = (bands < 0).any(axis=1)
-    live = np.flatnonzero(~dead)
-    ids = {}  # band row -> cell id, in order of first appearance
-    cell = np.array([ids.setdefault(tuple(row), len(ids)) for row in bands[live].tolist()],
-                    dtype=np.int64)
-    floors = np.ones(len(ids))
-    if actives and len(live):
-        lo, hi, s = _bracket(np.abs(prod), grid, offsets)[:, live]
-        floors = _cell_floors([f for _, f in actives], c, lo, hi, s, cell, refine_iters)
-    del prod
-    members = [[] for _ in ids]
-    for m, k in zip(ms[live].tolist(), cell.tolist()):
-        members[k].append(m)
-    logs = [math.log(float(f.N)) for f in fs]
-    cells = {LargeValueProfile(row, tuple(1.0 - b * math.log(2.0) / L if L > 0 else 1.0
-                                          for b, L in zip(row, logs))): group
-             for row, group in zip(ids, members)}
-    return Classification(fs, c, float(T), cells, ms[dead].tolist(),
-                          dict(zip(cells, floors.tolist())))
+    return classify_profiles([(factors, c, T, floor_x)], samples, refine_iters)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +589,17 @@ def count_R_Rstar(members: Iterable[int], T: float) -> LargeValueCounts:
 
     R* is the additive energy sum_s r(s)^2, with r(s) the number of ordered
     pairs summing to s, counted in int64 by bincounts of the pair sums,
-    EVAL_BUDGET pairs at a time: O(R^2) time and O(max - min) memory, so the
-    spread of the members is held to the budget.  The squares are summed by
+    about PAIR_BLOCK pairs at a time: O(R^2) time and O(max - min) memory, so
+    the spread of the members is held to EVAL_BUDGET.  The squares are summed by
     an int64 dot while R < 2^21 (then R* <= R^3 < 2^63) and as Python
-    integers above that.
+    integers above that.  Members are integers (Python or numpy, not bool).
     """
-    ms = sorted(members)
+    ms = list(members)
+    for kind in set(map(type, ms)):
+        if not issubclass(kind, (int, np.integer)) or issubclass(kind, bool):
+            bad = next(m for m in ms if type(m) is kind)
+            raise ValueError(f"members must be integers, got {bad!r}")
+    ms.sort()
     if ms and not (T <= ms[0] and ms[-1] <= 2 * T):
         raise ValueError("member set must sit inside [T, 2T]")
     r_star = 0
@@ -394,7 +608,7 @@ def count_R_Rstar(members: Iterable[int], T: float) -> LargeValueCounts:
             raise CapacityError("member spread over the R* counting budget")
         a = np.asarray(ms, dtype=np.int64) - ms[0]
         r = np.zeros(2 * int(a[-1]) + 1, dtype=np.int64)
-        step = max(1, EVAL_BUDGET // len(a))
+        step = max(1, PAIR_BLOCK // len(a))
         for i in range(0, len(a), step):
             r += np.bincount((a[i : i + step, None] + a).ravel(), minlength=len(r))
         r_star = int(r @ r) if len(a) < 2**21 else sum(v * v for v in r.tolist())

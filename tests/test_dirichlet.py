@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapscope.dirichlet as dirichlet
+import gapscope.experiments as experiments
 from gapscope.dirichlet import (
     GOLDEN,
     LargeValueProfile,
@@ -27,6 +28,7 @@ from gapscope.dirichlet import (
     _sup_ceiling,
     band_index,
     classify_profile,
+    classify_profiles,
     count_R_Rstar,
     eval_factor_lattice,
     eval_factor_grid,
@@ -189,7 +191,8 @@ def sup_on_unit_interval(factors, c: float, m: int, samples: int = 32,
     fs = [factors] if isinstance(factors, PolyFactor) else list(factors)
     base, offsets = np.array([float(m)]), np.linspace(0.0, 1.0, samples + 1)
     vals = np.abs(eval_product_grid(fs, c, base + offsets))
-    peak = _golden(fs, c, *_bracket(vals[None], base, offsets), refine_iters)
+    peak = _golden(fs, np.arange(len(fs))[None], np.array([c]),
+                   *_bracket(vals[None], base, offsets), refine_iters)
     return SupEstimate(float(peak[0]), samples + 1 + 2 * refine_iters)
 
 
@@ -471,10 +474,10 @@ def test_bands_in_doubt_refine_the_factor_bracket(monkeypatch, factors, c, T):
 
     golden, own = dirichlet._golden, []
 
-    def recording_golden(fs, c, lo, *args):
-        if len(fs) == 1:
+    def recording_golden(table, fids, c, lo, *args):
+        if fids.shape[1] == 1:  # one factor per bracket: a factor's own bracket
             own.append(len(lo))
-        return golden(fs, c, lo, *args)
+        return golden(table, fids, c, lo, *args)
 
     monkeypatch.setattr(dirichlet, "_golden", recording_golden)
     # 4 samples leave wide ceilings, so many bands stay in doubt
@@ -530,10 +533,10 @@ def test_floor_held_by_a_member_above_the_lowest_sample():
 def test_long_t_refines_few_products(monkeypatch):
     golden, product = dirichlet._golden, []
 
-    def recording_golden(fs, c, lo, *args):
-        if len(fs) > 1:
+    def recording_golden(table, fids, c, lo, *args):
+        if fids.shape[1] > 1:  # the unit x mobius product
             product.append(len(lo))
-        return golden(fs, c, lo, *args)
+        return golden(table, fids, c, lo, *args)
 
     monkeypatch.setattr(dirichlet, "_golden", recording_golden)
     cls = classify_profile([unit_factor(16), mobius_factor(8)], 1.12, 3000.0)
@@ -564,6 +567,121 @@ def test_batched_grid_equals_separate_grids():
     both = eval_factor_grid(f, 1.12, np.concatenate((t1, t2)))
     assert np.array_equal(both, np.concatenate((eval_factor_grid(f, 1.12, t1),
                                                 eval_factor_grid(f, 1.12, t2))))
+
+
+def _assert_same_cells(got, want):
+    """Bitwise-equal classifications: cells (bands and sigmas) and their order, S0, floors."""
+    assert list(got.cells.items()) == list(want.cells.items())
+    assert got.s0 == want.s0
+    assert list(got.floors.items()) == list(want.floors.items())  # floats compared with ==
+    assert (got.factors, got.c, got.T) == (want.factors, want.c, want.T)
+
+
+@pytest.mark.parametrize("seed", range(20120116, 20120123))
+def test_batched_classification_equals_one_at_a_time(seed):
+    problems = experiments._draw_experiments(25, seed)
+    got = classify_profiles(problems)
+    assert len(got) == 25
+    for cls, problem in zip(got, problems):
+        _assert_same_cells(cls, classify_profile(*problem))
+
+
+def test_batched_classification_of_mixed_edge_sets():
+    # every edge set of test_classification_matches_reference_edge_sets in one batch,
+    # with floor_x and 4-tuples mixed in
+    problems = [
+        ([unit_factor(16), mobius_factor(8)], 1.12, 3000.0),
+        ([singleton_factor()], 1.2, 40.0),
+        ([], 1.2, 40.0),
+        ([unit_factor(8), singleton_factor(), log_factor(4), mobius_factor(4)], 1.07, 100.0),
+        ([mobius_factor(8, cutoff=9)], 1.07, 100.0),
+        ([unit_factor(4), unit_factor(4), unit_factor(4)], 1.3, 60.0, 50.0),
+        ([mobius_factor(8), unit_factor(16)], 1.12, 300.0),
+    ]
+    for cls, problem in zip(classify_profiles(problems), problems, strict=True):
+        _assert_same_cells(cls, classify_profile(*problem))
+    for cls, problem in zip(classify_profiles(problems, samples=4, refine_iters=2), problems):
+        _assert_same_cells(cls, classify_profile(*problem, samples=4, refine_iters=2))
+    assert classify_profiles([]) == []
+
+
+def test_suite_split_into_many_batches_keeps_every_cell(monkeypatch):
+    whole = experiments.run_large_value_suite(25, 20120117)
+    monkeypatch.setattr(experiments, "_BATCH_INTERVALS", 250)
+    problems = experiments._draw_experiments(25, 20120117)
+    batches = experiments._batches(problems)
+    assert len(batches) > 10 and sum(batches, []) == problems
+    for batch in batches:
+        for cls, problem in zip(classify_profiles(batch), batch):
+            _assert_same_cells(cls, classify_profile(*problem))
+    split = experiments.run_large_value_suite(25, 20120117)
+    assert [c.as_dict() for c in split["cells"]] == [c.as_dict() for c in whole["cells"]]
+
+
+def test_lattice_chunks_are_never_one_row(monkeypatch):
+    # 9-row spans at an 8-row chunk: cut 8 + 1, the lone row's lattice would
+    # take numpy's matrix-vector path and change in the last bits
+    lattice, rows = dirichlet.eval_factor_lattice, []
+
+    def recording_lattice(f, c, bases, offsets):
+        rows.append(len(bases))
+        return lattice(f, c, bases, offsets)
+
+    monkeypatch.setattr(dirichlet, "eval_factor_lattice", recording_lattice)
+    monkeypatch.setattr(dirichlet, "ROW_CHUNK", 8)
+    problems = [([unit_factor(8), mobius_factor(4)], 1.07, 8.0), ([unit_factor(8)], 1.2, 8.5),
+                ([mobius_factor(4), unit_factor(8), log_factor(4)], 1.1, 12.0)]
+    got = classify_profiles(problems)
+    assert max(rows) <= 8 and min(rows) >= 2
+    for cls, (factors, c, T) in zip(got, problems):
+        cells, s0, sups = _ref_classify_profile(factors, c, T)
+        assert list(cls.cells.items()) == list(cells.items())
+        assert cls.s0 == s0
+        assert list(cls.floors.items()) == _ref_floors(cells, sups)
+
+
+@pytest.mark.parametrize("bad,match", [
+    ((["x"], 1.2, 40.0), "factors must be PolyFactor values"),
+    ((unit_factor(8), 1.2, 40.0), "factors must be PolyFactor values"),
+    (([unit_factor(8)], "1.2", 40.0), "c must be a real number"),
+    (([unit_factor(8)], True, 40.0), "c must be a real number"),
+    (([unit_factor(8)], math.nan, 40.0), "c must be finite"),
+    (([unit_factor(8)], 1.2, "40"), "T must be a real number"),
+    (([unit_factor(8)], 1.2, math.inf), "T must be finite and >= 1"),
+    (([unit_factor(8)], 1.2, 40.0, 0.0), "floor_x must be finite and > 0"),
+    (([unit_factor(8)], 1.2), "a problem is"),
+], ids=["factor-str", "factor-not-list", "c-str", "c-bool", "c-nan", "T-str", "T-inf",
+        "floor-zero", "short"])
+def test_classify_profiles_names_a_bad_problem_before_any_work(monkeypatch, bad, match):
+    def no_work(*args):
+        raise AssertionError("a lattice was built before every problem was checked")
+
+    monkeypatch.setattr(dirichlet, "eval_factor_lattice", no_work)
+    good = ([unit_factor(8)], 1.1, 40.0)
+    with pytest.raises(ValueError, match=f"^problem 2: {match}"):
+        classify_profiles([good, good, bad, good])
+
+
+def test_classify_profile_refuses_non_factor_and_string_c():
+    with pytest.raises(ValueError, match="factors must be PolyFactor values"):
+        classify_profile(["x"], 1.2, 40.0)
+    with pytest.raises(ValueError, match="c must be a real number"):
+        classify_profile([unit_factor(8)], "1.2", 40.0)
+
+
+def test_evaluators_take_c_per_point():
+    # lattice blocks of two rows: numpy multiplies a single row by another path
+    f, c = log_factor(8), np.array([1.05, 1.05, 1.3, 1.3, 1.2, 1.2])
+    ts, offsets = np.array([40.0, 41.5, 90.25, 91.0, 200.0, 7.0]), np.linspace(0.0, 1.0, 5)
+    grid = eval_factor_grid(f, c, ts)
+    lattice = eval_factor_lattice(f, c, ts, offsets)
+    for i in range(0, len(ts), 2):
+        block = slice(i, i + 2)
+        assert np.array_equal(grid[block], eval_factor_grid(f, float(c[i]), ts[block]))
+        assert np.array_equal(lattice[block], eval_factor_lattice(f, float(c[i]), ts[block],
+                                                                  offsets))
+    with pytest.raises(ValueError, match="one value per point"):
+        eval_factor_grid(f, c[:3], ts)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +811,20 @@ def test_count_rejects_out_of_range():
         count_R_Rstar([5, 50], 10.0)
 
 
+@pytest.mark.parametrize("ms", [[50, 60.5], [50.0, 60], [50, True], [np.float64(55.0)], ["55"],
+                                [np.bool_(True)]],
+                         ids=["fraction", "integral-float", "bool", "numpy-float", "str",
+                              "numpy-bool"])
+def test_count_refuses_non_integer_members(ms):
+    # an int64 cast would drop the fraction and count {50, 60}: R* = 6
+    with pytest.raises(ValueError, match="members must be integers"):
+        count_R_Rstar(ms, 40.0)
+
+
+def test_count_accepts_numpy_integers():
+    assert count_R_Rstar([np.int64(50), np.int32(60), 70], 40.0) == count_R_Rstar([50, 60, 70], 40.0)
+
+
 def test_count_domain_is_checked_at_both_ends():
     assert (count_R_Rstar([13], 10.0).R, count_R_Rstar([13], 10.0).R_star) == (1, 1)
     ends = count_R_Rstar([20, 10], 10.0)  # exactly T and 2T
@@ -744,6 +876,19 @@ def test_hb_rstar_plugin_and_vacuous():
     assert hb_rstar_rhs(1, 1, 1.0, 0.5, 1.0) == pytest.approx(3.0)
     rep = hb_rstar_check(count_R_Rstar([], 10.0), 5.0, 0.6, 10.0)
     assert rep["vacuous"]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_experiments": 2.5}, {"n_experiments": True}, {"seed": None}, {"seed": 1.5},
+    {"seed": "x"}, {"seed": True},
+], ids=["experiments-float", "experiments-bool", "seed-none", "seed-float", "seed-str",
+        "seed-bool"])
+def test_large_value_suite_refuses_non_integer_counts_and_seeds(kwargs):
+    from gapscope.experiments import run_large_value_suite
+
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run_large_value_suite(**{"n_experiments": 1, **kwargs})
 
 
 def test_large_value_suite_caps_its_experiments():
