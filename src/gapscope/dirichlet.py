@@ -7,8 +7,8 @@ unit, log, or Moebius coefficients (or the singleton constant 1).
 Every factor value is built from the phase rows a_n n^(-c) e^(-it log n) of
 `_phase_rows`; c is a scalar or one value per point.  `eval_factor_lattice`
 evaluates on a lattice t = base + offset as one matrix product per chunk of
-bases; `eval_factor_grid` sums each row on its own, so a point's value does
-not depend on the batch it is evaluated in.
+bases, a lone base padded to two rows; `eval_factor_grid` sums each row on
+its own.  Either way a value does not depend on the batch it is evaluated in.
 
 The sup over a unit interval is approximated by G + 1 equally spaced
 samples (both ends included) plus golden-section refinement around the best
@@ -26,14 +26,16 @@ falls into the leftover class S0.  `classify_profiles` classifies a batch of
 (factors, c, T) problems as one array program, and `classify_profile` is its
 one-problem call; each problem's result is bitwise the same either way,
 since every element comes from the same IEEE operations on the same inputs
-and per-problem scalars are computed as for the problem alone.  Each
-distinct active factor's sample lattice is built over the unit intervals of
-every problem holding it, with c per row, ROW_CHUNK rows at a time in
-product order; each chunk is bracketed and folded into its problems'
-products at once, so only the products are held whole.  One rule bands
-every factor: its best sample s and ceiling U fix the band wherever they
-share one, since s <= refined peak <= sup <= U, and `_golden` refines the
-factor's own bracket only for the members left in doubt.  The only product
+and per-problem scalars are computed as for the problem alone.  The batch
+is one table of problems: `fids` holds each problem's active factor ids in
+product order and `cols` their band columns.  Position by position, each
+distinct factor's sample lattice is built over the unit intervals of the
+problems holding it there, with c per row, ROW_CHUNK rows at a time; each
+chunk is bracketed and folded into its problems' products at once, so only
+the products are held whole.  One rule bands every distinct factor: its
+best sample s and ceiling U fix the band wherever they share one, since
+s <= refined peak <= sup <= U, and `_golden` refines the factor's own
+bracket only for the members left in doubt.  The only product
 value reported is each cell's floor V, the least refined product sup over its
 members (`_cell_floors`).  A refined peak is never below its best sample, so
 only members whose best sample is at most the refined sup of their cell's
@@ -142,7 +144,9 @@ def eval_factor_lattice(f: PolyFactor, c, bases: np.ndarray, offsets: np.ndarray
     chunk of bases costs N exponentials per base plus one matrix product,
     written in place.  A chunk of bases holds at most
     EVAL_BUDGET // max(N, len(offsets)) rows, and the offset phases are built
-    EVAL_BUDGET // N offsets at a time.
+    EVAL_BUDGET // N offsets at a time.  A row's values do not depend on the
+    batch: numpy multiplies a single row by another path, so a lone row is
+    multiplied as a stack of two.
     """
     bases = np.asarray(bases, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -158,7 +162,10 @@ def eval_factor_lattice(f: PolyFactor, c, bases: np.ndarray, offsets: np.ndarray
         shifts = np.exp(-1j * np.outer(logs, offsets[b : b + width]))
         for a in range(0, len(bases), step):
             rows = _phase_rows(bases[a : a + step], logs, mags[a : a + step])
-            np.matmul(rows, shifts, out=out[a : a + step, b : b + width])
+            if len(rows) == 1:
+                out[a, b : b + width] = np.matmul(np.vstack((rows, rows)), shifts)[0]
+            else:
+                np.matmul(rows, shifts, out=out[a : a + step, b : b + width])
     return out
 
 
@@ -259,25 +266,22 @@ def _golden(table: Sequence[PolyFactor], fids: np.ndarray, c: np.ndarray, lo: np
     return peak
 
 
-def _sup_ceiling(f: PolyFactor, c, s: np.ndarray, samples: int, t_top, owner=None) -> np.ndarray:
+def _sup_ceiling(f: PolyFactor, c, s: np.ndarray, samples: int, t_top, owner) -> np.ndarray:
     """Bernstein ceiling U >= sup |f| over unit intervals whose best sample is s.
 
-    Padded for float error by a relative 1e-12 (the square root) and
-    8 A eps (len(support) + t_top log 2N): half of that bounds the rounding
-    of one computed value at t <= t_top (its sum of len(support) terms and
-    its phases t log n), and both s and a refined peak carry it.  With
-    `owner`, c and t_top list one value per problem and s[i] belongs to
-    problem owner[i]; each problem's terms are computed as for it alone.
+    c and t_top list one value per problem, and s[i] belongs to problem
+    owner[i].  Padded for float error by a relative 1e-12 (the square root)
+    and 8 A eps (len(support) + t_top log 2N): half of that bounds the
+    rounding of one computed value at t <= t_top (its sum of len(support)
+    terms and its phases t log n), and both s and a refined peak carry it.
+    Each problem's terms are computed as for it alone.
     """
     ns, an = f.support()
     nf, size, log_2N = ns.astype(np.float64), np.abs(an), math.log(2 * float(f.N))
-    terms = []
-    for ck, tk in zip(*(([c], [t_top]) if owner is None else (c, t_top))):
-        A = float(np.sum(size * nf ** -ck))
-        terms.append(((A * math.log(2) / samples) ** 2 / 8,
-                      8 * A * np.finfo(np.float64).eps * (len(ns) + tk * log_2N)))
-    width, slack = np.array(terms).T[:, 0 if owner is None else owner]
-    return np.sqrt(s * s + width) * (1 + 1e-12) + slack
+    A = np.sum(size * nf ** -np.asarray(c)[:, None], axis=1)
+    width = (A * math.log(2) / samples) ** 2 / 8
+    slack = 8 * A * np.finfo(np.float64).eps * (len(ns) + np.asarray(t_top) * log_2N)
+    return np.sqrt(s * s + width[owner]) * (1 + 1e-12) + slack[owner]
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +333,21 @@ def band_index(sup: float, N: Fraction, c: float, floor_x: float) -> int | None:
     return b
 
 
-def _bands(sups: np.ndarray, N: Fraction, c, floor_x, owner=None) -> np.ndarray:
+def _bands(sups: np.ndarray, N: Fraction, c, floor_x, owner) -> np.ndarray:
     """band_index of every sup as int64, -1 for S0; np.log2 may differ from math.log2
     in the last ulp, so sups within 1e-9 of a band edge take the scalar band_index.
 
-    With `owner`, c and floor_x list one value per problem and sups[i] belongs
-    to problem owner[i]; each problem's edges are computed as band_index does.
+    c and floor_x list one value per problem, and sups[i] belongs to problem
+    owner[i]; each problem's edges are computed as band_index does.
     """
-    cs, xs = ([c], [floor_x]) if owner is None else (c, floor_x)
-    at, n = 0 if owner is None else owner, float(N)
-    top = np.array([n ** (1.0 - ck) for ck in cs])[at]
-    b_max = np.array([math.floor(math.log2(n * xk) + 1e-12) for xk in xs])[at]
+    n = float(N)
+    top = np.array([n ** (1.0 - ck) for ck in c])[owner]
+    b_max = np.array([math.floor(math.log2(n * xk) + 1e-12) for xk in floor_x])[owner]
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.log2(top / sups) - 1e-12
         b = np.maximum(np.ceil(x), 0.0)
         for i in np.flatnonzero(np.abs(x - np.rint(x)) < 1e-9).tolist():
-            k = 0 if owner is None else owner[i]
-            edge = band_index(float(sups[i]), N, cs[k], xs[k])
+            edge = band_index(float(sups[i]), N, c[owner[i]], floor_x[owner[i]])
             b[i] = np.nan if edge is None else edge
         b[~(b <= b_max)] = -1
     return b.astype(np.int64)
@@ -393,43 +395,34 @@ def _read_problem(problem, samples: int, refine_iters: int) -> _Problem:
     for name, value in (("c", c), ("T", T), ("floor_x", floor_x)):
         if value is not None and not _is_real(value):
             raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(T) and T >= 1):
-        raise ValueError(f"T must be finite and >= 1, got {T}")
-    if floor_x is not None and not (math.isfinite(floor_x) and floor_x > 0):
-        raise ValueError(f"floor_x must be finite and > 0, got {floor_x}")
-    _check_sampling(c, samples, refine_iters, math.floor(2 * T) - math.ceil(T) + 1)
-    if floor_x is None:
-        floor_x = max(2.0, float(math.prod(f.N for f in fs)))
+    try:
+        if not (math.isfinite(T) and T >= 1):
+            raise ValueError(f"T must be finite and >= 1, got {T}")
+        if floor_x is not None and not (math.isfinite(floor_x) and floor_x > 0):
+            raise ValueError(f"floor_x must be finite and > 0, got {floor_x}")
+        _check_sampling(c, samples, refine_iters, math.floor(2 * T) - math.ceil(T) + 1)
+        floor_x = max(2.0, float(math.prod(f.N for f in fs))) if floor_x is None else floor_x
+        for n in {float(f.N) for f in fs if f.cls is not CoefficientClass.SINGLETON}:
+            n ** (1.0 - float(c)), math.floor(math.log2(n * floor_x))  # the band edges of _bands
+    except OverflowError:
+        raise ValueError("c, T and floor_x (by default the product of the N) must keep every "
+                         "band edge N^(1-c) and N floor_x in the float range") from None
     ms = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=np.int64)
     return _Problem(fs, float(c), float(T), float(floor_x), ms)
-
-
-@dataclass
-class _Sheet:
-    """The unit intervals of one distinct active factor: a slot of rows for
-    each problem column holding it, ordered by position in the product."""
-
-    f: PolyFactor
-    rows: np.ndarray  # batch row of each sheet row
-    cols: np.ndarray  # band column of each sheet row
-    own: np.ndarray   # slot of each sheet row
-    cs: list          # c of each slot
-    xs: list          # floor_x of each slot
-    tops: list        # the top of each slot's [T, 2T] grid, plus 1
-    spans: dict       # position in the product -> (first, end) sheet rows
 
 
 def classify_profiles(problems: Iterable, samples: int = 32,
                       refine_iters: int = 3) -> list[Classification]:
     """Classify each (factors, c, T[, floor_x]) problem, all in one array program.
 
-    Each problem's classification is bitwise the one it gets alone.  Each
-    distinct active factor is evaluated over the unit intervals of every
-    problem holding it, with c given per row, position by position in the
-    products and ROW_CHUNK rows at a time; each chunk is bracketed and folded
+    Each problem's classification is bitwise the one it gets alone.  Position
+    by position in the products, each distinct active factor is evaluated
+    over the unit intervals of every problem holding it there, with c given
+    per row and ROW_CHUNK rows at a time; each chunk is bracketed and folded
     into its problems' products at once, so only the products are held
-    whole.  Golden steps evaluate each distinct factor once.  Every problem
-    is checked before any work, and a bad one is named by its index.
+    whole.  Each distinct factor is then banded once, and golden steps
+    evaluate it once.  Every problem is checked before any work, and a bad
+    one is named by its index.
     """
     read = []
     for k, problem in enumerate(problems):
@@ -443,78 +436,66 @@ def classify_profiles(problems: Iterable, samples: int = 32,
                             "are over the evaluation budget")
     if not read:
         return []
-    sizes = [len(p.ms) for p in read]
-    start = np.cumsum([0] + sizes).tolist()
+    sizes = np.array([len(p.ms) for p in read])
     owner = np.repeat(np.arange(len(read)), sizes)
     ms = np.concatenate([p.ms for p in read])
     grid, offsets = ms.astype(np.float64), np.linspace(0.0, 1.0, samples + 1)
-    c_row = np.array([p.c for p in read])[owner]
+    # c, floor_x and the top of the [T, 2T] grid plus 1, per problem
+    scalars = np.array([(p.c, p.floor_x, float(p.ms[-1] + 1)) for p in read]).T
+    c_row = scalars[0][owner]
+    # each problem's active factors in product order: their ids and band columns
+    actives = [[(i, f) for i, f in enumerate(p.fs) if f.cls is not CoefficientClass.SINGLETON]
+               for p in read]
     ids: dict[PolyFactor, int] = {}
-    slots = []  # (factor id, position in the product, problem, column)
-    for k, p in enumerate(read):
-        active = [(i, f) for i, f in enumerate(p.fs) if f.cls is not CoefficientClass.SINGLETON]
-        slots += [(ids.setdefault(f, len(ids)), pos, k, i) for pos, (i, f) in enumerate(active)]
-    fids = np.full((len(read), max((pos + 1 for _, pos, _, _ in slots), default=1)), -1)
-    sheets = []
-    for j, f in enumerate(ids):
-        mine = sorted((slot for slot in slots if slot[0] == j), key=lambda slot: slot[1])
-        ends = np.cumsum([0] + [sizes[k] for _, _, k, _ in mine]).tolist()
-        spans = {}  # the slots at one position are consecutive
-        for n, (_, pos, k, _) in enumerate(mine):
-            fids[k, pos] = j
-            spans[pos] = (spans[pos][0] if pos in spans else ends[n], ends[n + 1])
-        sheets.append(_Sheet(
-            f, np.concatenate([np.arange(start[k], start[k + 1]) for _, _, k, _ in mine]),
-            np.repeat([i for *_, i in mine], np.diff(ends)),
-            np.repeat(np.arange(len(mine)), np.diff(ends)),
-            [read[k].c for _, _, k, _ in mine], [read[k].floor_x for _, _, k, _ in mine],
-            [float(ms[start[k + 1] - 1] + 1) for _, _, k, _ in mine], spans))
+    fids = np.full((len(read), max(1, *map(len, actives))), -1)
+    cols = fids.copy()
+    for k, active in enumerate(actives):
+        for pos, (i, f) in enumerate(active):
+            fids[k, pos], cols[k, pos] = ids.setdefault(f, len(ids)), i
+    table = tuple(ids)
     # each product, in factor order (1 with no active factor); whole chunks of
     # rows, so that successive classifications ask for few sizes and reuse
     # each other's freed memory
     prod = np.empty((-(-len(ms) // ROW_CHUNK) * ROW_CHUNK, samples + 1), dtype=complex)[: len(ms)]
-    prod[fids[owner, 0] < 0] = 1
-    brackets = [np.empty((3, len(sheet.rows))) for sheet in sheets]
+    prod[:] = 1
+    parts = [[] for _ in table]  # per factor: the problems, columns, rows and bracket of a position
     for pos in range(fids.shape[1]):
-        for sheet, bracket in zip(sheets, brackets):
-            if pos not in sheet.spans:
-                continue
-            first, end = sheet.spans[pos]
-            # near-equal chunks, none of one row (numpy multiplies a single
-            # row by another path, which changes its last bits)
-            chunks = -(-(end - first) // ROW_CHUNK)
-            bounds = [first + (end - first) * i // chunks for i in range(chunks + 1)]
-            for at, stop in zip(bounds, bounds[1:]):
-                rows = sheet.rows[at:stop]
-                values = eval_factor_lattice(sheet.f, c_row[rows], grid[rows], offsets)
-                bracket[:, at:stop] = _bracket(np.abs(values), grid[rows], offsets)
-                # rows run in slots of consecutive batch rows
-                cuts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), len(rows)]
+        held = fids[owner, pos]
+        for g in np.unique(fids[fids[:, pos] >= 0, pos]).tolist():
+            f, ks, rows = table[g], np.flatnonzero(fids[:, pos] == g), np.flatnonzero(held == g)
+            bracket = np.empty((3, len(rows)))
+            for at in range(0, len(rows), ROW_CHUNK):
+                chunk = rows[at : at + ROW_CHUNK]
+                values = eval_factor_lattice(f, c_row[chunk], grid[chunk], offsets)
+                bracket[:, at : at + ROW_CHUNK] = _bracket(np.abs(values), grid[chunk], offsets)
+                # a chunk runs in slots of consecutive batch rows, one per problem
+                cuts = [0, *(np.flatnonzero(np.diff(chunk) != 1) + 1).tolist(), len(chunk)]
                 for i0, i1 in zip(cuts, cuts[1:]):
-                    head = prod[rows[i0] : rows[i0] + i1 - i0]
-                    if pos:
-                        np.multiply(head, values[i0:i1], out=head)
-                    else:
-                        head[:] = values[i0:i1]
+                    head = prod[chunk[i0] : chunk[i0] + i1 - i0]
+                    np.multiply(head, values[i0:i1], out=head)
+            parts[g].append((ks, cols[owner[rows], pos], rows, bracket))
     bands = np.zeros((len(ms), max(len(p.fs) for p in read)), dtype=np.int64)
     doubts = []
-    for sheet, (lo, hi, s) in zip(sheets, brackets):
+    for f, part in zip(table, parts):
+        # one slot per (problem, position) holding f, in order of position
+        ks, col, rows, bracket = (np.concatenate(x, axis=-1) for x in zip(*part))
+        slot = np.repeat(np.arange(len(ks)), sizes[ks])
+        cs, xs, tops = scalars[:, ks].tolist()
         # s <= sup <= U: refine only members whose band [s, U] leaves in doubt
-        ceiling = _sup_ceiling(sheet.f, sheet.cs, s, samples, sheet.tops, sheet.own)
-        band, upper = _bands(np.concatenate((s, ceiling)), sheet.f.N, sheet.cs, sheet.xs,
-                             np.concatenate((sheet.own, sheet.own))).reshape(2, -1)
+        ceiling = _sup_ceiling(f, cs, bracket[2], samples, tops, slot)
+        band, upper = _bands(np.concatenate((bracket[2], ceiling)), f.N, cs, xs,
+                             np.concatenate((slot, slot))).reshape(2, -1)
+        bands[rows, col] = band  # singletons sit in the top cell
         doubt = np.flatnonzero(band != upper)
-        bands[sheet.rows, sheet.cols] = band  # singletons sit in the top cell
-        doubts.append((doubt, lo[doubt], hi[doubt], s[doubt]))
-    count = [len(doubt) for doubt, *_ in doubts]
+        doubts.append((rows[doubt], col[doubt], slot[doubt], cs, xs, bracket[:, doubt]))
+    count = [len(d[0]) for d in doubts]
     if sum(count):
-        peaks = _golden(tuple(ids), np.repeat(np.arange(len(ids)), count)[:, None],
-                        np.concatenate([c_row[sh.rows[d[0]]] for sh, d in zip(sheets, doubts)]),
-                        *(np.concatenate(part) for part in list(zip(*doubts))[1:]), refine_iters)
-        for sheet, (doubt, *_), peak in zip(sheets, doubts, np.split(peaks, np.cumsum(count))):
-            rows = sheet.rows[doubt]
-            bands[rows, sheet.cols[doubt]] = _bands(peak, sheet.f.N, sheet.cs, sheet.xs,
-                                                    sheet.own[doubt])
+        peaks = _golden(table, np.repeat(np.arange(len(table)), count)[:, None],
+                        c_row[np.concatenate([d[0] for d in doubts])],
+                        *np.hstack([d[5] for d in doubts]), refine_iters)
+        for f, (rows, col, slot, cs, xs, _), peak in zip(table, doubts,
+                                                          np.split(peaks, np.cumsum(count))):
+            bands[rows, col] = _bands(peak, f.N, cs, xs, slot)
     # cells: (problem, band row) groups, numbered in order of first appearance
     live = np.flatnonzero((bands >= 0).all(axis=1))
     keys = np.column_stack((owner[live], bands[live]))
@@ -522,14 +503,13 @@ def classify_profiles(problems: Iterable, samples: int = 32,
     opens = np.ones(len(live), dtype=bool)
     opens[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
     first = order[opens]
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
+    rank = np.argsort(np.argsort(first))  # of each group, by its first row
     cell = np.full(len(ms), -1)  # -1 for S0
     cell[live[order]] = rank[np.cumsum(opens) - 1]
     bracket = np.hstack([_bracket(np.abs(prod[at : at + ROW_CHUNK]), grid[at : at + ROW_CHUNK],
                                   offsets) for at in range(0, len(ms), ROW_CHUNK)])
     del prod
-    floors = _cell_floors(tuple(ids), fids[owner[live]], c_row[live], *bracket[:, live],
+    floors = _cell_floors(table, fids[owner[live]], c_row[live], *bracket[:, live],
                           cell[live], refine_iters) if len(live) else np.ones(0)
     return _assemble(read, owner, ms, cell, live[np.sort(first)], bands, floors)
 

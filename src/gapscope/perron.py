@@ -67,7 +67,11 @@ def make_perron_params(
     y: float, tau: float, c: float | None = None,
     T0: float | None = None, T1: float | None = None,
 ) -> PerronParams:
-    """Defaults c = 1 + 1/log y, T0 = tau log^3 y, T1 = y^(1/8)."""
+    """Defaults c = 1 + 1/log y, T0 = tau log^3 y, T1 = y^(1/8); y and tau are checked first."""
+    if not (math.isfinite(y) and math.isfinite(tau)):
+        raise ValueError("need finite y, tau, c, T0 and T1")
+    if y < 3 or tau < 2:
+        raise ValueError("need y >= 3 and tau >= 2")
     ly = math.log(y)
     return PerronParams(
         y=float(y),

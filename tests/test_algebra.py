@@ -1,5 +1,7 @@
 """Exact polynomial machinery: Sturm counts, nonnegativity, algebraic numbers."""
 
+import copy
+import functools
 import random
 from fractions import Fraction as Q
 
@@ -305,6 +307,19 @@ def ref_pgcd(a, b):
     return ref_monic(a)
 
 
+def _cached_on_coefficients(fn):
+    """fn, a pure oracle of one coefficient list, cached on the coefficient
+    tuple; every call gets fresh lists."""
+    on_tuple = functools.lru_cache(maxsize=4096)(lambda key: fn(list(key)))
+
+    @functools.wraps(fn)
+    def cached(p):
+        return copy.deepcopy(on_tuple(tuple(p)))
+
+    return cached
+
+
+@_cached_on_coefficients
 def ref_squarefree_part(p):
     if degree(p) <= 0:
         return ref_monic(p) if p else []
@@ -314,6 +329,7 @@ def ref_squarefree_part(p):
     return ref_monic(ref_pdivmod(p, g)[0])
 
 
+@_cached_on_coefficients
 def ref_sturm_chain(p):
     chain = [p, pderiv(p)]
     while chain[-1]:

@@ -116,6 +116,10 @@ def test_gaps_non_integer_limits(tmp_path):
     (["perron", "--T0", "0"], "error: need T0 > 0"),
     (["perron", "--tau", "inf"], "error: need finite y, tau, c, T0 and T1"),
     (["perron", "--y", "nan"], "error: need finite y, tau, c, T0 and T1"),
+    (["perron", "--y", "1"], "error: need y >= 3 and tau >= 2"),
+    (["perron", "--y", "0"], "error: need y >= 3 and tau >= 2"),
+    (["perron", "--y", "-5"], "error: need y >= 3 and tau >= 2"),
+    (["perron", "--y", "0.5"], "error: need y >= 3 and tau >= 2"),
     (["largevalues", "--experiments", "-1"], "error: n_experiments must be >= 0, got -1"),
     (["largevalues", "--slack", "nan"], "error: slack must be finite and positive, got nan"),
     (["largevalues", "--slack", "inf"], "error: slack must be finite and positive, got inf"),
@@ -124,8 +128,9 @@ def test_gaps_non_integer_limits(tmp_path):
      "error: factor length N = 3 is not a power of two"),
     (["perron", "--factors", "unit:8,singleton:5"],
      "error: bad factor spec 'singleton:5' (e.g. unit:8, mobius:16, singleton)"),
-], ids=["k=0", "T0=-5", "T0=0", "tau=inf", "y=nan", "experiments=-1", "slack=nan", "slack=inf",
-        "slack=0", "factors=unit:3", "factors=singleton:5"])
+], ids=["k=0", "T0=-5", "T0=0", "tau=inf", "y=nan", "y=1", "y=0", "y=-5", "y=0.5",
+        "experiments=-1", "slack=nan", "slack=inf", "slack=0", "factors=unit:3",
+        "factors=singleton:5"])
 def test_out_of_domain_inputs_exit_1_with_message(tmp_path, capsys, args, needle):
     out = tmp_path / "o"
     assert run(args + ["--out", str(out)]) == 1

@@ -141,6 +141,16 @@ def test_lattice_chunks_agree(monkeypatch):
     assert np.allclose(chunked, whole, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("f", [log_factor(8), unit_factor(16), mobius_factor(32), unit_factor(4)])
+@pytest.mark.parametrize("c", [1.1, 1.05])
+def test_lattice_row_does_not_depend_on_the_batch(f, c):
+    # a lone row is padded to two, away from numpy's matrix-vector path
+    bases, offsets = np.arange(40.0, 240.0), np.linspace(0.0, 1.0, 33)
+    whole = eval_factor_lattice(f, c, bases, offsets)
+    for k in range(len(bases)):
+        assert np.array_equal(eval_factor_lattice(f, c, bases[k : k + 1], offsets)[0], whole[k])
+
+
 _any_factor = st.one_of(
     st.just(singleton_factor()),
     st.builds(lambda mk, k: mk(2**k),
@@ -236,7 +246,7 @@ def test_sup_ceiling_bounds_the_dense_maximum(f, c, m, samples):
     offsets = np.linspace(0.0, 1.0, samples + 1)
     s = np.abs(eval_factor_lattice(f, c, np.array([float(m)]), offsets)).max(axis=1)
     dense = np.abs(eval_factor_grid(f, c, m + np.linspace(0.0, 1.0, 4097))).max()
-    assert dense <= _sup_ceiling(f, c, s, samples, m + 1.0)[0]
+    assert dense <= _sup_ceiling(f, [c], s, samples, [m + 1.0], [0])[0]
 
 
 def test_refined_factor_peaks_lie_between_sample_and_ceiling():
@@ -252,7 +262,7 @@ def test_refined_factor_peaks_lie_between_sample_and_ceiling():
             s = np.abs(eval_factor_lattice(f, c, ms, np.linspace(0.0, 1.0, 33))).max(axis=1)
             peak = _ref_sup_grid([f], c, ms, 32, 3)
             assert np.all(s <= peak)
-            assert np.all(peak <= _sup_ceiling(f, c, s, 32, ms[-1] + 1))
+            assert np.all(peak <= _sup_ceiling(f, [c], s, 32, [ms[-1] + 1], np.zeros(len(s), int)))
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +642,7 @@ def test_lattice_chunks_are_never_one_row(monkeypatch):
     problems = [([unit_factor(8), mobius_factor(4)], 1.07, 8.0), ([unit_factor(8)], 1.2, 8.5),
                 ([mobius_factor(4), unit_factor(8), log_factor(4)], 1.1, 12.0)]
     got = classify_profiles(problems)
-    assert max(rows) <= 8 and min(rows) >= 2
+    assert max(rows) <= 8 and min(rows) == 1
     for cls, (factors, c, T) in zip(got, problems):
         cells, s0, sups = _ref_classify_profile(factors, c, T)
         assert list(cls.cells.items()) == list(cells.items())
@@ -660,6 +670,33 @@ def test_classify_profiles_names_a_bad_problem_before_any_work(monkeypatch, bad,
     good = ([unit_factor(8)], 1.1, 40.0)
     with pytest.raises(ValueError, match=f"^problem 2: {match}"):
         classify_profiles([good, good, bad, good])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [
+    ([unit_factor(8)], -1000.0, 40.0),  # N^(1-c) over the float range
+    ([unit_factor(4096)] * 100, 1.1, 40.0),  # the default floor_x, the product of the N
+    ([unit_factor(16)], 1.1, 40.0, 1e308),  # N floor_x
+    ([unit_factor(8)], 1.1, 10**400),
+], ids=["band-top", "default-floor", "floor-edge", "T-int"])
+def test_classify_profiles_refuses_band_edges_over_the_float_range(monkeypatch, bad):
+    def no_work(*args):
+        raise AssertionError("a lattice was built before every problem was checked")
+
+    good = ([unit_factor(8)], 1.1, 40.0)
+    with pytest.raises(ValueError, match="^problem 0: .* in the float range$"):
+        classify_profile(*bad)
+    monkeypatch.setattr(dirichlet, "eval_factor_lattice", no_work)
+    with pytest.raises(ValueError, match="^problem 2: .* in the float range$"):
+        classify_profiles([good, good, bad, good])
+
+
+def test_classification_near_the_float_range_keeps_working():
+    assert classify_profile([unit_factor(16)], 1.1, 40.0, 1e307).total() == 41  # N floor_x 1.6e308
+    # the ceiling's A^2 overflows to inf where the band edges do not: every
+    # band is left in doubt and refined
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert classify_profile([unit_factor(8)], -140.0, 40.0).total() == 41
 
 
 def test_classify_profile_refuses_non_factor_and_string_c():
@@ -714,7 +751,8 @@ def test_array_bands_match_scalar_at_band_edges(N, c, floor_x):
     for floor in (top * 2.0**-b_max, top / floor_x, top / (float(N) * floor_x)):
         sups += _ulps(floor, 4)
     sups = np.array(sups)
-    assert _bands(sups, N, c, floor_x).tolist() == _scalar_bands(sups, N, c, floor_x)
+    assert _bands(sups, N, [c], [floor_x], np.zeros(len(sups), int)).tolist() == \
+        _scalar_bands(sups, N, c, floor_x)
 
 
 def test_array_bands_match_scalar_on_long_t_sups():
@@ -725,7 +763,8 @@ def test_array_bands_match_scalar_on_long_t_sups():
     sup_sets.append(_ref_sup_grid(fs, c, ms, 32, 3))
     for f in fs:
         for sups in sup_sets:
-            assert _bands(sups, f.N, c, floor_x).tolist() == _scalar_bands(sups, f.N, c, floor_x)
+            assert _bands(sups, f.N, [c], [floor_x], np.zeros(len(sups), int)).tolist() == \
+                _scalar_bands(sups, f.N, c, floor_x)
 
 
 @pytest.mark.parametrize("shift", [1e-10, -1e-10])
@@ -739,7 +778,7 @@ def test_band_fixup_absorbs_array_log2_errors(monkeypatch, shift):
     want = _scalar_bands(sups, N, c, floor_x)
     log2 = np.log2
     monkeypatch.setattr(np, "log2", lambda x: log2(x) + shift)
-    assert _bands(sups, N, c, floor_x).tolist() == want
+    assert _bands(sups, N, [c], [floor_x], np.zeros(len(sups), int)).tolist() == want
 
 
 # ---------------------------------------------------------------------------
