@@ -202,15 +202,20 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
-def _check_sampling(c: float, samples: int, refine_iters: int, intervals: int) -> None:
-    """Refuse a sup grid with bad parameters, or one over EVAL_BUDGET samples."""
-    if not math.isfinite(c):
-        raise ValueError(f"c must be finite, got {c}")
+def _check_counts(samples: int, refine_iters: int) -> None:
+    """Refuse a sample count below 1 or a negative refinement count."""
     for name, value, least in (("samples", samples, 1), ("refine_iters", refine_iters, 0)):
         if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_sampling(c: float, samples: int, refine_iters: int, intervals: int) -> None:
+    """Refuse a sup grid with bad parameters, or one over EVAL_BUDGET samples."""
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
+    _check_counts(samples, refine_iters)
     if intervals * (samples + 1) > EVAL_BUDGET:
         raise CapacityError(f"{intervals} unit intervals of {samples + 1} samples "
                             "are over the evaluation budget")
@@ -424,6 +429,7 @@ def classify_profiles(problems: Iterable, samples: int = 32,
     evaluate it once.  Every problem is checked before any work, and a bad
     one is named by its index.
     """
+    _check_counts(samples, refine_iters)
     read = []
     for k, problem in enumerate(problems):
         try:

@@ -5,12 +5,17 @@ limit x iff p_n <= x; the successor may exceed x.  Under this convention the
 gaps with p_n <= x telescope to (first prime > x) - 2, which several tests
 assert.
 
-The sieve is a segmented odds-only Eratosthenes with a fixed segment size:
-each segment holds the odd integers only, and every odd sieving prime, 3 and
-5 included, strikes its odd multiples from max(p^2, segment start) by one
-slice.  Every gap consumer (iter_gaps, gap_sweep, dyadic_band_sum) reads one
-stream of per-segment (p, gap) arrays, and all gap reductions are over exact
-integers, so results are independent of segmentation.
+The sieve is a segmented Eratosthenes on the 6k +- 1 wheel, the integers
+coprime to 6.  Entry 2k + c of a segment stands for 6k + 1 + 4c, so column
+c = 0 holds 6k + 1 and c = 1 holds 6k + 5; 2 and 3 are yielded as a head and
+1 is struck.  segment_odds counts wheel entries per segment, which holds
+max(1, segment_odds // 2) rows k.  Every sieving prime p >= 5 strikes each
+column by one slice of stride 2p, from its first multiple p*q >= max(p^2,
+segment start) in the column's class r = 1 + 4c: as p^-1 = p (mod 6), p*q = r
+(mod 6) exactly when q = r*p (mod 6).  Every gap consumer (iter_gaps,
+gap_sweep, dyadic_band_sum) reads one stream of per-segment (p, gap) arrays,
+and all gap reductions are over exact integers, so results are independent of
+segmentation.
 """
 
 from __future__ import annotations
@@ -49,6 +54,13 @@ def simple_sieve(limit: int) -> np.ndarray:
 # Segmented sieve
 # ---------------------------------------------------------------------------
 
+def _int(name: str, value) -> int:
+    """value as an int; anything but a Python or numpy integer (or a bool) is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def iter_prime_segments(
     lo: int,
     hi: int,
@@ -58,8 +70,11 @@ def iter_prime_segments(
 ) -> Iterator[np.ndarray]:
     """Yield int64 arrays whose concatenation is exactly the primes in [lo, hi].
 
+    segment_odds counts wheel entries per segment (two per row of six integers).
     Deterministic for fixed arguments; segmentation never affects the output.
     """
+    lo, hi = _int("lo", lo), _int("hi", hi)
+    segment_odds, ceiling = _int("segment_odds", segment_odds), _int("ceiling", ceiling)
     if not (0 <= lo <= hi):
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
     if segment_odds < 1:
@@ -70,38 +85,35 @@ def iter_prime_segments(
         )
     if hi < 2:
         return
-    base = simple_sieve(math.isqrt(hi))[1:]  # odd sieving primes 3, 5, 7, ...
+    base = simple_sieve(math.isqrt(hi))[2:]  # sieving primes 5, 7, 11, ...
     squares = base * base
-
-    head = []
-    if lo <= 2 <= hi:
-        head.append(2)
-    if lo <= 3 <= hi:
-        head.append(3)
-    if lo <= 5 <= hi:
-        head.append(5)
+    head = [p for p in (2, 3) if lo <= p <= hi]
     if head:
         yield np.array(head, dtype=np.int64)
 
-    low = max(lo, 7)
-    if low % 2 == 0:
-        low += 1
-    span = 2 * segment_odds
-    while low <= hi:
-        high = min(low + span - 2, hi if hi % 2 == 1 else hi - 1)  # odd, inclusive
-        count = (high - low) // 2 + 1
-        mask = np.ones(count, dtype=bool)
-        k = int(np.searchsorted(squares, high, side="right"))
-        ps = base[:k]
-        # first odd multiple of p at or above max(p^2, low); past high it clears nothing
-        starts = np.maximum(squares[:k], (low + ps - 1) // ps * ps)
-        starts += (starts % 2 == 0) * ps
-        for p, i in zip(ps.tolist(), ((starts - low) // 2).tolist()):
-            mask[i::p] = False
-        vals = low + 2 * np.flatnonzero(mask).astype(np.int64)
+    rows = max(1, segment_odds // 2)
+    k0 = lo // 6
+    while 6 * k0 <= hi:  # row k holds 6k + 1 and 6k + 5
+        n = min(rows, hi // 6 + 1 - k0)  # rows up to the one holding hi
+        flat = np.ones(2 * n, dtype=bool)
+        flat[0] = k0 > 0  # 1 is not prime
+        ps = base[: int(np.searchsorted(squares, 6 * (k0 + n), side="right"))]
+        q = np.maximum(ps, -(-(6 * k0 + 1) // ps))
+        # first q = r*p (mod 6) in each column; past the segment it clears nothing
+        starts = [2 * ((ps * (q + (r * ps - q) % 6) - r) // 6 - k0) + c
+                  for c, r in ((0, 1), (1, 5))]
+        for step, i, j in zip((2 * ps).tolist(), starts[0].tolist(), starts[1].tolist()):
+            flat[i::step] = False
+            flat[j::step] = False
+        vals = np.flatnonzero(flat)  # entry 2k + c -> 6(k0 + k) + 1 + 4c, in place
+        vals *= 3  # 6k + 3c
+        vals += 1
+        vals &= -2  # 6k + 4c
+        vals += 6 * k0 + 1
+        vals = vals[np.searchsorted(vals, lo) : np.searchsorted(vals, hi, side="right")]
         if len(vals):
             yield vals
-        low = high + 2
+        k0 += n
 
 
 def sieve_primes(
@@ -168,6 +180,8 @@ def _gap_stream(
     segment) and, if no prime turns up there, continues in doubling windows
     from where it stopped until the successor appears or the ceiling is reached.
     """
+    limit, start = _int("limit", limit), _int("start", start)
+    segment_odds, ceiling = _int("segment_odds", segment_odds), _int("ceiling", ceiling)
     if limit > ceiling:
         raise CapacityError(f"limit {limit} exceeds ceiling {ceiling}")
     if limit < max(start, 2):
@@ -177,16 +191,17 @@ def _gap_stream(
     lo, hi = start, min(limit + width, ceiling)
     while True:
         for seg in iter_prime_segments(lo, hi, segment_odds=segment_odds, ceiling=ceiling):
-            vals = np.concatenate((prev, seg))
-            ps, gaps = vals[:-1], np.diff(vals)
-            if vals[-1] > limit:
+            if len(prev):  # the gap across the segment edge
+                yield prev, seg[:1] - prev
+            ps, gaps = seg[:-1], np.diff(seg)
+            if seg[-1] > limit:
                 n = int(np.searchsorted(ps, limit, side="right"))
                 if n:
                     yield ps[:n], gaps[:n]
                 return
             if len(ps):
                 yield ps, gaps
-            prev = vals[-1:]
+            prev = seg[-1:]
         if hi >= ceiling:
             raise CapacityError(f"no prime found past {limit} within ceiling {ceiling}")
         width *= 2
@@ -211,7 +226,7 @@ def gap_sweep(
     ceiling: int = DEFAULT_CEILING,
 ) -> list[GapSummary]:
     """GapSummary for each limit in one streaming pass (limits ascending)."""
-    lims = [int(x) for x in limits]
+    lims = [_int("limits", x) for x in limits]
     if lims != sorted(lims) or len(set(lims)) != len(lims):
         raise ValueError("limits must be strictly ascending")
     if not lims or lims[0] < 3:
@@ -228,8 +243,8 @@ def gap_sweep(
                 block = gaps[a:b]
                 count += b - a
                 max_gap = max(max_gap, int(block.max()))
-                sum_gap += int(block.sum())
-                sum_sq += int((block * block).sum())
+                sum_gap += int(ps[b - 1] + gaps[b - 1] - ps[a])  # the gaps telescope
+                sum_sq += int(np.dot(block, block))
             if b < n:
                 results.append(GapSummary(lims[len(results)], count, max_gap, sum_gap, sum_sq))
             a = b
@@ -240,7 +255,7 @@ def gap_sweep(
 
 def gap_moment_sum(x: int, **kw) -> GapSummary:
     """Exact first and second moment sums over gaps with p_n <= x."""
-    if x < 3:
+    if _int("x", x) < 3:
         raise ValueError("x must be >= 3")
     return gap_sweep([x], **kw)[0]
 
@@ -255,12 +270,13 @@ def max_gap_row(s: GapSummary) -> tuple[int, int, float]:
 
 def max_gap_table(limits: Iterable[int], **kw) -> list[tuple[int, int, float]]:
     """max_gap_row for each limit, from one gap_sweep."""
-    return [max_gap_row(s) for s in gap_sweep(sorted(set(int(x) for x in limits)), **kw)]
+    lims = sorted(set(_int("limits", x) for x in limits))
+    return [max_gap_row(s) for s in gap_sweep(lims, **kw)]
 
 
 def dyadic_band_sum(x: int, tau: Fraction | int, **kw) -> BandSum:
     """Sum d_n^2 over gaps with 4x/tau <= d_n <= 8x/tau and x <= p_n <= 2x."""
-    tau = Fraction(tau)
+    x, tau = _int("x", x), Fraction(tau)
     if not (0 < tau <= x):
         raise ValueError("need 0 < tau <= x")
     lo = Fraction(4 * x) / tau
@@ -272,7 +288,7 @@ def dyadic_band_sum(x: int, tau: Fraction | int, **kw) -> BandSum:
     n_contrib = 0
     for _, gaps in _gap_stream(2 * x, start=max(2, x), **kw):
         band = gaps[(gaps >= lo_int) & (gaps <= hi_int)]
-        total += int((band * band).sum())
+        total += int(np.dot(band, band))
         n_contrib += len(band)
     return BandSum(x, tau, lo, hi, total, n_contrib)
 

@@ -353,6 +353,20 @@ def test_classification_refuses_bad_inputs(kwargs, match):
         classify_profile([unit_factor(16), mobius_factor(8)], **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"samples": "x"}, "samples must be an integer, got 'x'"),
+    ({"samples": 0}, "samples must be >= 1, got 0"),
+    ({"samples": -1}, "samples must be >= 1, got -1"),
+    ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+    ({"refine_iters": -1}, "refine_iters must be >= 0, got -1"),
+])
+def test_batch_checks_sampling_even_when_empty(kwargs, message):
+    for batch in ([], [([unit_factor(8)], 1.1, 40.0)]):
+        with pytest.raises(ValueError) as err:
+            classify_profiles(batch, **kwargs)
+        assert str(err.value) == message
+
+
 def test_classification_refuses_grids_over_budget_before_allocating(monkeypatch):
     import gapscope.dirichlet as dirichlet
 

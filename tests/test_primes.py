@@ -65,6 +65,55 @@ def next_prime_above(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
         k += 2
 
 
+def _odds_only_segments(lo, hi, segment_odds=P.DEFAULT_SEGMENT_ODDS):
+    """The segmented odds-only sieve the 6k +- 1 wheel replaced, kept as an oracle.
+
+    Each segment holds segment_odds odd integers, and every odd sieving prime,
+    3 and 5 included, strikes its odd multiples from max(p^2, segment start).
+    """
+    if hi < 2:
+        return
+    base = P.simple_sieve(math.isqrt(hi))[1:]  # odd sieving primes 3, 5, 7, ...
+    squares = base * base
+    head = [p for p in (2, 3, 5) if lo <= p <= hi]
+    if head:
+        yield np.array(head, dtype=np.int64)
+    low = max(lo, 7)
+    if low % 2 == 0:
+        low += 1
+    span = 2 * segment_odds
+    while low <= hi:
+        high = min(low + span - 2, hi if hi % 2 == 1 else hi - 1)  # odd, inclusive
+        mask = np.ones((high - low) // 2 + 1, dtype=bool)
+        k = int(np.searchsorted(squares, high, side="right"))
+        ps = base[:k]
+        # first odd multiple of p at or above max(p^2, low); past high it clears nothing
+        starts = np.maximum(squares[:k], (low + ps - 1) // ps * ps)
+        starts += (starts % 2 == 0) * ps
+        for p, i in zip(ps.tolist(), ((starts - low) // 2).tolist()):
+            mask[i::p] = False
+        vals = low + 2 * np.flatnonzero(mask).astype(np.int64)
+        if len(vals):
+            yield vals
+        low = high + 2
+
+
+def _oracle_primes(lo, hi):
+    chunks = list(_odds_only_segments(lo, hi))
+    return np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
+
+
+def _wheel_primes(lo, hi, segment_odds):
+    """Concatenated wheel segments, each checked to be int64, ascending and in [lo, hi]."""
+    segs = list(iter_prime_segments(lo, hi, segment_odds=segment_odds))
+    for seg in segs:
+        assert seg.dtype == np.int64 and len(seg) > 0
+        assert lo <= seg[0] and seg[-1] <= hi and np.all(np.diff(seg) > 0)
+    out = np.concatenate(segs) if segs else np.array([], dtype=np.int64)
+    assert np.all(np.diff(out) > 0)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # sieve_primes
 # ---------------------------------------------------------------------------
@@ -98,6 +147,31 @@ def test_sieve_segmentation_invariance(lo, span, seg):
         P.sieve_primes(lo, hi, segment_odds=seg).tolist()
         == P.sieve_primes(lo, hi).tolist()
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lo=st.integers(min_value=0, max_value=10**4),
+    span=st.integers(min_value=0, max_value=3000),
+    seg=st.sampled_from([1, 2, 3, 16, 4096]),
+)
+def test_wheel_segments_equal_the_odds_only_oracle(lo, span, seg):
+    assert np.array_equal(_wheel_primes(lo, lo + span, seg), _oracle_primes(lo, lo + span))
+
+
+def test_wheel_equals_the_oracle_on_every_small_window():
+    # every window inside [0, 260]: 1, 5, 25, 35, 49 and each row edge as an end
+    want = _oracle_primes(0, 260).tolist()
+    for lo in range(201):
+        for hi in range(lo, lo + 61):
+            got = P.sieve_primes(lo, hi).tolist()
+            assert got == [p for p in want if lo <= p <= hi], (lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(10**10 - 2 * 10**5, 10**10), (10**9, 10**9 + 10**6)])
+def test_wheel_equals_the_oracle_on_large_windows(lo, hi):
+    got = _wheel_primes(lo, hi, P.DEFAULT_SEGMENT_ODDS)
+    assert len(got) > 1000 and np.array_equal(got, _oracle_primes(lo, hi))
 
 
 @pytest.mark.parametrize("seg", [0, -1])
@@ -198,6 +272,50 @@ def test_gap_stream_extends_past_the_limit_without_restarting(monkeypatch):
     assert windows[0] == (1300, 1332)
     assert all(b[0] == a[1] + 1 for a, b in zip(windows, windows[1:]))
     assert len(windows) == 5 and windows[-1][1] >= 1361
+
+
+@pytest.mark.parametrize("seg", [1, 2, 3])
+def test_gap_sweep_limits_on_segment_edges(seg):
+    # limits on the last prime of one segment and on the first prime of the next
+    segs = list(iter_prime_segments(0, 400, segment_odds=seg))
+    edges = sorted({int(p) for a, b in zip(segs, segs[1:]) for p in (a[-1], b[0])} - {2})
+    ps = _oracle_primes(0, 500).tolist()
+    want = []
+    for x in edges:
+        ds = [q - p for p, q in zip(ps, ps[1:]) if p <= x]
+        want.append(P.GapSummary(x, len(ds), max(ds), sum(ds), sum(d * d for d in ds)))
+    assert len(edges) > 50 and P.gap_sweep(edges, segment_odds=seg) == want
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: P.gap_sweep([10.5]), "limits"),
+    (lambda: P.gap_sweep(["10"]), "limits"),
+    (lambda: P.gap_sweep([math.inf]), "limits"),
+    (lambda: P.gap_moment_sum(10.7), "x"),
+    (lambda: P.max_gap_table([10.9, 100]), "limits"),
+    (lambda: P.sieve_primes(0.5, 100), "lo"),
+    (lambda: P.sieve_primes(True, 10), "lo"),
+    (lambda: P.sieve_primes(0, 100.0), "hi"),
+    (lambda: P.sieve_primes(0, 100, segment_odds=2.5), "segment_odds"),
+    (lambda: P.sieve_primes(0, 100, ceiling=1e10), "ceiling"),
+    (lambda: list(P.iter_gaps(10.5)), "limit"),
+    (lambda: list(P.iter_gaps(100, start=2.0)), "start"),
+    (lambda: P.gap_sweep([10], segment_odds=np.float64(4)), "segment_odds"),
+    (lambda: P.dyadic_band_sum(100.5, 10), "x"),
+    (lambda: P.dyadic_band_sum(100, 10, ceiling=False), "ceiling"),
+], ids=["sweep-float", "sweep-str", "sweep-inf", "moment-float", "table-float", "sieve-lo-float",
+        "sieve-lo-bool", "sieve-hi-float", "sieve-seg-float", "sieve-ceiling-float",
+        "gaps-float", "gaps-start-float", "sweep-seg-numpy-float", "band-float",
+        "band-ceiling-bool"])
+def test_integer_arguments_refuse_non_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_integer_arguments_accept_numpy_integers():
+    assert P.sieve_primes(np.int64(0), np.int32(10)).tolist() == [2, 3, 5, 7]
+    assert P.gap_sweep([np.int64(10)], segment_odds=np.uint16(4)) == [P.gap_moment_sum(10)]
+    assert P.max_gap_table([np.int64(10)]) == [(10, 4, 0.60)]
 
 
 def _brute_pairs(start, limit):
