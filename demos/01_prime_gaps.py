@@ -14,10 +14,9 @@ for N, g, ratio in primes.max_gap_table([10**j for j in range(1, 7)]):
     print(f"  N = 10^{len(str(N)) - 1}: max d_n = {g:4d}   log d / log N = {ratio:.2f}")
 
 print("\nGap moments (exact integers):")
-for x in (10**3, 10**4, 10**5):
-    s = primes.gap_moment_sum(x)
-    print(f"  x = {x}: {s.count} gaps, sum d = {s.sum_gap} "
-          f"(= next_prime({x}) - 2), sum d^2 = {s.sum_gap_sq}")
+for s in primes.gap_sweep([10**3, 10**4, 10**5]):
+    print(f"  x = {s.x}: {s.count} gaps, sum d = {s.sum_gap} "
+          f"(= next_prime({s.x}) - 2), sum d^2 = {s.sum_gap_sq}")
 
 print("\nSecond moment against x^(5/4):")
 for s in primes.gap_sweep([10**4, 10**5, 10**6]):

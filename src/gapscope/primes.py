@@ -12,10 +12,19 @@ c = 0 holds 6k + 1 and c = 1 holds 6k + 5; 2 and 3 are yielded as a head and
 max(1, segment_odds // 2) rows k.  Every sieving prime p >= 5 strikes each
 column by one slice of stride 2p, from its first multiple p*q >= max(p^2,
 segment start) in the column's class r = 1 + 4c: as p^-1 = p (mod 6), p*q = r
-(mod 6) exactly when q = r*p (mod 6).  Every gap consumer (iter_gaps,
-gap_sweep, dyadic_band_sum) reads one stream of per-segment (p, gap) arrays,
-and all gap reductions are over exact integers, so results are independent of
-segmentation.
+(mod 6) exactly when q = r*p (mod 6).
+
+The strikes run one segment ahead on a single worker thread: while the caller
+reads segment i (flatnonzero, the value map and the gap reductions), the
+worker strikes segment i + 1 into the other of two reused bool buffers.  numpy
+releases the GIL in large fills, nonzero and the ufuncs, so the two overlap.
+Yielded arrays are fresh int64 arrays, never views of a buffer, and the worker
+is joined when the generator ends, is closed or raises.
+
+Every gap consumer (iter_gaps, gap_sweep, dyadic_band_sum) reads one stream of
+per-segment (p, gap) arrays; the stream and gap_sweep let go of each segment
+before the next is read.  All gap reductions are over exact integers, so
+results are independent of segmentation.
 """
 
 from __future__ import annotations
@@ -61,6 +70,25 @@ def _int(name: str, value) -> int:
     return int(value)
 
 
+def _strike(flat: np.ndarray, k0: int, base: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Sieve the segment whose first row is k0 in flat (its 2n wheel entries) and return flat.
+
+    base holds the sieving primes 5, 7, 11, ... and squares their squares.
+    """
+    n = len(flat) // 2
+    flat.fill(True)
+    flat[0] = k0 > 0  # 1 is not prime
+    ps = base[: int(np.searchsorted(squares, 6 * (k0 + n), side="right"))]
+    q = np.maximum(ps, -(-(6 * k0 + 1) // ps))
+    # first q = r*p (mod 6) in each column; past the segment it clears nothing
+    starts = [2 * ((ps * (q + (r * ps - q) % 6) - r) // 6 - k0) + c
+              for c, r in ((0, 1), (1, 5))]
+    for step, i, j in zip((2 * ps).tolist(), starts[0].tolist(), starts[1].tolist()):
+        flat[i::step] = False
+        flat[j::step] = False
+    return flat
+
+
 def iter_prime_segments(
     lo: int,
     hi: int,
@@ -72,6 +100,8 @@ def iter_prime_segments(
 
     segment_odds counts wheel entries per segment (two per row of six integers).
     Deterministic for fixed arguments; segmentation never affects the output.
+    Segment 0 is struck by the caller's thread and each later one by a worker
+    thread while the one before it is read (see the module docstring).
     """
     lo, hi = _int("lo", lo), _int("hi", hi)
     segment_odds, ceiling = _int("segment_odds", segment_odds), _int("ceiling", ceiling)
@@ -92,28 +122,29 @@ def iter_prime_segments(
         yield np.array(head, dtype=np.int64)
 
     rows = max(1, segment_odds // 2)
-    k0 = lo // 6
-    while 6 * k0 <= hi:  # row k holds 6k + 1 and 6k + 5
-        n = min(rows, hi // 6 + 1 - k0)  # rows up to the one holding hi
-        flat = np.ones(2 * n, dtype=bool)
-        flat[0] = k0 > 0  # 1 is not prime
-        ps = base[: int(np.searchsorted(squares, 6 * (k0 + n), side="right"))]
-        q = np.maximum(ps, -(-(6 * k0 + 1) // ps))
-        # first q = r*p (mod 6) in each column; past the segment it clears nothing
-        starts = [2 * ((ps * (q + (r * ps - q) % 6) - r) // 6 - k0) + c
-                  for c, r in ((0, 1), (1, 5))]
-        for step, i, j in zip((2 * ps).tolist(), starts[0].tolist(), starts[1].tolist()):
-            flat[i::step] = False
-            flat[j::step] = False
-        vals = np.flatnonzero(flat)  # entry 2k + c -> 6(k0 + k) + 1 + 4c, in place
-        vals *= 3  # 6k + 3c
-        vals += 1
-        vals &= -2  # 6k + 4c
-        vals += 6 * k0 + 1
-        vals = vals[np.searchsorted(vals, lo) : np.searchsorted(vals, hi, side="right")]
-        if len(vals):
-            yield vals
-        k0 += n
+    end = hi // 6 + 1  # row k holds 6k + 1 and 6k + 5; rows up to the one holding hi
+    firsts = range(lo // 6, end, rows)  # the first row of each segment
+    bufs = [np.empty(2 * min(rows, end - firsts[0]), dtype=bool) for _ in firsts[:2]]
+
+    def struck(i: int) -> np.ndarray:  # segment i, sieved in buffer i % 2
+        return _strike(bufs[i % 2][: 2 * min(rows, end - firsts[i])], firsts[i], base, squares)
+
+    # imported here: its 4 ms import is not paid by commands that never sieve
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = None
+        for i, k0 in enumerate(firsts):
+            flat = struck(i) if ahead is None else ahead.result()
+            ahead = worker.submit(struck, i + 1) if i + 1 < len(firsts) else None
+            vals = np.flatnonzero(flat)  # entry 2k + c -> 6(k0 + k) + 1 + 4c, in place
+            vals *= 3  # 6k + 3c
+            vals += 1
+            vals &= -2  # 6k + 4c
+            vals += 6 * k0 + 1
+            vals = vals[np.searchsorted(vals, lo) : np.searchsorted(vals, hi, side="right")]
+            if len(vals):
+                yield vals
 
 
 def sieve_primes(
@@ -201,7 +232,8 @@ def _gap_stream(
                 return
             if len(ps):
                 yield ps, gaps
-            prev = seg[-1:]
+            prev = seg[-1:].copy()  # a view would pin the whole segment
+            del seg, ps, gaps  # free before the next segment is read
         if hi >= ceiling:
             raise CapacityError(f"no prime found past {limit} within ceiling {ceiling}")
         width *= 2
@@ -240,24 +272,17 @@ def gap_sweep(
         a = 0
         for b in [c for c in cuts if c < n] + [n]:
             if a < b:
-                block = gaps[a:b]
                 count += b - a
-                max_gap = max(max_gap, int(block.max()))
+                max_gap = max(max_gap, int(gaps[a:b].max()))
                 sum_gap += int(ps[b - 1] + gaps[b - 1] - ps[a])  # the gaps telescope
-                sum_sq += int(np.dot(block, block))
+                sum_sq += int(np.dot(gaps[a:b], gaps[a:b]))
             if b < n:
                 results.append(GapSummary(lims[len(results)], count, max_gap, sum_gap, sum_sq))
             a = b
+        del ps, gaps  # free before the next segment is read
     # The stream ended at the top limit's straddling gap: the rest are complete.
     results.extend(GapSummary(x, count, max_gap, sum_gap, sum_sq) for x in lims[len(results):])
     return results
-
-
-def gap_moment_sum(x: int, **kw) -> GapSummary:
-    """Exact first and second moment sums over gaps with p_n <= x."""
-    if _int("x", x) < 3:
-        raise ValueError("x must be >= 3")
-    return gap_sweep([x], **kw)[0]
 
 
 def max_gap_row(s: GapSummary) -> tuple[int, int, float]:

@@ -504,6 +504,23 @@ def test_golden_report_digests(tmp_path):
         assert sha256(out / name) == digest, name
 
 
+# SHA-256 of the gaps reports written before the sieve struck its next segment
+# on a worker thread.  The stream runs to the default stream_limit, 10^5.
+GAPS_SHA256 = {
+    "max_gap_table.csv": "3b35d74eecd49de9ae2435efc89dbc129fb6d7dd13cbd5fcaf593edade36f1a6",
+    "gap_summaries.json": "a5bcf59de67606c12992dae6a6c6cfa400775b96c2c8123389d79567899d42c2",
+    "gaps.csv": "fd5d7bc768182f6ff22df4767ba1495336ce6622531ac0dda8deac6876ebb8be",
+}
+
+
+def test_gaps_report_digests(tmp_path):
+    out = tmp_path / "o"
+    assert run(["gaps", "--limits", "10,1e2,1e3,1e4,1e5,1e6,1e7,1e8", "--stream-csv",
+                "--out", str(out)]) == 0
+    for name, digest in GAPS_SHA256.items():
+        assert sha256(out / name) == digest, name
+
+
 def test_canonical_json_subclasses_match_exact_types():
     class S(str):
         pass

@@ -1,7 +1,10 @@
 """Prime engine: sieve against trial division, exact gap statistics, psi."""
 
 import math
+import sys
+import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import chain
 
@@ -174,6 +177,74 @@ def test_wheel_equals_the_oracle_on_large_windows(lo, hi):
     assert len(got) > 1000 and np.array_equal(got, _oracle_primes(lo, hi))
 
 
+@pytest.mark.parametrize("seg", [1, 2, 3])
+def test_many_segments_equal_the_oracle_and_join_the_worker(seg):
+    baseline, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the worker and the reader finely
+    try:
+        segs = list(iter_prime_segments(0, 3000, segment_odds=seg))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == baseline
+    assert len(segs) > 300  # 501 one-row segments; a row without a prime yields nothing
+    assert np.array_equal(np.concatenate(segs), _oracle_primes(0, 3000))
+    # segments struck in the same buffer (i and i + 2) or in turn share no memory
+    pairs = chain(zip(segs, segs[1:]), zip(segs, segs[2:]))
+    assert not any(np.shares_memory(a, b) for a, b in pairs)
+
+
+def test_breaking_out_of_iter_gaps_joins_the_worker():
+    baseline = threading.active_count()
+    gaps = []
+    for g in P.iter_gaps(10**5, segment_odds=64):
+        gaps.append((g.p, g.next))
+        if len(gaps) == 50:
+            assert threading.active_count() == baseline + 1  # the strike worker
+            break
+    assert threading.active_count() == baseline
+    assert gaps == _brute_pairs(2, 229)
+
+
+def test_gap_stream_return_past_the_limit_joins_the_worker():
+    baseline = threading.active_count()
+    # 1100's successor 1103 lies in the segment [960, 1151] of 32 rows, while the
+    # window to 1100 + 128 plans one more, still being struck when the stream returns
+    [s] = P.gap_sweep([1100], segment_odds=64)
+    assert threading.active_count() == baseline
+    ds = [q - p for p, q in _brute_pairs(2, 1100)]
+    assert s == P.GapSummary(1100, len(ds), max(ds), sum(ds), sum(d * d for d in ds))
+
+
+def test_a_failing_strike_reaches_the_caller_and_joins_the_worker(monkeypatch):
+    baseline = threading.active_count()
+    strike, threads = P._strike, []
+
+    def failing(flat, k0, base, squares):
+        threads.append(threading.current_thread())
+        if len(threads) == 3:
+            raise RuntimeError("strike failed")
+        return strike(flat, k0, base, squares)
+
+    monkeypatch.setattr(P, "_strike", failing)
+    with pytest.raises(RuntimeError, match="strike failed"):
+        P.sieve_primes(0, 10**4, segment_odds=64)
+    assert threading.active_count() == baseline
+    main = threading.main_thread()
+    assert threads[0] is main and threads[2] is not main
+
+
+def test_gap_sweep_frees_each_segment_before_the_next():
+    tracemalloc.start()
+    try:
+        P.gap_sweep([10**j for j in range(1, 9)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two 1 MiB strike buffers and one segment's primes and gaps; 7.62 MiB when
+    # the stream held the previous segment during the next
+    assert peak <= 6.5 * 2**20
+
+
 @pytest.mark.parametrize("seg", [0, -1])
 def test_sieve_rejects_empty_segments(seg):
     with pytest.raises(ValueError, match="segment_odds"):
@@ -201,16 +272,16 @@ def test_gap_stream_convention():
 
 
 def test_gap_moment_trivial_and_derived():
-    s10 = P.gap_moment_sum(10)
+    s10 = P.gap_sweep([10])[0]
     assert s10.sum_gap_sq == 25  # gaps 1,2,2,4
     assert s10.sum_gap == 9  # telescoping to 11 - 2
-    assert P.gap_moment_sum(100).sum_gap_sq == 477  # brute-force derived
-    assert P.gap_moment_sum(1000).sum_gap_sq == 8173
+    assert P.gap_sweep([100])[0].sum_gap_sq == 477  # brute-force derived
+    assert P.gap_sweep([1000])[0].sum_gap_sq == 8173
 
 
 def test_gap_summary_invariants():
     for x in (10, 97, 1000, 12345):
-        s = P.gap_moment_sum(x)
+        s = P.gap_sweep([x])[0]
         assert s.sum_gap == next_prime_above(x) - 2
         assert s.sum_gap_sq >= s.sum_gap
         assert s.max_gap**2 <= s.sum_gap_sq
@@ -227,7 +298,7 @@ def test_gap_sweep_matches_single_calls():
     limits = [10, 100, 1000, 4999]
     multi = P.gap_sweep(limits)
     for s in multi:
-        single = P.gap_moment_sum(s.x)
+        single = P.gap_sweep([s.x])[0]
         assert s == single
 
 
@@ -291,7 +362,7 @@ def test_gap_sweep_limits_on_segment_edges(seg):
     (lambda: P.gap_sweep([10.5]), "limits"),
     (lambda: P.gap_sweep(["10"]), "limits"),
     (lambda: P.gap_sweep([math.inf]), "limits"),
-    (lambda: P.gap_moment_sum(10.7), "x"),
+    (lambda: P.gap_sweep([10, 10.7]), "limits"),
     (lambda: P.max_gap_table([10.9, 100]), "limits"),
     (lambda: P.sieve_primes(0.5, 100), "lo"),
     (lambda: P.sieve_primes(True, 10), "lo"),
@@ -303,7 +374,7 @@ def test_gap_sweep_limits_on_segment_edges(seg):
     (lambda: P.gap_sweep([10], segment_odds=np.float64(4)), "segment_odds"),
     (lambda: P.dyadic_band_sum(100.5, 10), "x"),
     (lambda: P.dyadic_band_sum(100, 10, ceiling=False), "ceiling"),
-], ids=["sweep-float", "sweep-str", "sweep-inf", "moment-float", "table-float", "sieve-lo-float",
+], ids=["sweep-float", "sweep-str", "sweep-inf", "sweep-second-float", "table-float", "sieve-lo-float",
         "sieve-lo-bool", "sieve-hi-float", "sieve-seg-float", "sieve-ceiling-float",
         "gaps-float", "gaps-start-float", "sweep-seg-numpy-float", "band-float",
         "band-ceiling-bool"])
@@ -314,7 +385,7 @@ def test_integer_arguments_refuse_non_integers(call, name):
 
 def test_integer_arguments_accept_numpy_integers():
     assert P.sieve_primes(np.int64(0), np.int32(10)).tolist() == [2, 3, 5, 7]
-    assert P.gap_sweep([np.int64(10)], segment_odds=np.uint16(4)) == [P.gap_moment_sum(10)]
+    assert P.gap_sweep([np.int64(10)], segment_odds=np.uint16(4)) == P.gap_sweep([10])
     assert P.max_gap_table([np.int64(10)]) == [(10, 4, 0.60)]
 
 
