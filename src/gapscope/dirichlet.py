@@ -407,11 +407,17 @@ def _read_problem(problem, samples: int, refine_iters: int) -> _Problem:
             raise ValueError(f"floor_x must be finite and > 0, got {floor_x}")
         _check_sampling(c, samples, refine_iters, math.floor(2 * T) - math.ceil(T) + 1)
         floor_x = max(2.0, float(math.prod(f.N for f in fs))) if floor_x is None else floor_x
-        for n in {float(f.N) for f in fs if f.cls is not CoefficientClass.SINGLETON}:
+        active = [f for f in fs if f.cls is not CoefficientClass.SINGLETON]
+        for n in {float(f.N) for f in active}:
             n ** (1.0 - float(c)), math.floor(math.log2(n * floor_x))  # the band edges of _bands
     except OverflowError:
         raise ValueError("c, T and floor_x (by default the product of the N) must keep every "
                          "band edge N^(1-c) and N floor_x in the float range") from None
+    with np.errstate(over="ignore"):  # the size A = sum |a_n| n^(-c) of each factor
+        sizes = [float(np.abs(an) @ ns ** -float(c)) for ns, an in (f.support() for f in active)]
+    if not math.isfinite(math.prod(sizes)):  # inf, or nan if one A is inf and another 0
+        raise ValueError("c must keep every factor's size A = sum |a_n| n^(-c), and the "
+                         "product of the sizes, in the float range")
     ms = np.arange(math.ceil(T), math.floor(2 * T) + 1, dtype=np.int64)
     return _Problem(fs, float(c), float(T), float(floor_x), ms)
 

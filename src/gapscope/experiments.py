@@ -27,8 +27,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .dirichlet import (
     FACTOR_KINDS,
     PolyFactor,
@@ -100,8 +98,7 @@ class CellReport:
 
 def product_mean_square(factors: Sequence[PolyFactor]) -> tuple[float, float]:
     """(length scale N, sum |coeff|^2 / N) of the exact factor product."""
-    ns, an = product_terms([f.support() for f in factors], math.inf)
-    coeffs = np.bincount(np.unique(ns, return_inverse=True)[1], an)
+    _, coeffs = product_terms([f.support() for f in factors], math.inf)
     N = float(math.prod(float(f.N) for f in factors
                         if f.cls is not CoefficientClass.SINGLETON))
     return N, float(coeffs @ coeffs) / N

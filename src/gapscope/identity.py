@@ -20,9 +20,9 @@ Dyadic decomposition then splits each K_j into products of short polynomials
 S_1 ... S_2k over blocks (N_i, 2N_i]; `enumerate_factorizations` lists the
 admissible block tuples as the integer exponent rows of a `FactorizationRows`.
 Every block's support comes from the cached `block_support`, and every
-product of supports from one kernel, `product_terms`, which
-`window_coefficient_sum` here, `perron` and `experiments` reduce to their
-sums.
+product of supports from one kernel, `product_terms`, which merges it into
+its distinct n and their summed coefficients; `window_coefficient_sum` here,
+`perron` and `experiments` read that table as it is.
 """
 
 from __future__ import annotations
@@ -141,19 +141,24 @@ def block_support(
 def product_terms(
     supports: Iterable[tuple[np.ndarray, np.ndarray]], hi: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Terms (n, a) of the product of (values, coefficients) supports, n <= hi.
+    """The product of ascending (values, coefficients) supports as its distinct
+    n <= hi, ascending, and their summed coefficients a_n.
 
     One outer product per support, dropping the terms above hi after each
-    (values are >= 1, so a dropped term never returns).  The terms are not
-    merged: they come in nested-loop order with the first support outermost,
-    each coefficient the left-to-right product of its factors'.
+    (values are >= 1, so a dropped term never returns), then merging equal n.
+    When the table so far or the new support holds a single value, the terms
+    are already distinct and ascending, and the merge is skipped.
     """
     ns, an = np.ones(1, dtype=np.int64), np.ones(1)
     for vs, cs in supports:
+        merge = len(ns) > 1 and len(vs) > 1
         ns = np.multiply.outer(ns, vs).ravel()
         an = np.multiply.outer(an, cs).ravel()
         keep = ns <= hi
         ns, an = ns[keep], an[keep]
+        if merge:
+            ns, at = np.unique(ns, return_inverse=True)
+            an = np.bincount(at, an)
     return ns, an
 
 
@@ -423,7 +428,7 @@ def window_coefficient_sum(cfg: IdentityConfig) -> np.ndarray:
     table = enumerate_factorizations(cfg)
     for j, exps in table.rows:
         ns, an = product_terms(table.supports(exps), N)
-        total += table.weight(j) * np.bincount(ns, an, minlength=N + 1)
+        total[ns] += table.weight(j) * an
     total[: cfg.x + 1] = 0.0
     return total
 

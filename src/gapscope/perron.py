@@ -17,9 +17,10 @@ x1 = y (1 + 1/tau), estimate(T) = sum_n a_n [J_T(x1/n) - J_T(y/n)] and
 
 E1 the principal-branch exponential integral, whose jump across the cut is
 the indicator (Montgomery-Vaughan, Multiplicative Number Theory I, 5.1;
-DLMF 6).  Every product term enters, also those above the window: their J_T
-is truncation error.  The work is O(support) per height, at any height; the
-tests keep Gauss-Legendre quadrature of the line integral as the oracle.
+DLMF 6).  Every distinct n of the product enters with its summed a_n, also
+those above the window: their J_T is truncation error.  The work is
+O(distinct n) per height, at any height; the tests keep Gauss-Legendre
+quadrature of the line integral as the oracle.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _product(factors: Sequence[PolyFactor], hi: float) -> tuple[np.ndarray, np.n
 
 
 def _window_logs(factors: Sequence[PolyFactor], y: float, tau: float):
-    """(log(x1/n), log(y/n), a_n) over the whole product support."""
+    """(log(x1/n), log(y/n), a_n) over the distinct n of the product, ascending."""
     ns, an = _product(factors, math.inf)
     ly, logs = math.log(y), np.log(ns.astype(np.float64))
     return ly + math.log1p(1.0 / tau) - logs, ly - logs, an

@@ -521,6 +521,49 @@ def test_gaps_report_digests(tmp_path):
         assert sha256(out / name) == digest, name
 
 
+# SHA-256 of the large-value and Perron reports, and of the exact repr of the
+# decay suite's rows and of the long-T classification (unit(16) x mobius(8) on
+# c = 1.12, T = 3000: cells, S0 and floors).  The floats are as numpy 2.4.6
+# with scipy-openblas (OpenBLAS 0.3.31, DYNAMIC_ARCH) computes them on x86-64;
+# another numpy or BLAS may move a last bit, and so a digest.
+WINDOW_CELL_SHA256 = {
+    "largevalues_report.json":
+        "5942f6c9d04552e5add13b792c95ab9b8dfa2a55513093da4a53a3057953568c",
+    "seed-20120118/largevalues_report.json":
+        "0a256406ab11b245d57d8448ce9a6e170874f6243714d501142c05820ac09032",
+    "perron/perron_report.json":
+        "0a4b12c2210b2cdad3642a620d0c6c69531f32f6332d9c71b332ff8294dfead3",
+    "decay-suite rows":
+        "2a50913dd21497d6781788a1d992de5df4f3b71cb4eb6e3ee44c7f14a798fbcd",
+    "long-T cells":
+        "a632660711c133c4f1f3f7aa848969c2aced0d6ed24009a5e73563c9158572b0",
+}
+
+
+def _window_cell_digests(out: Path) -> dict:
+    from gapscope import dirichlet, experiments
+
+    assert run(["largevalues", "--experiments", "25", "--out", str(out)]) == 0
+    assert run(["largevalues", "--experiments", "25", "--seed", "20120118",
+                "--out", str(out / "seed-20120118")]) == 0
+    assert run(["perron", "--factors", "unit:16,log:8,mobius:8",
+                "--out", str(out / "perron")]) == 0
+    got = {name: sha256(out / name) for name in WINDOW_CELL_SHA256 if name.endswith(".json")}
+    rows = experiments.run_perron_decay_suite()["rows"]
+    got["decay-suite rows"] = hashlib.sha256(repr(rows).encode()).hexdigest()
+    cls = dirichlet.classify_profile(
+        [dirichlet.unit_factor(16), dirichlet.mobius_factor(8)], 1.12, 3000.0)
+    profiles = sorted(cls.cells, key=lambda p: p.band_indices)
+    long_t = ([(p.band_indices, cls.cells[p]) for p in profiles], cls.s0,
+              [cls.floors[p] for p in profiles])
+    got["long-T cells"] = hashlib.sha256(repr(long_t).encode()).hexdigest()
+    return got
+
+
+def test_window_and_cell_report_digests(tmp_path):
+    assert _window_cell_digests(tmp_path / "o") == WINDOW_CELL_SHA256
+
+
 def test_canonical_json_subclasses_match_exact_types():
     class S(str):
         pass

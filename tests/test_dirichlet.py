@@ -692,7 +692,9 @@ def test_classify_profiles_names_a_bad_problem_before_any_work(monkeypatch, bad,
     ([unit_factor(4096)] * 100, 1.1, 40.0),  # the default floor_x, the product of the N
     ([unit_factor(16)], 1.1, 40.0, 1e308),  # N floor_x
     ([unit_factor(8)], 1.1, 10**400),
-], ids=["band-top", "default-floor", "floor-edge", "T-int"])
+    ([unit_factor(8)], -300.0, 40.0),  # the size A = sum |a_n| n^(-c): 11^300 overflows
+    ([unit_factor(8)] * 3, -100.0, 40.0),  # each A is finite, their product is not
+], ids=["band-top", "default-floor", "floor-edge", "T-int", "size", "size-product"])
 def test_classify_profiles_refuses_band_edges_over_the_float_range(monkeypatch, bad):
     def no_work(*args):
         raise AssertionError("a lattice was built before every problem was checked")

@@ -735,6 +735,19 @@ def random_factors(rng):
     return out
 
 
+def reference_product_terms(factors, hi):
+    """The product's coefficients n <= hi accumulated in a dict, ascending n."""
+    coeffs = {1: 1.0}
+    for f in factors:
+        step = {}
+        for n, a in coeffs.items():
+            for v, c in zip(*(x.tolist() for x in f.support())):
+                if n * v <= hi:
+                    step[n * v] = step.get(n * v, 0.0) + a * c
+        coeffs = step
+    return sorted(coeffs), [coeffs[n] for n in sorted(coeffs)]
+
+
 def test_kernel_matches_recursions_on_random_factor_sets():
     from gapscope.experiments import product_mean_square
     from gapscope.perron import direct_window_sum
@@ -746,11 +759,15 @@ def test_kernel_matches_recursions_on_random_factor_sets():
         top = math.prod(2 * max(1, int(f.N)) for f in factors)
         y = rng.uniform(1.0, top)
         tau = rng.uniform(0.5, 4.0)  # hi = y (1 + 1/tau) often cuts the product
+        ns, an = I.product_terms([f.support() for f in factors], y + y / tau)
+        want_ns, want_an = reference_product_terms(factors, y + y / tau)
+        assert ns.tolist() == want_ns, factors
         got, want = direct_window_sum(factors, y, tau), reference_direct_window_sum(factors, y, tau)
         if all(f.cls is not I.CoefficientClass.LOG for f in factors):
-            assert got == want, factors
+            assert an.tolist() == want_an and got == want, factors
             exact_checked += 1
         else:
+            assert an == pytest.approx(want_an, rel=1e-12), factors
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300), factors
         N, ms = product_mean_square(factors)
         N_ref, ms_ref = reference_mean_square(factors)
@@ -758,11 +775,21 @@ def test_kernel_matches_recursions_on_random_factor_sets():
     assert exact_checked > 50
 
 
-def test_kernel_terms_in_nested_loop_order():
+def test_kernel_merges_terms_into_distinct_ascending_n():
+    # 2 * 3 and 3 * 2 both give 6: one entry, with the summed coefficient
     ns, an = I.product_terms([(np.array([2, 3]), np.array([1.0, -1.0])),
-                              (np.array([5, 7]), np.array([2.0, 0.5]))], 20)
-    assert ns.tolist() == [10, 14, 15]
-    assert an.tolist() == [2.0, 0.5, -2.0]
+                              (np.array([2, 3]), np.array([2.0, 0.5]))], 20)
+    assert ns.tolist() == [4, 6, 9]
+    assert an.tolist() == [2.0, 0.5 - 2.0, -0.5]
+    # a single-value table or support needs no merge; hi drops 15 and 21
+    ns, an = I.product_terms([(np.array([3]), np.array([-1.0])),
+                              (np.array([2, 5, 7]), np.array([1.0, 2.0, 4.0]))], 14)
+    assert ns.tolist() == [6] and an.tolist() == [-1.0]
+    ns, an = I.product_terms([(np.array([2, 3]), np.array([1.0, -1.0])),
+                              (np.array([5]), np.array([2.0]))], 20)
+    assert ns.tolist() == [10, 15] and an.tolist() == [2.0, -2.0]
+    ns, an = I.product_terms([(np.array([2, 3]), np.array([1.0, -1.0]))] * 2, 3)
+    assert ns.tolist() == [] and an.tolist() == []
     ns, an = I.product_terms([], 5)
     assert ns.tolist() == [1] and an.tolist() == [1.0]
 

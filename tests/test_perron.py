@@ -335,9 +335,10 @@ def test_estimate_blocks_stay_within_eval_budget(monkeypatch):
 
 
 def test_estimate_memory_stays_within_the_chunk_budget(monkeypatch):
-    # 64^3 = 262,144 product terms, all above the window, in chunks of
-    # _J_BUDGET: E1 holds about 150 bytes an element of one chunk, beside
-    # the support's arrays and their build (about 24 bytes a term)
+    # 64^3 = 262,144 product terms, all above the window, merged into fewer
+    # distinct n and read in chunks of _J_BUDGET: E1 holds about 150 bytes an
+    # element of one chunk, beside the support's arrays and their build
+    # (about 24 bytes a term)
     p = make_perron_params(201.5, 10)
     factors = [unit_factor(64), log_factor(64), mobius_factor(64)]
     terms = 64**3
@@ -352,3 +353,20 @@ def test_estimate_memory_stays_within_the_chunk_budget(monkeypatch):
     whole = perron_window(p, factors).estimate
     # chunks only reassociate the sum over terms, far inside 1e-12
     assert chunked == pytest.approx(whole, rel=1e-12)
+
+
+def test_large_product_window_stays_within_its_memory_bound():
+    # 5,111,808 product terms (Moebius zeros dropped) but 379,632 distinct n:
+    # the table is merged after each factor, so the largest arrays are the
+    # last outer product's, and the logs and E1 chunks see only the distinct
+    # n (61 MiB peak measured)
+    p = make_perron_params(201.5, 10)
+    factors = [unit_factor(64), log_factor(64), mobius_factor(64), unit_factor(32)]
+    tracemalloc.start()
+    try:
+        report = perron_window(p, factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20, peak
+    assert report.direct == 0.0 and abs(report.estimate) < 1e-6
