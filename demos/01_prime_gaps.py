@@ -5,6 +5,7 @@ Reproduces the max-gap table, shows the telescoping of gap sums, and tracks
 the second moment against the x^(5/4) reference slope.
 """
 
+import math
 from fractions import Fraction
 
 from gapscope import primes
@@ -32,5 +33,8 @@ while Fraction(4 * 10**4, 1) / tau <= 40:
 
 print("\nPrimorial composite runs (j + p_1...p_n is divisible by spf(j)):")
 for n in (3, 5, 8):
-    r = primes.composite_run_demo(n)
-    print(f"  n = {n}: {r.length} composites from {r.start} (primorial {r.primorial})")
+    ps = primes.simple_sieve(40).tolist()[:n]
+    P = math.prod(ps)
+    # each j in 2..p_n has a prime factor p <= p_n, which divides j + P
+    assert all(any(j % p == 0 for p in ps) for j in range(2, ps[-1] + 1))
+    print(f"  n = {n}: {ps[-1] - 1} composites from {P + 2} (primorial {P})")

@@ -91,9 +91,8 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _horner(n: list[int], x: Fraction) -> int:
-    """sum_i n_i p^i q^(deg-i) at x = p/q, which is q^deg * n(x) with q > 0."""
-    p, q = x.numerator, x.denominator
+def _horner(n: list[int], p: int, q: int) -> int:
+    """sum_i n_i p^i q^(deg-i), which is q^deg * n(p/q) for q > 0."""
     acc, qk = 0, 1
     for c in reversed(n):
         acc = acc * p + c * qk
@@ -102,13 +101,13 @@ def _horner(n: list[int], x: Fraction) -> int:
 
 
 def _sign(n: list[int], x: Fraction) -> int:
-    h = _horner(n, x)
+    h = _horner(n, x.numerator, x.denominator)
     return (h > 0) - (h < 0)
 
 
 def _value(n: list[int], d: int, x: Fraction) -> Fraction:
     """(n / d)(x) as a Fraction."""
-    return Q(_horner(n, x), d * x.denominator ** max(0, len(n) - 1))
+    return Q(_horner(n, x.numerator, x.denominator), d * x.denominator ** max(0, len(n) - 1))
 
 
 def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:

@@ -15,6 +15,7 @@ file of key=value lines supplies defaults that the command line overrides.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -25,7 +26,9 @@ from .errors import CapacityError, QuadratureError
 from .claims import parse_ledger, parse_rational, verify_claim
 from .ledger import builtin_ledger
 from .reports import (
+    cell_records,
     factorization_dump,
+    nu_grid_records,
     summary_dict,
     write_gap_csv,
     write_json,
@@ -155,7 +158,6 @@ def cmd_largevalues(opt: dict) -> int:
     from .experiments import run_large_value_suite
 
     suite = run_large_value_suite(opt["experiments"], opt["seed"], opt["slack"])
-    rows = [c.as_dict() for c in suite["cells"]]
     write_json(Path(opt["out"]) / "largevalues_report.json", {
         "seed": suite["seed"],
         "n_cells": suite["n_cells"],
@@ -163,7 +165,7 @@ def cmd_largevalues(opt: dict) -> int:
         "montgomery_ok": suite["montgomery_ok"],
         "worst_montgomery_ratio": suite["worst_montgomery_ratio"],
         "slack": suite["slack"],
-        "cells": rows,
+        "cells": cell_records(suite["cells"]),
     })
     print(
         f"{suite['n_cells']} cells; sandwich {'ok' if suite['sandwich_ok'] else 'VIOLATED'}; "
@@ -239,11 +241,8 @@ def cmd_optimize_nu(opt: dict) -> int:
     from .nu import optimize_nu
 
     res = optimize_nu(opt["res"])
-    payload = res.as_dict()
-    payload["grid"] = [
-        {"sigma": str(s), "mu": str(m), "nu": str(v)} for s, m, v in res.grid
-    ]
-    write_json(Path(opt["out"]) / "nu_profile.json", payload)
+    write_json(Path(opt["out"]) / "nu_profile.json",
+               {**res.as_dict(), "grid": nu_grid_records(res.grid)})
     print(
         f"nu* = {res.nu_star} ({float(res.nu_star):.6f}) at sigma={res.argmax[0]}, "
         f"mu={res.argmax[1]}"
@@ -354,7 +353,10 @@ def _table(command: str) -> dict:
     return {**_OPTIONS[command], "out": (str, "gapscope-out", None)}
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once a process: it holds no results, and
+    each parse_args returns a fresh namespace."""
     p = _Parser(prog="gapscope", description=__doc__)
     p.add_argument("--version", action="version", version=f"gapscope {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

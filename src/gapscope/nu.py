@@ -23,19 +23,22 @@ Routes:
     is the min over routes.
 
 Each exponent, route piece end and case exponent is one `MuLinear` value
-in s, written once here and read also by the builtin ledger.  At fixed s
-every demand is a/mu + b with exact a and b: `_demand_terms` evaluates the
-table at one sigma, together with the negligible-regime thresholds
-e <= mu(1-s) of the R-bounds, over one common denominator, and a cell is
-then integer multiply-adds and one Fraction.  `required_nu` is that kernel
-at a single mu, and `optimize_nu` builds it once per sigma row and
-evaluates it across the mu grid.
+in s, written once here and read also by the builtin ledger.  At fixed s =
+p/q every table value is an integer pair (A(s) and D(s) by Horner in p and
+q), and every demand is a/mu + b with rational a and b: `_row` builds the
+row of one sigma in integers, with the demands, the negligible-regime
+thresholds e <= mu(1-s) of the R-bounds and the mu-piece ends all over one
+common denominator.  `_row_values` evaluates a row at each mu = n/d with
+integer multiply-adds and cross-multiplied compares; the only Fraction a
+cell makes is its value.  `required_nu` is that kernel at a single mu, and
+`optimize_nu` builds each row once and evaluates it across the mu grid.
 
-All arithmetic is exact (Fractions); epsilon refinements are dropped and the
-log-power savings of the negligible regime are treated as free, so boundary
-comparisons are non-strict.  The polynomial-structure reduction (every
-factor short except at most one of length <= x1^(3/5)) is assumed here; its
-inequality chains are certified separately in the builtin ledger.
+All arithmetic is exact (integers and Fractions); epsilon refinements are
+dropped and the log-power savings of the negligible regime are treated as
+free, so boundary comparisons are non-strict.  The polynomial-structure
+reduction (every factor short except at most one of length <= x1^(3/5)) is
+assumed here; its inequality chains are certified separately in the builtin
+ledger.
 """
 
 from __future__ import annotations
@@ -45,15 +48,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .algebra import MuLinear, frac, ml, sign_on_interval
+from .algebra import MuLinear, _horner, frac, ml, sign_on_interval
 from .claims import MU_RANGE
 from .errors import CapacityError
 
 Q = Fraction
 
 SIGMA_RANGE = (Q(1, 2), Q(1))
-#: Largest sigma x mu grid `optimize_nu` evaluates, at about 10 us a cell;
-#: it admits res = 1/512 (102800 cells), 60 times the default 1/64 grid.
+#: Largest sigma x mu grid `optimize_nu` evaluates, at about 3 us a cell (0.28 s
+#: for res = 1/512, Python 3.11 on a shared 2-vCPU host); it admits res = 1/512
+#: (102800 cells), 60 times the default 1/64 grid.
 MAX_GRID_CELLS = 2**17
 NU_FLOOR = Q(29, 120)  # configured floor; flagged if the optimum dips below
 
@@ -81,12 +85,6 @@ class CatalogEntry:
 class BoundCatalog:
     entries: tuple[CatalogEntry, ...]
 
-    def applicable(self, s: Fraction, kind: str | None = None) -> list[CatalogEntry]:
-        return [
-            e for e in self.entries
-            if e.applies(s) and (kind is None or e.kind == kind)
-        ]
-
 
 _BUILTIN_CATALOG = BoundCatalog((
     CatalogEntry("mean-value", "R", frac([3, -3], [2, -1]), Q(1, 2), Q(3, 4)),
@@ -107,19 +105,25 @@ def builtin_catalog() -> BoundCatalog:
 # Demand of a single bound against the targets
 # ---------------------------------------------------------------------------
 
-def _demand_coeffs(kind: str, p: Fraction, q: Fraction, s: Fraction):
-    """(a, b, negligible) for a bound T0^(p + mu q) on `kind` at sigma s.
+Pair = tuple[int, int]  # the rational num/den, den > 0
+_NEVER = (1, 1), (0, 1)  # p = 1, c = 0: p <= mu c never holds
 
-    The bound demands nu >= a/mu + b.  For an R-bound, negligible = (p, c):
-    when p <= mu c its exponent is at most mu(1 - s), the bound lands in
-    condition (i) and demands nothing.  Other kinds are never negligible.
+
+def _demand_coeffs(kind: str, p: Pair, q: Pair, s: Pair) -> tuple[Pair, Pair, Pair, Pair]:
+    """(a, b, p, c) for a bound T0^(p + mu q) on `kind` at sigma s.
+
+    The bound demands nu >= a/mu + b, unless p <= mu c: an R-bound whose
+    exponent is at most mu(1 - s) lands in condition (i) and demands
+    nothing.  Other kinds are never negligible (`_NEVER`).
     """
-    if kind == "R":
-        return p - 1, q - 1 + 2 * s, (p, 1 - s - q)
-    if kind == "Rstar":
-        return p - 1, q - 3 + 4 * s, None
-    if kind == "RRstar":
-        return (p - 2) / 2, (q - 4 + 6 * s) / 2, None
+    (pn, pd), (qn, qd), (sn, sd) = p, q, s
+    if kind == "R":  # b = q - 1 + 2s, c = 1 - s - q
+        return ((pn - pd, pd), (qn * sd + (2 * sn - sd) * qd, qd * sd),
+                p, ((sd - sn) * qd - qn * sd, qd * sd))
+    if kind == "Rstar":  # b = q - 3 + 4s
+        return (pn - pd, pd), (qn * sd + (4 * sn - 3 * sd) * qd, qd * sd), *_NEVER
+    if kind == "RRstar":  # a = (p - 2)/2, b = (q - 4 + 6s)/2
+        return (pn - 2 * pd, 2 * pd), (qn * sd + (6 * sn - 4 * sd) * qd, 2 * qd * sd), *_NEVER
     raise ValueError(kind)
 
 
@@ -207,89 +211,81 @@ ROUTES: dict[str, tuple[Piece, ...]] = {
 # The row kernel: every demand at one sigma, evaluated across mu
 # ---------------------------------------------------------------------------
 
-Term = tuple[int, int, Optional[tuple[int, int]]]  # (A, B, (P, C) or None)
+def _at(f: MuLinear, sn: int, sd: int) -> Pair:
+    """f(sn/sd) for f a function of s alone; the den is 0 where f's vanishes."""
+    k = len(f.D) - len(f.A)
+    n = _horner(f.A, sn, sd) * sd ** max(0, k)
+    d = _horner(f.D, sn, sd) * sd ** max(0, -k)
+    return (n, d) if d >= 0 else (-n, -d)
 
 
-class _Row(NamedTuple):
-    den: int
-    catalog: list[Term]
-    routes: list[list[tuple[Fraction, Fraction, list[Term]]]]
+def _row(cat: BoundCatalog, sn: int, sd: int) -> tuple:
+    """The row of sigma = sn/sd (sd > 0), built in integers: (den, catalog,
+    routes), with the (a, b, p, c) of each applicable catalog bound, and
+    each route as its pieces (mu_lo, mu_hi, cases), all numerators over the
+    common denominator den.  A demand a/mu + b at mu = n/d is then
+    (A d + B n) / (den n), p <= mu c reads P d <= C n, and mu_lo <= mu reads
+    LO d <= den n."""
+    s = (sn, sd)
 
+    def holds(lo: Fraction, hi: Fraction) -> bool:
+        return lo.numerator * sd <= sn * lo.denominator and sn * hi.denominator <= hi.numerator * sd
 
-def _demand_terms(s: Fraction, cat: BoundCatalog) -> _Row:
-    """Every demand at sigma s, as integer terms over one common denominator.
-
-    With every a, b, p, c of the row scaled by their common denominator D, a
-    demand a/mu + b at mu = n/d has the value (A d + B n) / (D n), so all
-    demands at one mu compare by their numerators alone, and a threshold
-    p <= mu c reads P d <= C n.  A case shared by pieces is evaluated once.
-    """
-    demand: dict[Case, tuple] = {}
-
-    def of(case: Case) -> tuple:
-        if case not in demand:
-            kind, p, q = case
-            demand[case] = _demand_coeffs(kind, p(s), q(s), s)
-        return demand[case]
-
-    catalog = [_demand_coeffs(e.kind, e.exponent(s), Q(0), s) for e in cat.applicable(s)]
+    catalog = []
+    for e in cat.entries:
+        f = _at(e.exponent, sn, sd) if holds(e.s_lo, e.s_hi) else (0, 0)
+        if f[1]:  # in range, and the exponent's denominator does not vanish
+            catalog.append(_demand_coeffs(e.kind, f, (0, 1), s))
     routes = [
-        [(p.mu_lo(s), p.mu_hi(s), [of(case) for case in p.cases])
-         for p in pieces if p.s_lo <= s <= p.s_hi]
+        [((_at(p.mu_lo, sn, sd), _at(p.mu_hi, sn, sd)),
+          [_demand_coeffs(kind, _at(a, sn, sd), _at(b, sn, sd), s) for kind, a, b in p.cases])
+         for p in pieces if holds(p.s_lo, p.s_hi)]
         for pieces in ROUTES.values()
     ]
-    coeffs = catalog + list(demand.values())
-    den = math.lcm(*(f.denominator for a, b, neg in coeffs for f in (a, b, *(neg or ()))))
+    den = math.lcm(*(f[1] for t in catalog for f in t), *(
+        f[1] for route in routes for ends, cases in route for t in (ends, *cases) for f in t))
 
-    def scaled(a: Fraction, b: Fraction, neg) -> Term:
-        def up(f: Fraction) -> int:
-            return f.numerator * (den // f.denominator)
-        return up(a), up(b), None if neg is None else (up(neg[0]), up(neg[1]))
+    def up(t: tuple[Pair, ...]) -> tuple[int, ...]:
+        return tuple([f[0] * (den // f[1]) for f in t])
 
-    return _Row(
-        den,
-        [scaled(*t) for t in catalog],
-        [[(lo, hi, [scaled(*t) for t in terms]) for lo, hi, terms in route] for route in routes],
-    )
+    return den, [up(t) for t in catalog], [
+        [(*up(ends), [up(t) for t in cases]) for ends, cases in route] for route in routes if route]
 
 
-def _demand_at(row: _Row, mu: Fraction) -> Optional[Fraction]:
-    """required_nu at mu from its sigma's row terms: min over routes, a
-    combination route being the max over its internal cases."""
-    n, d = mu.numerator, mu.denominator
-    demands: list[int] = []
-    for A, B, neg in row.catalog:
-        if neg is not None and neg[0] * d <= neg[1] * n:
-            return None  # negligible: any nu is admissible
-        demands.append(A * d + B * n)
-    for route in row.routes:
-        for lo, hi, cases in route:
-            if lo <= mu <= hi:
-                demands.append(max(
-                    0 if neg is not None and neg[0] * d <= neg[1] * n
-                    else max(0, A * d + B * n)
-                    for A, B, neg in cases
-                ))
+def _row_values(row: tuple, mus: Iterable[Pair]) -> list[Optional[int]]:
+    """required_nu at each mu = n/d of mus from its sigma's row: the numerator
+    over den * n, or None where condition (i) already holds.  The demand is
+    the min over routes, a combination route being the max over its cases."""
+    den, catalog, routes = row
+    out: list[Optional[int]] = []
+    for n, d in mus:
+        for _, _, P, C in catalog:
+            if P * d <= C * n:
+                out.append(None)  # negligible: any nu is admissible
                 break
-    return Q(max(0, min(demands)), row.den * n)
+        else:
+            demands = [A * d + B * n for A, B, _, _ in catalog]
+            dn = den * n
+            for route in routes:
+                for lo, hi, cases in route:
+                    if lo * d <= dn <= hi * d:
+                        # max(0, .) of a route is left to the max(0, .) of the min
+                        demands.append(max([A * d + B * n for A, B, P, C in cases
+                                            if P * d > C * n], default=0))
+                        break
+            out.append(max(0, min(demands)))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # required_nu and the grid optimizer
 # ---------------------------------------------------------------------------
 
-def _sigma(sigma) -> Fraction:
-    s = Q(sigma)
-    if not (SIGMA_RANGE[0] <= s <= SIGMA_RANGE[1]):
-        raise ValueError(f"sigma={s} outside [1/2, 1]")
-    return s
-
-
-def _mu(mu) -> Fraction:
-    m = Q(mu)
-    if not (MU_RANGE[0] <= m <= MU_RANGE[1]):
-        raise ValueError(f"mu={m} outside [4/3, 19/9]")
-    return m
+def _within(value, box: tuple[Fraction, Fraction], name: str) -> Fraction:
+    v = Q(value)
+    if not (box[0] <= v <= box[1]):
+        raise ValueError(f"{name}={v} outside [{box[0]}, {box[1]}]")
+    return v
 
 
 def required_nu(
@@ -297,10 +293,12 @@ def required_nu(
 ) -> Optional[Fraction]:
     """Least nu provable at (sigma, mu); None when condition (i) already holds.
 
-    Exact over Fractions: the row terms of sigma evaluated at one mu.
+    Exact: the row of sigma evaluated at one mu.
     """
-    s, mu = _sigma(sigma), _mu(mu)
-    return _demand_at(_demand_terms(s, cat or builtin_catalog()), mu)
+    s, mu = _within(sigma, SIGMA_RANGE, "sigma"), _within(mu, MU_RANGE, "mu")
+    row = _row(cat or builtin_catalog(), s.numerator, s.denominator)
+    (v,) = _row_values(row, [(mu.numerator, mu.denominator)])
+    return None if v is None else Q(v, row[0] * mu.numerator)
 
 
 def required_nu_value(sigma, mu, cat: BoundCatalog | None = None) -> Fraction:
@@ -342,13 +340,11 @@ def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
     """Multiples of step inside [lo, hi], plus both endpoints."""
     if step <= 0:
         raise ValueError(f"grid step {step} is not positive")
-    first = -((-lo) // step)  # ceil(lo/step)
-    vals = {lo, hi}
-    k = first
-    while k * step <= hi:
-        vals.add(k * step)
-        k += 1
-    return sorted(vals)
+    n, d = step.numerator, step.denominator
+    inner = [Q(k * n, d) for k in range(-(-lo // step), hi // step + 1)]
+    if not inner:
+        return sorted({lo, hi})
+    return [lo] * (inner[0] != lo) + inner + [hi] * (inner[-1] != hi)
 
 
 def optimize_nu(
@@ -360,8 +356,8 @@ def optimize_nu(
 ) -> OptimizeResult:
     """Grid supremum of required_nu with dyadic-midpoint refinement.
 
-    The demand terms of a sigma are built once, for its grid row or when the
-    refinement walk first visits it, and evaluated across mu.
+    The row of each grid sigma is built once and evaluated across the mu
+    grid; values are compared as integer pairs (numerator, denominator).
     """
     resolution = Q(resolution)
     if not 0 < resolution <= Q(1, 64):
@@ -371,46 +367,55 @@ def optimize_nu(
         raise CapacityError(f"resolution {resolution} makes {cells} grid cells, "
                             f"over the cap {MAX_GRID_CELLS}")
     cat = cat or builtin_catalog()
-    sig = [_sigma(s) for s in _grid(Q(sigma_range[0]), Q(sigma_range[1]), resolution)]
-    mus = [_mu(m) for m in _grid(Q(mu_range[0]), Q(mu_range[1]), resolution)]
-    rows: dict[Fraction, _Row] = {}
+    s_lo, s_hi = (_within(s, SIGMA_RANGE, "sigma") for s in sigma_range)
+    m_lo, m_hi = (_within(m, MU_RANGE, "mu") for m in mu_range)
+    mus = _grid(m_lo, m_hi, resolution)
+    pairs = [(m.numerator, m.denominator) for m in mus]
+    grid: list[tuple[Fraction, Fraction, Fraction]] = []
+    best, best_den, best_at, zero = 0, 1, 0, Q(0)
+    for s in _grid(s_lo, s_hi, resolution):
+        row = _row(cat, s.numerator, s.denominator)
+        for m, (n, _), v in zip(mus, pairs, _row_values(row, pairs)):
+            vd = row[0] * n
+            if v and v * best_den > best * vd:
+                best, best_den, best_at = v, vd, len(grid)
+            grid.append((s, m, Q(v, vd) if v else zero))
+    *argmax, nu_star = grid[best_at]
+    first = best_at - best_at % len(mus)
+    maximizing_mu = [m for _, m, v in grid[first:first + len(mus)] if v == nu_star]
 
-    def value(s: Fraction, m: Fraction) -> Fraction:
-        if s not in rows:
-            rows[s] = _demand_terms(s, cat)
-        d = _demand_at(rows[s], m)
-        return Q(0) if d is None else d
+    # local refinement: walk dyadic midpoints around the best cell, on the
+    # multiples of 1/L, evaluating each (sigma, mu) once
+    L = math.lcm(resolution.denominator << max(0, refine_levels),
+                 *(f.denominator for f in (s_lo, s_hi, m_lo, m_hi)))
+    rows, seen = {}, {}
 
-    grid = [(s, m, value(s, m)) for s in sig for m in mus]
+    def value(S: int, M: int) -> Pair:
+        if (S, M) not in seen:
+            if S not in rows:
+                rows[S] = _row(cat, S, L)
+            (v,) = _row_values(rows[S], [(M, L)])
+            seen[S, M] = (v, rows[S][0] * M) if v else (0, 1)
+        return seen[S, M]
 
-    nu_star = max(v for _, _, v in grid)
-    argmax = next((s, m) for s, m, v in grid if v == nu_star)
-    maximizing_mu = [m for s, m, v in grid if s == argmax[0] and v == nu_star]
-
-    # local refinement: walk dyadic midpoints around the best cell
-    best_s, best_m, best_v = argmax[0], argmax[1], nu_star
-    step = resolution
+    S_lo, S_hi, M_lo, M_hi, best_s, best_m, step = (
+        f.numerator * (L // f.denominator) for f in (s_lo, s_hi, m_lo, m_hi, *argmax, resolution))
     for _ in range(refine_levels):
-        step = step / 2
+        step //= 2
         improved = True
         while improved:
             improved = False
-            for ds in (-step, Q(0), step):
-                for dm in (-step, Q(0), step):
-                    s2 = min(max(best_s + ds, Q(sigma_range[0])), Q(sigma_range[1]))
-                    m2 = min(max(best_m + dm, Q(mu_range[0])), Q(mu_range[1]))
-                    v2 = value(s2, m2)
-                    if v2 > best_v:
-                        best_s, best_m, best_v = s2, m2, v2
+            for ds in (-step, 0, step):
+                for dm in (-step, 0, step):
+                    s2 = min(max(best_s + ds, S_lo), S_hi)
+                    m2 = min(max(best_m + dm, M_lo), M_hi)
+                    v2, d2 = value(s2, m2)
+                    if v2 * best_den > best * d2:
+                        best_s, best_m, best, best_den = s2, m2, v2, d2
                         improved = True
-    return OptimizeResult(
-        nu_star=best_v,
-        argmax=(best_s, best_m),
-        maximizing_mu=maximizing_mu,
-        grid=grid,
-        below_floor=best_v < NU_FLOOR,
-        refinement_levels=refine_levels,
-    )
+    nu_star = Q(best, best_den)
+    return OptimizeResult(nu_star, (Q(best_s, L), Q(best_m, L)), maximizing_mu, grid,
+                          nu_star < NU_FLOOR, refine_levels)
 
 
 # ---------------------------------------------------------------------------

@@ -358,38 +358,3 @@ def proper_prime_powers(lo: int, hi: int) -> Iterator[tuple[int, float]]:
             if pk >= lo:
                 yield pk, math.log(p)
             pk *= p
-
-
-# ---------------------------------------------------------------------------
-# Composite-run construction (primorial demonstration)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CompositeRun:
-    primorial: int
-    start: int
-    length: int
-    witnesses: tuple[int, ...]  # witnesses[j] divides start + j
-
-
-def composite_run_demo(n: int) -> CompositeRun:
-    """Certify that j + primorial(n) is composite for 2 <= j <= p_n.
-
-    Each j + P is divisible by the smallest prime factor of j (which divides P),
-    so the run P+2 .. P+p_n of length p_n - 1 is prime-free.
-    """
-    if not (1 <= n <= 12):
-        raise CapacityError("primorial demo limited to n <= 12")
-    primes = simple_sieve(40).tolist()[:n]
-    pn = primes[-1]
-    P = 1
-    for p in primes:
-        P *= p
-    witnesses = []
-    for j in range(2, pn + 1):
-        q = _smallest_prime_factor(j)
-        value = j + P
-        if value % q != 0 or q == value:
-            raise AssertionError(f"certificate failed at j={j}")
-        witnesses.append(q)
-    return CompositeRun(P, P + 2, pn - 1, tuple(witnesses))

@@ -2,8 +2,10 @@
 
 All machine-readable outputs take `canonical_json`'s layout: dict keys keep
 insertion order, floats print as %.12g, Fractions as "p/q" strings, and
-strings escape control characters.  `factorization_dump` fills that layout
-from integer rows.  Identical configurations give identical bytes.
+strings escape control characters.  The long lists of the big reports are
+written by one record writer, `_records`, which fills one template per row
+instead of building a dict per row.  Identical configurations give identical
+bytes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ def canonical_json(obj, indent: int = 0) -> str:
     t = type(obj)
     if t is str:
         return _json_str(obj)
+    if t is JsonText:
+        return obj
     if t is int:
         return repr(obj)
     if t is dict:
@@ -97,33 +101,56 @@ def _list(items: list[str], flat: bool, indent: int) -> str:
 
 
 class JsonText(str):
-    """Text already in canonical layout, which `write_json` writes as it is."""
+    """Text already in canonical layout, which `canonical_json` and `write_json`
+    write as it is."""
+
+
+def _records(fields: dict[str, str], rows: Iterable[tuple], indent: int) -> JsonText:
+    """`canonical_json` text, at indent, of a list of dicts keyed as fields, one
+    per row: each value text of fields is "%s" or holds it, filled from the row."""
+    record = _block("{", [f'"{k}": {v}' for k, v in fields.items()], "}", indent + 1)
+    items = [record % row for row in rows]
+    return JsonText(_block("[", items, "]", indent) if items else "[]")
 
 
 def factorization_dump(table) -> JsonText:
     """`canonical_json` of one record {"j", "lengths", "classes", "weight"} per
     row of an `identity.FactorizationRows`, lengths as Fraction texts ("1/2",
-    "4") and classes by value: each (slot, exponent) leaf is quoted once, each
-    row filled into one template."""
+    "4") and classes by value: each (slot, exponent) leaf is quoted once."""
     slots, es = range(1, 2 * table.cfg.k + 1), range(-1, table.top)
     lengths = [{e: _json_str(table.leaf(i, e)[0]) for e in es} for i in slots]
     classes = [{e: _json_str(table.leaf(i, e)[1]) for e in es} for i in slots]
     weights = [repr(table.weight(j)) for j in range(table.cfg.k + 1)]
     leaves = _list(["%s"] * len(slots), len(slots) <= _FLAT_MAX, 2)
-    record = _block("{", ['"j": %s', f'"lengths": {leaves}', f'"classes": {leaves}',
-                          '"weight": %s'], "}", 1)
     get = dict.__getitem__
-    records = [record % (j, *map(get, lengths, exps), *map(get, classes, exps), weights[j])
-               for j, exps in table.rows]
-    return JsonText(_block("[", records, "]", 0) if records else "[]")
+    return _records({"j": "%s", "lengths": leaves, "classes": leaves, "weight": "%s"}, (
+        (j, *map(get, lengths, exps), *map(get, classes, exps), weights[j])
+        for j, exps in table.rows), 0)
+
+
+def nu_grid_records(grid) -> JsonText:
+    """The "grid" list of nu_profile.json: Fraction texts per (sigma, mu, nu)."""
+    return _records({"sigma": '"%s"', "mu": '"%s"', "nu": '"%s"'}, grid, 1)
+
+
+def cell_records(cells) -> JsonText:
+    """The "cells" list of largevalues_report.json: `CellReport.as_dict()` per cell."""
+    ratios = _block("{", ['"montgomery": %s', '"huxley": %s', '"hb_rstar": %s'], "}", 3)
+    f = _fmt_float
+    return _records({"T": "%s", "profile": "%s", "R": "%s", "R_star": "%s", "mont_rhs": "%s",
+                     "hux_rhs": "%s", "hbstar_rhs": "%s", "ratios": ratios}, ((
+        f(c.T), canonical_json(list(c.sigmas), 3), c.R, c.R_star, f(c.mont_rhs), f(c.hux_rhs),
+        f(c.hbstar_rhs), f(c.mont_ratio), f(c.hux_ratio), f(c.hbstar_ratio),
+    ) for c in cells), 1)
 
 
 def write_json(path: Path, obj) -> None:
     """Write obj in canonical layout, or a JsonText unchanged, with a final newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = obj if isinstance(obj, JsonText) else canonical_json(obj)
-    path.write_text(text + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(obj if isinstance(obj, JsonText) else canonical_json(obj))
+        fh.write("\n")
 
 
 def write_gap_csv(path: Path, gaps: Iterable) -> int:

@@ -588,6 +588,27 @@ def test_canonical_json_subclasses_match_exact_types():
                     '    {}\n  ],\n  "t": [1, "x"]\n}')
 
 
+def test_record_templates_equal_canonical_json_of_the_dicts():
+    # the template writers must give canonical_json's bytes for every value
+    # form: integer-valued floats, %.12g, inf and nan ratios, 1e15 and up, a
+    # profile longer than one flat line, and empty lists
+    from gapscope.experiments import CellReport
+    from gapscope.reports import JsonText, cell_records, nu_grid_records
+
+    cells = [
+        CellReport(173.0, (0.4, 1.0), 2, 6, 2163.93739566, 2273799.88246, 227.5),
+        CellReport(3000.0, tuple(i / 13 for i in range(13)), 5, 40, 0.0, 1e15, 0.0),
+        CellReport(12.5, (), 0, 0, 801204179418171.0, 8.01204179418e14, -0.0),
+    ]
+    want = canonical_json({"cells": [c.as_dict() for c in cells]})
+    assert canonical_json({"cells": cell_records(cells)}) == want
+    assert canonical_json({"cells": cell_records([])}) == canonical_json({"cells": []})
+    grid = [(Fraction(1, 2), Fraction(4, 3), Fraction(0)), (Fraction(1), Fraction(2), Fraction(-7, 9))]
+    assert isinstance(nu_grid_records(grid), JsonText)
+    assert canonical_json({"grid": nu_grid_records(grid)}) == canonical_json(
+        {"grid": [{"sigma": str(s), "mu": str(m), "nu": str(v)} for s, m, v in grid]})
+
+
 def test_report_replays_manifest_with_threads_key(tmp_path):
     # manifests written while --threads existed carry a "threads" option
     manifest = {"command": "optimize-nu",
@@ -946,3 +967,46 @@ def test_generated_manifests_keep_the_exit_code_contract(text):
         path.write_text(text, encoding="utf-8")
         code, printed = run_quietly(["report", "--manifest", str(path)])
     assert code in (0, 1, 2, 3) and "Traceback" not in printed
+
+
+def _fresh_process(argv: list[str], cwd: Path) -> tuple[int, str, str]:
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapscope.cli", *argv], capture_output=True, text=True,
+        timeout=60, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(Path(gapscope.__file__).parents[1])},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _written(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch):
+    # main reuses one parser; every call must exit, print and write as a
+    # fresh process does, whatever the calls before it parsed
+    cfg = tmp_path / "nu.cfg"
+    cfg.write_text("res = 1/128\n", encoding="utf-8")
+    sequence = [
+        ["optimize-nu", "--res", "1/128"],
+        ["optimize-nu"],  # the default res returns
+        ["optimize-nu", "--res", "1/0"],  # a usage error
+        ["verify"],
+        ["optimize-nu", "--config", str(cfg)],
+        ["optimize-nu", "--res", "1/64"],
+    ]
+    for i, argv in enumerate(sequence):
+        here, there = tmp_path / f"in-{i}", tmp_path / f"fresh-{i}"
+        here.mkdir()
+        there.mkdir()
+        monkeypatch.chdir(here)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", "o"])
+        fresh = _fresh_process(argv + ["--out", "o"], there)
+        assert (code, stdout.getvalue(), stderr.getvalue()) == fresh, argv
+        assert _written(here) == _written(there), argv
+        assert (here / "o" / "manifest.json").exists() == (code == 0), argv
+    options = [json.loads((tmp_path / f"in-{i}" / "o" / "manifest.json").read_text())["options"]
+               for i in (0, 1, 4)]
+    assert [o["res"] for o in options] == ["1/128", "1/64", "1/128"]

@@ -8,10 +8,12 @@ import pytest
 
 from gapscope.ledger import builtin_ledger
 from gapscope.nu import (
+    NU_FLOOR,
     REGIONS,
     ROUTES,
     SIGMA_RANGE,
     BoundCatalog,
+    OptimizeResult,
     _grid,
     _grid_size,
     builtin_catalog,
@@ -230,7 +232,7 @@ def reference_required_nu(s, mu, cat):
     """required_nu as a per-cell loop: catalog exponents and route case lists
     rebuilt at every (s, mu), every demand a Fraction."""
     demands = []
-    for entry in cat.applicable(s):
+    for entry in (e for e in cat.entries if e.applies(s)):
         d = _ref_demand(entry.kind, entry.exponent(s), s, mu)
         if d is None:
             return None
@@ -317,3 +319,107 @@ def test_ledger_sides_are_the_table_values():
     assert by_id["plugin-mean-value-at-34"].lhs == [published["mean-value"]]
     assert by_id["mu-case1b-max"].lhs == raised[:3]
     assert by_id["mu-case1c-max"].lhs == raised
+
+
+# ---------------------------------------------------------------------------
+# Reference optimizer: Fraction demands per point, the grid and the dyadic walk
+# ---------------------------------------------------------------------------
+
+def _ref_coeffs(kind, p, q, s):
+    """(a, b, (p, c) or None): nu >= a/mu + b, unless p <= mu c (R-bounds)."""
+    if kind == "R":
+        return p - 1, q - 1 + 2 * s, (p, 1 - s - q)
+    if kind == "Rstar":
+        return p - 1, q - 3 + 4 * s, None
+    return (p - 2) / 2, (q - 4 + 6 * s) / 2, None
+
+
+def _ref_row(s, cat):
+    catalog = [_ref_coeffs(e.kind, e.exponent(s), Q(0), s) for e in cat.entries if e.applies(s)]
+    routes = [[(p.mu_lo(s), p.mu_hi(s), [_ref_coeffs(kind, a(s), b(s), s) for kind, a, b in p.cases])
+               for p in pieces if p.s_lo <= s <= p.s_hi] for pieces in ROUTES.values()]
+    return catalog, routes
+
+
+def _ref_demand_at(row, mu):
+    catalog, routes = row
+    demands = []
+    for a, b, neg in catalog:
+        if neg is not None and neg[0] <= mu * neg[1]:
+            return None
+        demands.append(a / mu + b)
+    for route in routes:
+        for lo, hi, cases in route:
+            if lo <= mu <= hi:
+                demands.append(max(Q(0) if neg is not None and neg[0] <= mu * neg[1]
+                                   else max(Q(0), a / mu + b) for a, b, neg in cases))
+                break
+    return max(Q(0), min(demands))
+
+
+def reference_optimize_nu(resolution, cat=None, sigma_range=SIGMA_RANGE, mu_range=MU_RANGE,
+                          refine_levels=6):
+    """optimize_nu over Fractions: each sigma's row of Fraction demands, each
+    cell a Fraction, nu* the max of the grid, then the dyadic-midpoint walk."""
+    cat = cat or builtin_catalog()
+    rows = {}
+
+    def value(s, m):
+        if s not in rows:
+            rows[s] = _ref_row(s, cat)
+        d = _ref_demand_at(rows[s], m)
+        return Q(0) if d is None else d
+
+    grid = [(s, m, value(s, m)) for s in _grid(*sigma_range, resolution)
+            for m in _grid(*mu_range, resolution)]
+    nu_star = max(v for _, _, v in grid)
+    argmax = next((s, m) for s, m, v in grid if v == nu_star)
+    maximizing_mu = [m for s, m, v in grid if s == argmax[0] and v == nu_star]
+    (best_s, best_m), best_v = argmax, nu_star
+    step = resolution
+    for _ in range(refine_levels):
+        step = step / 2
+        improved = True
+        while improved:
+            improved = False
+            for ds in (-step, Q(0), step):
+                for dm in (-step, Q(0), step):
+                    s2 = min(max(best_s + ds, sigma_range[0]), sigma_range[1])
+                    m2 = min(max(best_m + dm, mu_range[0]), mu_range[1])
+                    v2 = value(s2, m2)
+                    if v2 > best_v:
+                        best_s, best_m, best_v = s2, m2, v2
+                        improved = True
+    return OptimizeResult(best_v, (best_s, best_m), maximizing_mu, grid, best_v < NU_FLOOR,
+                          refine_levels)
+
+
+def _reduced(*drop):
+    return BoundCatalog(tuple(e for e in builtin_catalog().entries if e.name not in drop))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"resolution": Q(1, 64)},
+    {"resolution": Q(1, 128)},
+    {"resolution": Q(1, 64), "refine_levels": 0},
+    {"resolution": Q(1, 64), "refine_levels": 2},
+    {"resolution": Q(1, 100), "refine_levels": 6, "sigma_range": (Q(1, 2), Q(7, 10))},
+    {"resolution": Q(1, 64), "sigma_range": (Q(3, 4), Q(3, 4))},
+    # the first mu of the argmax row attains nu*
+    {"resolution": Q(1, 64), "sigma_range": (Q(7, 10), Q(9, 10)), "mu_range": (Q(8, 5), Q(2))},
+    {"resolution": Q(3, 200), "sigma_range": (Q(13, 16), Q(25, 28)),
+     "mu_range": (Q(17, 10), MU_RANGE[1])},
+    {"resolution": Q(1, 64), "cat": _reduced("trivial", "rstar-low", "rstar-high")},
+], ids=["res64", "res128", "levels0", "levels2", "low-sigma", "sigma-3/4", "box",
+        "raised-box", "reduced-catalog"])
+def test_optimizer_matches_the_fraction_reference(kwargs):
+    assert optimize_nu(**kwargs) == reference_optimize_nu(**kwargs)
+
+
+def test_optimizer_without_any_catalog_bound_refuses_like_the_reference():
+    # with every published bound dropped, some cell has no route at all
+    cat = _reduced(*(e.name for e in builtin_catalog().entries))
+    with pytest.raises(ValueError):
+        reference_optimize_nu(Q(1, 64), cat)
+    with pytest.raises(ValueError):
+        optimize_nu(Q(1, 64), cat)

@@ -598,31 +598,6 @@ def test_psi_window_prime_free_bound():
         assert psi_window(y, tau) <= bound
 
 
-# ---------------------------------------------------------------------------
-# composite runs
-# ---------------------------------------------------------------------------
-
-def test_composite_run_small():
-    r = P.composite_run_demo(2)
-    assert (r.primorial, r.start, r.length) == (6, 8, 2)
-    r = P.composite_run_demo(3)
-    assert r.primorial == 30 and r.start == 32 and r.length >= 4
-
-
-def test_composite_run_certificates():
-    r = P.composite_run_demo(5)
-    assert r.primorial == 2310
-    for offset, witness in enumerate(r.witnesses):
-        value = r.start + offset
-        assert value % witness == 0 and witness < value
-        assert not is_prime(value)
-
-
-def test_composite_run_guard():
-    with pytest.raises(CapacityError):
-        P.composite_run_demo(13)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=20000))
 def test_is_prime_matches_trial_division(n):
