@@ -30,12 +30,15 @@ and per-problem scalars are computed as for the problem alone.  The batch
 is one table of problems: `fids` holds each problem's active factor ids in
 product order and `cols` their band columns.  Position by position, each
 distinct factor's sample lattice is built over the unit intervals of the
-problems holding it there, with c per row, ROW_CHUNK rows at a time; each
-chunk is bracketed and folded into its problems' products at once, so only
-the products are held whole.  One rule bands every distinct factor: its
-best sample s and ceiling U fix the band wherever they share one, since
-s <= refined peak <= sup <= U, and `_golden` refines the factor's own
-bracket only for the members left in doubt.  The only product
+problems that hold it there for the first time, with c per row, ROW_CHUNK
+rows at a time; each chunk is bracketed and folded into its problems'
+products at once, so only the products are held whole, besides the rows of a
+product that holds the factor again, kept until its last position holding
+it.  A factor is so evaluated and banded once per problem, and multiplied in
+at each of its positions in product order.  One rule bands every distinct
+factor: its best sample s and ceiling U fix the band wherever they share
+one, since s <= refined peak <= sup <= U, and `_golden` refines the factor's
+own bracket only for the members left in doubt.  The only product
 value reported is each cell's floor V, the least refined product sup over its
 members (`_cell_floors`).  A refined peak is never below its best sample, so
 only members whose best sample is at most the refined sup of their cell's
@@ -428,12 +431,13 @@ def classify_profiles(problems: Iterable, samples: int = 32,
 
     Each problem's classification is bitwise the one it gets alone.  Position
     by position in the products, each distinct active factor is evaluated
-    over the unit intervals of every problem holding it there, with c given
-    per row and ROW_CHUNK rows at a time; each chunk is bracketed and folded
-    into its problems' products at once, so only the products are held
-    whole.  Each distinct factor is then banded once, and golden steps
-    evaluate it once.  Every problem is checked before any work, and a bad
-    one is named by its index.
+    over the unit intervals of every problem holding it there for the first
+    time, with c given per row and ROW_CHUNK rows at a time; each chunk is
+    bracketed and folded into its problems' products at once, so only the
+    products are held whole, and the values of a factor that a product
+    repeats are kept for its later positions.  Each distinct factor is then
+    banded once per problem, and golden steps evaluate it once.  Every
+    problem is checked before any work, and a bad one is named by its index.
     """
     _check_counts(samples, refine_iters)
     read = []
@@ -470,44 +474,64 @@ def classify_profiles(problems: Iterable, samples: int = 32,
     # each other's freed memory
     prod = np.empty((-(-len(ms) // ROW_CHUNK) * ROW_CHUNK, samples + 1), dtype=complex)[: len(ms)]
     prod[:] = 1
-    parts = [[] for _ in table]  # per factor: the problems, columns, rows and bracket of a position
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()  # each problem's batch rows
+    held = fids.tolist()
+    kept = {}  # (problem, factor): the factor's values on the problem's rows, for a later position
+    parts = [[] for _ in table]  # per factor: the rows of the problems holding it, and brackets
     for pos in range(fids.shape[1]):
-        held = fids[owner, pos]
-        for g in np.unique(fids[fids[:, pos] >= 0, pos]).tolist():
-            f, ks, rows = table[g], np.flatnonzero(fids[:, pos] == g), np.flatnonzero(held == g)
+        column = fids[:, pos]
+        for g in np.unique(column[column >= 0]).tolist():
+            f, fresh = table[g], []
+            for k in np.flatnonzero(column == g).tolist():
+                if g not in held[k][:pos]:
+                    fresh.append(k)
+                    continue
+                # held at an earlier position: multiply its kept values in
+                runs = kept[k, g] if g in held[k][pos + 1 :] else kept.pop((k, g))
+                for a, values in runs:
+                    head = prod[a : a + len(values)]
+                    np.multiply(head, values, out=head)
+            if not fresh:
+                continue
+            rows = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in fresh])
             bracket = np.empty((3, len(rows)))
             for at in range(0, len(rows), ROW_CHUNK):
                 chunk = rows[at : at + ROW_CHUNK]
                 values = eval_factor_lattice(f, c_row[chunk], grid[chunk], offsets)
                 bracket[:, at : at + ROW_CHUNK] = _bracket(np.abs(values), grid[chunk], offsets)
                 # a chunk runs in slots of consecutive batch rows, one per problem
-                cuts = [0, *(np.flatnonzero(np.diff(chunk) != 1) + 1).tolist(), len(chunk)]
+                cuts = [0, *(np.flatnonzero(np.diff(owner[chunk])) + 1).tolist(), len(chunk)]
                 for i0, i1 in zip(cuts, cuts[1:]):
-                    head = prod[chunk[i0] : chunk[i0] + i1 - i0]
+                    a, k = int(chunk[i0]), int(owner[chunk[i0]])
+                    head = prod[a : a + i1 - i0]
                     np.multiply(head, values[i0:i1], out=head)
-            parts[g].append((ks, cols[owner[rows], pos], rows, bracket))
+                    if g in held[k][pos + 1 :]:
+                        kept.setdefault((k, g), []).append((a, values[i0:i1].copy()))
+            parts[g].append((rows, bracket))
     bands = np.zeros((len(ms), max(len(p.fs) for p in read)), dtype=np.int64)
-    doubts = []
+    banded, doubts = [], []  # per factor: its rows and their bands; the bands in doubt
     for f, part in zip(table, parts):
-        # one slot per (problem, position) holding f, in order of position
-        ks, col, rows, bracket = (np.concatenate(x, axis=-1) for x in zip(*part))
-        slot = np.repeat(np.arange(len(ks)), sizes[ks])
+        rows, bracket = (np.concatenate(x, axis=-1) for x in zip(*part))
+        ks, slot = np.unique(owner[rows], return_inverse=True)
         cs, xs, tops = scalars[:, ks].tolist()
         # s <= sup <= U: refine only members whose band [s, U] leaves in doubt
         ceiling = _sup_ceiling(f, cs, bracket[2], samples, tops, slot)
         band, upper = _bands(np.concatenate((bracket[2], ceiling)), f.N, cs, xs,
                              np.concatenate((slot, slot))).reshape(2, -1)
-        bands[rows, col] = band  # singletons sit in the top cell
+        banded.append((rows, band))
         doubt = np.flatnonzero(band != upper)
-        doubts.append((rows[doubt], col[doubt], slot[doubt], cs, xs, bracket[:, doubt]))
+        doubts.append((rows[doubt], doubt, slot[doubt], cs, xs, bracket[:, doubt]))
     count = [len(d[0]) for d in doubts]
     if sum(count):
         peaks = _golden(table, np.repeat(np.arange(len(table)), count)[:, None],
                         c_row[np.concatenate([d[0] for d in doubts])],
                         *np.hstack([d[5] for d in doubts]), refine_iters)
-        for f, (rows, col, slot, cs, xs, _), peak in zip(table, doubts,
-                                                          np.split(peaks, np.cumsum(count))):
-            bands[rows, col] = _bands(peak, f.N, cs, xs, slot)
+        for f, (_, band), (_, doubt, slot, cs, xs, _), peak in zip(
+                table, banded, doubts, np.split(peaks, np.cumsum(count))):
+            band[doubt] = _bands(peak, f.N, cs, xs, slot)
+    for g, (rows, band) in enumerate(banded):  # one band at every position holding the factor
+        r, pos = np.nonzero(fids[owner[rows]] == g)
+        bands[rows[r], cols[owner[rows[r]], pos]] = band[r]  # singletons sit in the top cell
     # cells: (problem, band row) groups, numbered in order of first appearance
     live = np.flatnonzero((bands >= 0).all(axis=1))
     keys = np.column_stack((owner[live], bands[live]))

@@ -362,6 +362,9 @@ def optimize_nu(
     resolution = Q(resolution)
     if not 0 < resolution <= Q(1, 64):
         raise ValueError(f"resolution must be in (0, 1/64], got {resolution}")
+    for name, (lo, hi) in (("sigma_range", sigma_range), ("mu_range", mu_range)):
+        if Q(lo) > Q(hi):
+            raise ValueError(f"{name} ({Q(lo)}, {Q(hi)}) is reversed: lo > hi")
     cells = _grid_size(*sigma_range, resolution) * _grid_size(*mu_range, resolution)
     if cells > MAX_GRID_CELLS:
         raise CapacityError(f"resolution {resolution} makes {cells} grid cells, "

@@ -15,16 +15,22 @@ segment start) in the column's class r = 1 + 4c: as p^-1 = p (mod 6), p*q = r
 (mod 6) exactly when q = r*p (mod 6).
 
 The strikes run one segment ahead on a single worker thread: while the caller
-reads segment i (flatnonzero, the value map and the gap reductions), the
-worker strikes segment i + 1 into the other of two reused bool buffers.  numpy
-releases the GIL in large fills, nonzero and the ufuncs, so the two overlap.
-Yielded arrays are fresh int64 arrays, never views of a buffer, and the worker
-is joined when the generator ends, is closed or raises.
+reads segment i, the worker strikes segment i + 1 into the other of two
+reused bool buffers.  numpy releases the GIL in large fills, nonzero and the
+ufuncs, so the two overlap.  The caller reads a struck segment READ_BLOCK
+wheel entries at a time (a quarter of a default segment): each read block's
+nonzero entries become its primes in place, and the block's primes are
+yielded as one fresh int64 array, never a view of a buffer.  The worker is
+joined when the generator ends, is closed or raises.
 
 Every gap consumer (iter_gaps, gap_sweep, dyadic_band_sum) reads one stream of
-per-segment (p, gap) arrays; the stream and gap_sweep let go of each segment
-before the next is read.  All gap reductions are over exact integers, so
-results are independent of segmentation.
+(p, gap) arrays, one pair per read block, the gap across the block's left
+edge included.  The stream and gap_sweep let go of each block before the next
+is read, so the working set is the two strike buffers (2 x segment_odds
+bytes) plus one read block's p and gaps (16 bytes per prime in it): 3.04 MiB
+for gap_sweep to 10^8, where reading whole segments held 5.54 MiB.  All gap
+reductions are over exact integers, so results are independent of
+segmentation and of the read block.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ import numpy as np
 from .errors import CapacityError
 
 DEFAULT_SEGMENT_ODDS = 1 << 20
+#: Wheel entries per read block: a struck segment is read, and its primes
+#: yielded, this many entries at a time.
+READ_BLOCK = 1 << 18
 DEFAULT_CEILING = 10**10
 
 
@@ -101,7 +110,8 @@ def iter_prime_segments(
     segment_odds counts wheel entries per segment (two per row of six integers).
     Deterministic for fixed arguments; segmentation never affects the output.
     Segment 0 is struck by the caller's thread and each later one by a worker
-    thread while the one before it is read (see the module docstring).
+    thread while the one before it is read, READ_BLOCK entries per yielded
+    array; a block without a prime yields nothing (see the module docstring).
     """
     lo, hi = _int("lo", lo), _int("hi", hi)
     segment_odds, ceiling = _int("segment_odds", segment_odds), _int("ceiling", ceiling)
@@ -125,6 +135,7 @@ def iter_prime_segments(
     end = hi // 6 + 1  # row k holds 6k + 1 and 6k + 5; rows up to the one holding hi
     firsts = range(lo // 6, end, rows)  # the first row of each segment
     bufs = [np.empty(2 * min(rows, end - firsts[0]), dtype=bool) for _ in firsts[:2]]
+    block = max(1, READ_BLOCK // 2)  # rows per read block
 
     def struck(i: int) -> np.ndarray:  # segment i, sieved in buffer i % 2
         return _strike(bufs[i % 2][: 2 * min(rows, end - firsts[i])], firsts[i], base, squares)
@@ -137,14 +148,18 @@ def iter_prime_segments(
         for i, k0 in enumerate(firsts):
             flat = struck(i) if ahead is None else ahead.result()
             ahead = worker.submit(struck, i + 1) if i + 1 < len(firsts) else None
-            vals = np.flatnonzero(flat)  # entry 2k + c -> 6(k0 + k) + 1 + 4c, in place
-            vals *= 3  # 6k + 3c
-            vals += 1
-            vals &= -2  # 6k + 4c
-            vals += 6 * k0 + 1
-            vals = vals[np.searchsorted(vals, lo) : np.searchsorted(vals, hi, side="right")]
-            if len(vals):
-                yield vals
+            for k in range(k0, k0 + len(flat) // 2, block):
+                # entry 2j + c -> 6(k + j) + 1 + 4c = (3 (2j + c) + 6k + 1) | 1, in place
+                vals = flat[2 * (k - k0) : 2 * (k - k0 + block)].nonzero()[0]
+                vals *= 3
+                vals += 6 * k + 1
+                vals |= 1
+                if 6 * k < lo:  # only the first row can hold integers below lo
+                    vals = vals[np.searchsorted(vals, lo) :]
+                if 6 * (k + block) > hi:  # the last block can run past hi
+                    vals = vals[: np.searchsorted(vals, hi, side="right")]
+                if len(vals):
+                    yield vals
 
 
 def sieve_primes(
@@ -204,8 +219,10 @@ def _gap_stream(
     segment_odds: int = DEFAULT_SEGMENT_ODDS,
     ceiling: int = DEFAULT_CEILING,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield int64 arrays (ps, gaps) per sieve segment for start <= p <= limit.
+    """Yield int64 arrays (ps, gaps) per read block for start <= p <= limit.
 
+    A block's pair opens with the gap across its left edge, from the last
+    prime read before it; the stream's first prime opens its first gap.
     The last gap straddles the limit: its successor is the first prime beyond.
     The sieve runs past the limit by 4 log(limit)^2 (at least 200, at most one
     segment) and, if no prime turns up there, continues in doubling windows
@@ -217,23 +234,30 @@ def _gap_stream(
         raise CapacityError(f"limit {limit} exceeds ceiling {ceiling}")
     if limit < max(start, 2):
         return
-    prev = np.empty(0, dtype=np.int64)
+    prev = None  # the last prime read; its gap closes at the next prime
     width = min(max(200, 4 * int(math.log(limit)) ** 2), 2 * segment_odds)
     lo, hi = start, min(limit + width, ceiling)
     while True:
         for seg in iter_prime_segments(lo, hi, segment_odds=segment_odds, ceiling=ceiling):
-            if len(prev):  # the gap across the segment edge
-                yield prev, seg[:1] - prev
-            ps, gaps = seg[:-1], np.diff(seg)
-            if seg[-1] > limit:
+            gaps = np.empty_like(seg)
+            np.subtract(seg[1:], seg[:-1], out=gaps[1:])
+            last = seg[-1]
+            if prev is None:  # the stream's first prime opens its first gap
+                ps, gaps = seg[:-1], gaps[1:]
+            else:  # the gap across the block's left edge comes first
+                gaps[0] = seg[0] - prev
+                seg[1:] = seg[:-1]  # in place: the block's p are prev, seg[0], ...
+                seg[0] = prev
+                ps = seg
+            prev = last
+            if prev > limit:
                 n = int(np.searchsorted(ps, limit, side="right"))
                 if n:
                     yield ps[:n], gaps[:n]
                 return
             if len(ps):
                 yield ps, gaps
-            prev = seg[-1:].copy()  # a view would pin the whole segment
-            del seg, ps, gaps  # free before the next segment is read
+            del seg, ps, gaps  # free before the next block is read
         if hi >= ceiling:
             raise CapacityError(f"no prime found past {limit} within ceiling {ceiling}")
         width *= 2
@@ -257,31 +281,37 @@ def gap_sweep(
     segment_odds: int = DEFAULT_SEGMENT_ODDS,
     ceiling: int = DEFAULT_CEILING,
 ) -> list[GapSummary]:
-    """GapSummary for each limit in one streaming pass (limits ascending)."""
+    """GapSummary for each limit in one streaming pass (limits ascending).
+
+    A block that closes no limit costs one compare, its max and its dot; the
+    gaps telescope, so sum_gap is read off the successor of a limit's last gap.
+    """
     lims = [_int("limits", x) for x in limits]
     if lims != sorted(lims) or len(set(lims)) != len(lims):
         raise ValueError("limits must be strictly ascending")
     if not lims or lims[0] < 3:
         raise ValueError("limits must be >= 3")
     results: list[GapSummary] = []
-    count = max_gap = sum_gap = sum_sq = 0
+    count = max_gap = sum_sq = 0
+    top = 0  # the successor of the last gap read: the gaps telescope to top - 2
     for ps, gaps in _gap_stream(lims[-1], segment_odds=segment_odds, ceiling=ceiling):
-        # Split the segment at each limit it closes (a p beyond the limit).
-        n = len(ps)
-        cuts = np.searchsorted(ps, lims[len(results):], side="right").tolist()
-        a = 0
-        for b in [c for c in cuts if c < n] + [n]:
-            if a < b:
-                count += b - a
-                max_gap = max(max_gap, int(gaps[a:b].max()))
-                sum_gap += int(ps[b - 1] + gaps[b - 1] - ps[a])  # the gaps telescope
-                sum_sq += int(np.dot(gaps[a:b], gaps[a:b]))
-            if b < n:
-                results.append(GapSummary(lims[len(results)], count, max_gap, sum_gap, sum_sq))
-            a = b
-        del ps, gaps  # free before the next segment is read
-    # The stream ended at the top limit's straddling gap: the rest are complete.
-    results.extend(GapSummary(x, count, max_gap, sum_gap, sum_sq) for x in lims[len(results):])
+        # The top limit is never closed here: the stream stops at its straddling gap.
+        while ps[-1] > lims[len(results)]:  # the block closes this limit
+            x = lims[len(results)]
+            b = int(np.searchsorted(ps, x, side="right"))
+            if b:
+                count += b
+                max_gap = max(max_gap, int(gaps[:b].max()))
+                sum_sq += int(np.dot(gaps[:b], gaps[:b]))
+            results.append(GapSummary(x, count, max_gap, int(ps[b]) - 2, sum_sq))
+            ps, gaps = ps[b:], gaps[b:]
+        count += len(gaps)
+        max_gap = max(max_gap, int(gaps.max()))
+        sum_sq += int(np.dot(gaps, gaps))
+        top = ps[-1] + gaps[-1]
+        del ps, gaps  # free before the next block is read
+    top = int(top)
+    results.extend(GapSummary(x, count, max_gap, top - 2, sum_sq) for x in lims[len(results):])
     return results
 
 

@@ -664,6 +664,42 @@ def test_lattice_chunks_are_never_one_row(monkeypatch):
         assert list(cls.floors.items()) == _ref_floors(cells, sups)
 
 
+@pytest.mark.parametrize("problems", [
+    [([unit_factor(8)] * 3, 1.3, 60.0)],
+    [([mobius_factor(8), unit_factor(16), mobius_factor(8)], 1.12, 30.0)],
+    [([unit_factor(256)] * 12, 1.1, 1.0, 1e6)],
+    # repeats at interleaved positions, in problems that cross 8-row chunks,
+    # beside problems that hold the same factor once
+    [([log_factor(4), singleton_factor(), log_factor(4), unit_factor(4), log_factor(4)],
+      1.07, 10.0),
+     ([unit_factor(4)], 1.2, 9.0),
+     ([unit_factor(4), log_factor(4), unit_factor(4)], 1.1, 12.5),
+     ([log_factor(4), unit_factor(8)], 1.3, 7.0)],
+])
+def test_a_repeated_factor_is_evaluated_once_per_problem(monkeypatch, problems):
+    lattice, rows = dirichlet.eval_factor_lattice, {}
+
+    def counting_lattice(f, c, bases, offsets):
+        rows[f] = rows.get(f, 0) + len(bases)
+        return lattice(f, c, bases, offsets)
+
+    monkeypatch.setattr(dirichlet, "eval_factor_lattice", counting_lattice)
+    monkeypatch.setattr(dirichlet, "ROW_CHUNK", 8)
+    got = classify_profiles(problems)
+    want = {}
+    for factors, c, T, *_ in problems:
+        intervals = math.floor(2 * T) - math.ceil(T) + 1
+        for f in set(factors) - {singleton_factor()}:
+            want[f] = want.get(f, 0) + intervals
+    assert rows == want  # each factor once per problem holding it, at any count of positions
+    # bitwise the classification that evaluates each position's factor anew
+    for cls, (factors, c, T, *floor_x) in zip(got, problems, strict=True):
+        cells, s0, sups = _ref_classify_profile(factors, c, T, *floor_x)
+        assert list(cls.cells.items()) == list(cells.items())
+        assert cls.s0 == s0
+        assert list(cls.floors.items()) == _ref_floors(cells, sups)
+
+
 @pytest.mark.parametrize("bad,match", [
     ((["x"], 1.2, 40.0), "factors must be PolyFactor values"),
     ((unit_factor(8), 1.2, 40.0), "factors must be PolyFactor values"),

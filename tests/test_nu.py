@@ -119,6 +119,17 @@ def test_optimizer_resolution_guard():
         coverage_check(Q(0))
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"sigma_range": (Q(9, 10), Q(7, 10))}, "sigma_range"),
+    ({"mu_range": (Q(2), Q(8, 5))}, "mu_range"),
+    ({"sigma_range": (Q(3, 4), Q(3, 4)), "mu_range": (Q(9, 5), Q(17, 10))}, "mu_range"),
+])
+def test_optimizer_refuses_a_reversed_range(kwargs, name):
+    # a reversed range would give a two-point grid and pin the walk to its hi end
+    with pytest.raises(ValueError, match=f"^{name} .* is reversed"):
+        optimize_nu(Q(1, 64), refine_levels=2, **kwargs)
+
+
 def test_grid_size_counts_the_grid_without_building_it():
     import random
 

@@ -240,9 +240,10 @@ def test_gap_sweep_frees_each_segment_before_the_next():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # two 1 MiB strike buffers and one segment's primes and gaps; 7.62 MiB when
-    # the stream held the previous segment during the next
-    assert peak <= 6.5 * 2**20
+    # two 1 MiB strike buffers and one read block's p and gaps (3.04 MiB); 5.54
+    # MiB when whole segments were read, 7.62 MiB when the stream also held the
+    # previous segment during the next
+    assert peak <= 3.54 * 2**20
 
 
 @pytest.mark.parametrize("seg", [0, -1])
@@ -356,6 +357,62 @@ def test_gap_sweep_limits_on_segment_edges(seg):
         ds = [q - p for p, q in zip(ps, ps[1:]) if p <= x]
         want.append(P.GapSummary(x, len(ds), max(ds), sum(ds), sum(d * d for d in ds)))
     assert len(edges) > 50 and P.gap_sweep(edges, segment_odds=seg) == want
+
+
+def _oracle_summaries(limits, ps):
+    out = []
+    for x in limits:
+        ds = [q - p for p, q in zip(ps, ps[1:]) if p <= x]
+        out.append(P.GapSummary(x, len(ds), max(ds), sum(ds), sum(d * d for d in ds)))
+    return out
+
+
+def _block_edges(lo, hi, **kw):
+    """(last prime of a read block, first prime of the next) for each block edge in [lo, hi]."""
+    blocks = list(iter_prime_segments(lo, hi, **kw))[lo <= 3 :]  # not the head [2, 3]
+    return [(int(a[-1]), int(b[0])) for a, b in zip(blocks, blocks[1:])]
+
+
+@pytest.mark.parametrize("read_block, seg", [(2, 16), (4, 16), (6, 64), (8, 8)])
+def test_gap_consumers_across_read_block_edges(monkeypatch, read_block, seg):
+    # blocks of 1 to 4 rows: many hold no prime, and gaps run across one or more edges
+    monkeypatch.setattr(P, "READ_BLOCK", read_block)
+    segs = list(iter_prime_segments(0, 1500, segment_odds=seg))
+    ps = _oracle_primes(0, 2000).tolist()
+    assert np.array_equal(np.concatenate(segs), _oracle_primes(0, 1500))
+    for lo, hi in [(lo, 1500 - lo) for lo in range(0, 30)]:  # windows cut inside a row
+        got = list(iter_prime_segments(lo, hi, segment_odds=seg))
+        assert np.array_equal(np.concatenate(got), _oracle_primes(lo, hi)), (lo, hi)
+    if read_block <= 4:  # some blocks of one or two rows hold no prime, and yield nothing
+        assert len(segs) - 1 < -(-(1500 // 6 + 1) // (read_block // 2))
+    edges = _block_edges(0, 1500, segment_odds=seg)
+    # limits on the last prime of a block, on the first of the next, and between them
+    limits = sorted({x for a, b in edges for x in (a, b, (a + b) // 2)} - {2})
+    assert P.gap_sweep(limits, segment_odds=seg) == _oracle_summaries(limits, ps)
+    for a, b in edges[::7]:
+        for x in (a, b - 1):  # the straddling gap (a, b) crosses the block edge
+            want = [(p, q) for p, q in zip(ps, ps[1:]) if 100 <= p <= x]
+            got = [(g.p, g.next) for g in P.iter_gaps(x, start=100, segment_odds=seg)]
+            assert got == want and (x < 100 or got[-1] == (a, b))
+    for x, tau in [(101, 101), (211, Fraction(211, 3)), (400, 50), (601, Fraction(601, 2))]:
+        band = [q - p for p, q in zip(ps, ps[1:])
+                if x <= p <= 2 * x and 4 * x / tau <= q - p <= 8 * x / tau]
+        bs = P.dyadic_band_sum(x, tau, segment_odds=seg)
+        assert (bs.sum_gap_sq, bs.contributing) == (sum(d * d for d in band), len(band))
+
+
+def test_gap_sweep_at_the_default_read_block_edges():
+    # the first segment's four read blocks end at 6 * 2^17 * j; edges seen unpatched
+    hi = 3 * P.DEFAULT_SEGMENT_ODDS + 10**4
+    edges = _block_edges(0, hi)
+    edge = 6 * (P.READ_BLOCK // 2)  # the first block's rows end below 6 * 2^17
+    assert len(edges) >= 4
+    assert edges[0] == (_oracle_primes(edge - 200, edge)[-1], _oracle_primes(edge, edge + 200)[0])
+    limits = sorted({x for a, b in edges for x in (a, b, b - 1)})
+    ps = _oracle_primes(0, hi + 1000).tolist()
+    assert P.gap_sweep(limits) == _oracle_summaries(limits, ps)
+    a, b = edges[1]
+    assert [(g.p, g.next) for g in P.iter_gaps(b - 1, start=a - 100)][-1] == (a, b)
 
 
 @pytest.mark.parametrize("call, name", [
