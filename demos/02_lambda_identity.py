@@ -34,6 +34,7 @@ total = identity.window_coefficient_sum(cfg)
 worst = max(abs(total[n] - von_mangoldt(n)) for n in range(x + 1, 3 * x + 1))
 print(f"\nSummed window coefficients reproduce Lambda to {worst:.2e}")
 
-f_part, g_part = identity.split_long(table)
+# a row is long when its longest block N = 2^e exceeds x^(19/20), that is 2^(20e) > x^19
+n_long = sum(2 ** (20 * max(exps)) > x**19 for _, exps in table.rows)
 print(f"Long/short split at x^(19/20) = {x**(19/20):.1f}: "
-      f"{len(f_part)} long, {len(g_part)} short")
+      f"{n_long} long, {len(table) - n_long} short")

@@ -41,8 +41,6 @@ EXIT_USAGE = 1
 EXIT_CAPACITY = 2
 EXIT_VERIFICATION = 3
 
-GAPS_DEFAULT_LIMIT = 10**9
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit-code contract: usage errors are 1
@@ -109,19 +107,13 @@ def cmd_gaps(opt: dict) -> int:
     from . import primes
 
     limits = sorted(set(opt["limits"]))
-    ceiling = opt["ceiling"]
-    if not opt["allow_large"]:
-        over = [n for n in limits if n > GAPS_DEFAULT_LIMIT]
-        if over:
-            raise CapacityError(f"limit {over[0]} beyond desk scale {GAPS_DEFAULT_LIMIT}; "
-                                "pass --allow-large to attempt it")
     out = Path(opt["out"])
-    summaries = primes.gap_sweep(limits, ceiling=ceiling)
+    summaries = primes.gap_sweep(limits)
     rows = [primes.max_gap_row(s) for s in summaries]
     write_table_csv(out / "max_gap_table.csv", rows)
     write_json(out / "gap_summaries.json", [summary_dict(s) for s in summaries])
     if opt["stream_csv"]:
-        stream = primes.iter_gaps(min(limits[-1], opt["stream_limit"]), ceiling=ceiling)
+        stream = primes.iter_gaps(min(limits[-1], opt["stream_limit"]))
         n = write_gap_csv(out / "gaps.csv", stream)
         print(f"wrote {n} gap rows")
     for N, g, r in rows:
@@ -257,8 +249,8 @@ def _read_manifest(path: str, out: str) -> tuple[str, dict]:
 
     Each value is re-parsed as its command-line text: this restores exact
     types lost through JSON (a Fraction res) and refuses values of the wrong
-    type.  Keys the command does not take, such as the retired threads, are
-    dropped.
+    type.  Keys the command does not take, such as the retired threads,
+    gauss_order, allow_large and ceiling, are dropped.
     """
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -321,8 +313,6 @@ _SUMMARIES = {
 _OPTIONS = {
     "gaps": {
         "limits": (_limits_arg, [10, 100, 1000], "comma list, e.g. 10,1e6"),
-        "allow_large": (parse_flag, False, None),
-        "ceiling": (parse_int_literal, 10**10, None),
         "stream_csv": (parse_flag, False, "also write the per-gap CSV stream"),
         "stream_limit": (parse_int_literal, 10**5, None),
     },

@@ -431,22 +431,3 @@ def window_coefficient_sum(cfg: IdentityConfig) -> np.ndarray:
         total[ns] += table.weight(j) * an
     total[: cfg.x + 1] = 0.0
     return total
-
-
-def split_long(
-    table: FactorizationRows, threshold: Fraction = Fraction(19, 20)
-) -> tuple[list[Row], list[Row]]:
-    """Partition the rows by whether some N_i exceeds x^threshold = x^(p/q).
-
-    Exactly: N_i = 2^e is long when e >= 0 and 2^(e q) > x^p, that is when
-    e q reaches the bit length of x^p, so from e = ceil(bitlen(x^p) / q) on.
-    """
-    if not (0 < threshold <= 1):
-        raise ValueError("threshold exponent must be in (0, 1]")
-    p, q = threshold.numerator, threshold.denominator
-    first_long = -(-(table.cfg.x**p).bit_length() // q)
-    long_rows: list[Row] = []
-    short_rows: list[Row] = []
-    for row in table.rows:
-        (long_rows if max(row[1]) >= first_long else short_rows).append(row)
-    return long_rows, short_rows

@@ -8,29 +8,40 @@ assert.
 The sieve is a segmented Eratosthenes on the 6k +- 1 wheel, the integers
 coprime to 6.  Entry 2k + c of a segment stands for 6k + 1 + 4c, so column
 c = 0 holds 6k + 1 and c = 1 holds 6k + 5; 2 and 3 are yielded as a head and
-1 is struck.  segment_odds counts wheel entries per segment, which holds
-max(1, segment_odds // 2) rows k.  Every sieving prime p >= 5 strikes each
-column by one slice of stride 2p, from its first multiple p*q >= max(p^2,
-segment start) in the column's class r = 1 + 4c: as p^-1 = p (mod 6), p*q = r
-(mod 6) exactly when q = r*p (mod 6).
+1 is struck.  A segment holds SEGMENT_ODDS wheel entries, max(1,
+SEGMENT_ODDS // 2) rows k.  Every sieving prime p >= 5 strikes each column by
+one slice of stride 2p, from its first multiple p*q >= max(p^2, segment
+start) in the column's class r = 1 + 4c: as p^-1 = p (mod 6), p*q = r (mod 6)
+exactly when q = r*p (mod 6).
 
 The strikes run one segment ahead on a single worker thread: while the caller
 reads segment i, the worker strikes segment i + 1 into the other of two
 reused bool buffers.  numpy releases the GIL in large fills, nonzero and the
 ufuncs, so the two overlap.  The caller reads a struck segment READ_BLOCK
-wheel entries at a time (a quarter of a default segment): each read block's
-nonzero entries become its primes in place, and the block's primes are
-yielded as one fresh int64 array, never a view of a buffer.  The worker is
-joined when the generator ends, is closed or raises.
+wheel entries at a time (a quarter of a segment): each read block's nonzero
+entries become its primes in place, and the block's primes are yielded as one
+fresh int64 array, never a view of a buffer.  The worker is joined when the
+generator ends, is closed or raises.
+
+SEGMENT_ODDS, READ_BLOCK and CEILING are module constants, read when a sieve
+starts; they are not arguments.  The one height guard is in
+iter_prime_segments: a sieve whose top exceeds CEILING is refused before
+anything is struck.  Every gap reader inherits it, since each sieves through
+iter_prime_segments.
 
 Every gap consumer (iter_gaps, gap_sweep, dyadic_band_sum) reads one stream of
 (p, gap) arrays, one pair per read block, the gap across the block's left
-edge included.  The stream and gap_sweep let go of each block before the next
-is read, so the working set is the two strike buffers (2 x segment_odds
-bytes) plus one read block's p and gaps (16 bytes per prime in it): 3.04 MiB
-for gap_sweep to 10^8, where reading whole segments held 5.54 MiB.  All gap
-reductions are over exact integers, so results are independent of
-segmentation and of the read block.
+edge included.  The stream is one sieve pass over [start, limit + width],
+with width = max(200, 4 floor(log limit)^2) to reach the successor of the
+limit's last prime.  By the maximal-gap records, verified to 4e18 (Oliveira
+e Silva, Herzog and Pardi, Math. Comp. 83, 2014), no gap below CEILING is
+above 0.21 of that width, so the one pass always holds the successor.
+The stream and gap_sweep let go of each block before the next is read, so
+the working set is the two strike buffers (2 x SEGMENT_ODDS bytes) plus one
+read block's p and gaps (16 bytes per prime in it): 3.04 MiB for gap_sweep to
+10^8, where reading whole segments held 5.54 MiB.  All gap reductions are
+over exact integers, so results are independent of segmentation and of the
+read block.
 """
 
 from __future__ import annotations
@@ -45,11 +56,13 @@ import numpy as np
 
 from .errors import CapacityError
 
-DEFAULT_SEGMENT_ODDS = 1 << 20
+#: Wheel entries per strike segment (two per row of six integers).
+SEGMENT_ODDS = 1 << 20
 #: Wheel entries per read block: a struck segment is read, and its primes
 #: yielded, this many entries at a time.
 READ_BLOCK = 1 << 18
-DEFAULT_CEILING = 10**10
+#: The largest integer any sieve may reach.
+CEILING = 10**10
 
 
 # ---------------------------------------------------------------------------
@@ -98,31 +111,21 @@ def _strike(flat: np.ndarray, k0: int, base: np.ndarray, squares: np.ndarray) ->
     return flat
 
 
-def iter_prime_segments(
-    lo: int,
-    hi: int,
-    *,
-    segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    ceiling: int = DEFAULT_CEILING,
-) -> Iterator[np.ndarray]:
+def iter_prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Yield int64 arrays whose concatenation is exactly the primes in [lo, hi].
 
-    segment_odds counts wheel entries per segment (two per row of six integers).
-    Deterministic for fixed arguments; segmentation never affects the output.
-    Segment 0 is struck by the caller's thread and each later one by a worker
-    thread while the one before it is read, READ_BLOCK entries per yielded
-    array; a block without a prime yields nothing (see the module docstring).
+    hi > CEILING is refused with CapacityError before anything is struck; this
+    is the one height guard of the module.  Segmentation (SEGMENT_ODDS) and
+    the read block never affect the output.  Segment 0 is struck by the
+    caller's thread and each later one by a worker thread while the one
+    before it is read, READ_BLOCK entries per yielded array; a block without a
+    prime yields nothing (see the module docstring).
     """
     lo, hi = _int("lo", lo), _int("hi", hi)
-    segment_odds, ceiling = _int("segment_odds", segment_odds), _int("ceiling", ceiling)
     if not (0 <= lo <= hi):
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
-    if segment_odds < 1:
-        raise ValueError(f"segment_odds must be >= 1, got {segment_odds}")
-    if hi > ceiling:
-        raise CapacityError(
-            f"sieve limit {hi} exceeds configured ceiling {ceiling}"
-        )
+    if hi > CEILING:
+        raise CapacityError(f"sieve limit {hi} exceeds ceiling {CEILING}")
     if hi < 2:
         return
     base = simple_sieve(math.isqrt(hi))[2:]  # sieving primes 5, 7, 11, ...
@@ -131,7 +134,7 @@ def iter_prime_segments(
     if head:
         yield np.array(head, dtype=np.int64)
 
-    rows = max(1, segment_odds // 2)
+    rows = max(1, SEGMENT_ODDS // 2)
     end = hi // 6 + 1  # row k holds 6k + 1 and 6k + 5; rows up to the one holding hi
     firsts = range(lo // 6, end, rows)  # the first row of each segment
     bufs = [np.empty(2 * min(rows, end - firsts[0]), dtype=bool) for _ in firsts[:2]]
@@ -160,20 +163,6 @@ def iter_prime_segments(
                     vals = vals[: np.searchsorted(vals, hi, side="right")]
                 if len(vals):
                     yield vals
-
-
-def sieve_primes(
-    lo: int,
-    hi: int,
-    *,
-    segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    ceiling: int = DEFAULT_CEILING,
-) -> np.ndarray:
-    """The primes in [lo, hi], ascending."""
-    chunks = list(iter_prime_segments(lo, hi, segment_odds=segment_odds, ceiling=ceiling))
-    if not chunks:
-        return np.array([], dtype=np.int64)
-    return np.concatenate(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -212,75 +201,58 @@ class BandSum:
     contributing: int
 
 
-def _gap_stream(
-    limit: int,
-    *,
-    start: int = 2,
-    segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    ceiling: int = DEFAULT_CEILING,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _gap_stream(limit: int, *, start: int = 2) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield int64 arrays (ps, gaps) per read block for start <= p <= limit.
 
     A block's pair opens with the gap across its left edge, from the last
     prime read before it; the stream's first prime opens its first gap.
     The last gap straddles the limit: its successor is the first prime beyond.
-    The sieve runs past the limit by 4 log(limit)^2 (at least 200, at most one
-    segment) and, if no prime turns up there, continues in doubling windows
-    from where it stopped until the successor appears or the ceiling is reached.
+    One sieve pass over [start, limit + width], width = max(200, 4 log(limit)^2),
+    finds it: no gap below CEILING is above 0.21 of the width (see the module
+    docstring), and the sieve refuses a window past CEILING before it strikes.
+    The CapacityError after the pass is a safety check that those records
+    keep from firing.
     """
     limit, start = _int("limit", limit), _int("start", start)
-    segment_odds, ceiling = _int("segment_odds", segment_odds), _int("ceiling", ceiling)
-    if limit > ceiling:
-        raise CapacityError(f"limit {limit} exceeds ceiling {ceiling}")
     if limit < max(start, 2):
         return
     prev = None  # the last prime read; its gap closes at the next prime
-    width = min(max(200, 4 * int(math.log(limit)) ** 2), 2 * segment_odds)
-    lo, hi = start, min(limit + width, ceiling)
-    while True:
-        for seg in iter_prime_segments(lo, hi, segment_odds=segment_odds, ceiling=ceiling):
-            gaps = np.empty_like(seg)
-            np.subtract(seg[1:], seg[:-1], out=gaps[1:])
-            last = seg[-1]
-            if prev is None:  # the stream's first prime opens its first gap
-                ps, gaps = seg[:-1], gaps[1:]
-            else:  # the gap across the block's left edge comes first
-                gaps[0] = seg[0] - prev
-                seg[1:] = seg[:-1]  # in place: the block's p are prev, seg[0], ...
-                seg[0] = prev
-                ps = seg
-            prev = last
-            if prev > limit:
-                n = int(np.searchsorted(ps, limit, side="right"))
-                if n:
-                    yield ps[:n], gaps[:n]
-                return
-            if len(ps):
-                yield ps, gaps
-            del seg, ps, gaps  # free before the next block is read
-        if hi >= ceiling:
-            raise CapacityError(f"no prime found past {limit} within ceiling {ceiling}")
-        width *= 2
-        lo, hi = hi + 1, min(hi + width, ceiling)
+    width = max(200, 4 * int(math.log(limit)) ** 2)
+    for seg in iter_prime_segments(start, limit + width):
+        gaps = np.empty_like(seg)
+        np.subtract(seg[1:], seg[:-1], out=gaps[1:])
+        last = seg[-1]
+        if prev is None:  # the stream's first prime opens its first gap
+            ps, gaps = seg[:-1], gaps[1:]
+        else:  # the gap across the block's left edge comes first
+            gaps[0] = seg[0] - prev
+            seg[1:] = seg[:-1]  # in place: the block's p are prev, seg[0], ...
+            seg[0] = prev
+            ps = seg
+        prev = last
+        if prev > limit:
+            n = int(np.searchsorted(ps, limit, side="right"))
+            if n:
+                yield ps[:n], gaps[:n]
+            return
+        if len(ps):
+            yield ps, gaps
+        del seg, ps, gaps  # free before the next block is read
+    raise CapacityError(f"no prime found past {limit} up to {limit + width}")
 
 
-def iter_gaps(limit: int, *, start: int = 2, **kw) -> Iterator[PrimeGap]:
+def iter_gaps(limit: int, *, start: int = 2) -> Iterator[PrimeGap]:
     """Stream gaps (p, next, d) with start <= p <= limit, ascending p.
 
     The final gap straddles the limit: its p is the largest prime <= limit and
     its successor is the first prime beyond.
     """
-    for ps, gaps in _gap_stream(limit, start=start, **kw):
+    for ps, gaps in _gap_stream(limit, start=start):
         for p, d in zip(ps.tolist(), gaps.tolist()):
             yield PrimeGap(p, p + d, d)
 
 
-def gap_sweep(
-    limits: Sequence[int],
-    *,
-    segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    ceiling: int = DEFAULT_CEILING,
-) -> list[GapSummary]:
+def gap_sweep(limits: Sequence[int]) -> list[GapSummary]:
     """GapSummary for each limit in one streaming pass (limits ascending).
 
     A block that closes no limit costs one compare, its max and its dot; the
@@ -294,7 +266,7 @@ def gap_sweep(
     results: list[GapSummary] = []
     count = max_gap = sum_sq = 0
     top = 0  # the successor of the last gap read: the gaps telescope to top - 2
-    for ps, gaps in _gap_stream(lims[-1], segment_odds=segment_odds, ceiling=ceiling):
+    for ps, gaps in _gap_stream(lims[-1]):
         # The top limit is never closed here: the stream stops at its straddling gap.
         while ps[-1] > lims[len(results)]:  # the block closes this limit
             x = lims[len(results)]
@@ -323,13 +295,13 @@ def max_gap_row(s: GapSummary) -> tuple[int, int, float]:
     return (s.x, s.max_gap, float(ratio))
 
 
-def max_gap_table(limits: Iterable[int], **kw) -> list[tuple[int, int, float]]:
+def max_gap_table(limits: Iterable[int]) -> list[tuple[int, int, float]]:
     """max_gap_row for each limit, from one gap_sweep."""
     lims = sorted(set(_int("limits", x) for x in limits))
-    return [max_gap_row(s) for s in gap_sweep(lims, **kw)]
+    return [max_gap_row(s) for s in gap_sweep(lims)]
 
 
-def dyadic_band_sum(x: int, tau: Fraction | int, **kw) -> BandSum:
+def dyadic_band_sum(x: int, tau: Fraction | int) -> BandSum:
     """Sum d_n^2 over gaps with 4x/tau <= d_n <= 8x/tau and x <= p_n <= 2x."""
     x, tau = _int("x", x), Fraction(tau)
     if not (0 < tau <= x):
@@ -341,7 +313,7 @@ def dyadic_band_sum(x: int, tau: Fraction | int, **kw) -> BandSum:
     hi_int = (8 * x * tau.denominator) // tau.numerator
     total = 0
     n_contrib = 0
-    for _, gaps in _gap_stream(2 * x, start=max(2, x), **kw):
+    for _, gaps in _gap_stream(2 * x, start=max(2, x)):
         band = gaps[(gaps >= lo_int) & (gaps <= hi_int)]
         total += int(np.dot(band, band))
         n_contrib += len(band)

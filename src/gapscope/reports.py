@@ -21,9 +21,7 @@ def _fmt_float(x: float) -> str:
         return '"nan"'
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
-    if x == int(x) and abs(x) < 1e15:
-        return repr(int(x))  # avoid 3.0/3 flapping between sources
-    return format(x, ".12g")
+    return format(x + 0.0, ".12g")  # one form for every finite x; -0.0 + 0.0 is 0.0
 
 
 def canonical_json(obj, indent: int = 0) -> str:

